@@ -27,7 +27,6 @@ from .inference import (
     transition_inference,
 )
 from .logits import (
-    DatasetSplit,
     LogitSequence,
     TransitionLogitBank,
     argmax_confidence,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logits import LogitSequence, argmax_confidence_rows
+from .logits import LogitSequence, argmax_confidence_rows, positive_temperature
 from .workflow import PhaseTimeline
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
@@ -33,10 +33,7 @@ class Temperature:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v) or v <= 0:
-            raise ValueError(f"temperature must be a positive finite real, got {self.value}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", positive_temperature(self.value))
 
     def __float__(self) -> float:
         return self.value
@@ -85,18 +82,11 @@ class CalibrationReport:
     def __post_init__(self):
         for name in ("nll_before", "nll_after", "ece_before", "ece_after"):
             v = getattr(self, name)
-            if v < 0:
+            if not v >= 0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
         for name in ("ece_before", "ece_after"):
             if getattr(self, name) > 1:
                 raise ValueError(f"{name} must be <= 1")
-
-
-def _temperature_value(temperature) -> float:
-    t = float(temperature)
-    if not math.isfinite(t) or t <= 0:
-        raise ValueError(f"temperature must be a positive finite real, got {temperature}")
-    return t
 
 
 def as_arrays(logits, labels=None) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +145,7 @@ def nll(logits, labels=None, temperature=1.0) -> float:
     Invariant to per-row constant shifts of the logits.
     """
     z, y = as_arrays(logits, labels)
-    return _nll_arrays(z, y, _temperature_value(temperature))
+    return _nll_arrays(z, y, positive_temperature(temperature))
 
 
 def reliability_bins(logits, labels=None, temperature=1.0, num_bins: int = DEFAULT_NUM_BINS) -> ReliabilityBins:
@@ -163,7 +153,7 @@ def reliability_bins(logits, labels=None, temperature=1.0, num_bins: int = DEFAU
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
     z, y = as_arrays(logits, labels)
-    pred, conf = argmax_confidence_rows(z, _temperature_value(temperature))
+    pred, conf = argmax_confidence_rows(z, positive_temperature(temperature))
     # floor(conf * B) puts edge values in the higher bin; clamp keeps 1.0 on top
     b = np.minimum((conf * num_bins).astype(np.int64), num_bins - 1)
     counts = np.bincount(b, minlength=num_bins)

@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration, inference, metrics, report, simulate
-from .logits import LogitSequence, load_bank, load_logits
+from .logits import LogitSequence, TransitionLogitBank, load_bank, load_logits
 from .selfcheck import run_selftest
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
-from .workflow import NUM_PHASES, PhaseTimeline, load_timelines, save_timelines
+from .workflow import NUM_PHASES, load_timelines, save_timelines
 
 # Keys never written to config echoes: paths vary between runs without
 # affecting artifact content, and byte-identical reruns are a contract.
@@ -37,6 +38,15 @@ class StageError(RuntimeError):
         super().__init__(f"{stage}: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as a StageError naming ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def _format_value(value) -> str:
@@ -139,15 +149,14 @@ def _noise_spec(args, seed=None) -> NoiseSpec:
     )
 
 
-def _load_dataset_dir(path) -> tuple[dict[str, PhaseTimeline], dict[str, LogitSequence], object]:
-    path = Path(path)
-    gts = load_timelines(path / "gt.csv")
-    baselines = load_logits(path / "baseline.csv")
-    bank = load_bank(path / "bank")
-    return gts, baselines, bank
-
-
 # ---------------------------------------------------------------- simulate
+
+def _simulation_echo(args, workflow: WorkflowSpec) -> dict:
+    echo = _echo_values(args)
+    echo["resolved_dwell_mean"] = workflow.dwell_mean[0]
+    echo["resolved_dwell_min"] = workflow.dwell_min[0]
+    return echo
+
 
 def cmd_simulate(args) -> int:
     out = Path(args.out)
@@ -160,10 +169,7 @@ def cmd_simulate(args) -> int:
         id_prefix=args.prefix,
         smoothing_window=args.attention_smooth,
     )
-    echo = _echo_values(args)
-    echo["resolved_dwell_mean"] = workflow.dwell_mean[0]
-    echo["resolved_dwell_min"] = workflow.dwell_min[0]
-    write_config_echo(out, echo)
+    write_config_echo(out, _simulation_echo(args, workflow))
     print(f"wrote {args.videos} simulated videos to {out}")
     return 0
 
@@ -178,29 +184,32 @@ def _labeled_split(baselines: dict[str, LogitSequence]) -> list[LogitSequence]:
     return seqs
 
 
+def _write_calibration(
+    out_dir, report_path, val_seqs, test_seqs, bins: int, extra_results: dict
+) -> calibration.CalibrationReport:
+    """Fit T on ``val_seqs`` and write the report (plus ``extra_results``), its
+    text table and the test split's reliability bins before and after."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=bins)
+    report.write_results_json({**report.calibration_results(cal), **extra_results}, report_path)
+    (out_dir / "report.txt").write_text(report.render_calibration_table(cal), encoding="utf-8")
+    for name, temperature in (("before", 1.0), ("after", cal.fitted.value)):
+        reliability = calibration.reliability_bins(test_seqs, temperature=temperature, num_bins=bins)
+        report.write_reliability_csv(reliability, out_dir / f"reliability_{name}.csv")
+    return cal
+
+
 def cmd_calibrate(args) -> int:
     out = Path(args.out)
     if out.suffix == ".json":
         out_dir, report_path = out.parent, out
     else:
         out_dir, report_path = out, out / "report.json"
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    _, val_base, val_bank = _load_dataset_dir(args.val)
-    _, test_base, _ = _load_dataset_dir(args.test)
-    val_seqs = _labeled_split(val_base)
-    test_seqs = _labeled_split(test_base)
-
-    cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=args.bins)
-    results = report.calibration_results(cal)
-    if args.include_bank:
-        results.update(_bank_temperatures(val_bank))
-    report.write_results_json(results, report_path)
-    (out_dir / "report.txt").write_text(report.render_calibration_table(cal), encoding="utf-8")
-    bins_before = calibration.reliability_bins(test_seqs, temperature=1.0, num_bins=args.bins)
-    bins_after = calibration.reliability_bins(test_seqs, temperature=cal.fitted.value, num_bins=args.bins)
-    report.write_reliability_csv(bins_before, out_dir / "reliability_before.csv")
-    report.write_reliability_csv(bins_after, out_dir / "reliability_after.csv")
+    val_seqs = _labeled_split(load_logits(Path(args.val) / "baseline.csv"))
+    test_seqs = _labeled_split(load_logits(Path(args.test) / "baseline.csv"))
+    extra = _bank_temperatures(load_bank(Path(args.val) / "bank")) if args.include_bank else {}
+    cal = _write_calibration(out_dir, report_path, val_seqs, test_seqs, args.bins, extra)
     write_config_echo(out_dir, _echo_values(args))
     print(report.render_calibration_table(cal), end="")
     return 0
@@ -235,7 +244,7 @@ def _resolve_temperature(args) -> float:
     if args.temperature == "auto":
         if not args.val:
             raise ValueError("--temperature auto requires --val <dir> to fit on")
-        _, val_base, _ = _load_dataset_dir(args.val)
+        val_base = load_logits(Path(args.val) / "baseline.csv")
         fitted = calibration.fit_temperature(_labeled_split(val_base))
         print(f"fitted temperature on validation split: {fitted.value!r}")
         return fitted.value
@@ -243,6 +252,15 @@ def _resolve_temperature(args) -> float:
         return float(args.temperature)
     except ValueError:
         raise ValueError(f"--temperature must be a number or 'auto', got {args.temperature!r}") from None
+
+
+def _infer(strategy: str, baselines: dict[str, LogitSequence], bank, cfg) -> tuple[dict, dict]:
+    """Run one strategy over every video in id order: ({vid: timeline}, {vid: trace})."""
+    if strategy == "transition":
+        runs = {vid: inference.transition_inference(bank, vid, cfg) for vid in bank.videos()}
+    else:
+        runs = {vid: inference.confidence_inference(baselines[vid], bank, cfg) for vid in sorted(baselines)}
+    return {vid: t for vid, (t, _) in runs.items()}, {vid: tr for vid, (_, tr) in runs.items()}
 
 
 def cmd_infer(args) -> int:
@@ -254,25 +272,17 @@ def cmd_infer(args) -> int:
     )
     if args.sweep:
         cfg = replace(cfg, conf_threshold=_run_sweep(args, bank, cfg))
-    timelines, traces = [], []
-    if args.strategy == "transition":
-        for vid in bank.videos():
-            timeline, trace = inference.transition_inference(bank, vid, cfg)
-            timelines.append(timeline)
-            traces.append(trace)
-    else:
+    baselines = {}
+    if args.strategy == "confidence":
         if not args.base:
             raise ValueError("--strategy confidence requires --base <file>")
         baselines = load_logits(args.base)
-        for vid in sorted(baselines):
-            timeline, trace = inference.confidence_inference(baselines[vid], bank, cfg)
-            timelines.append(timeline)
-            traces.append(trace)
+    timelines, traces = _infer(args.strategy, baselines, bank, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_timelines(timelines, out)
+    save_timelines(list(timelines.values()), out)
     if args.trace:
-        inference.save_traces(traces, args.trace)
+        inference.save_traces(list(traces.values()), args.trace)
     echo = _echo_values(args)
     echo["resolved_threshold"] = cfg.conf_threshold
     echo["resolved_temperature"] = cfg.temperature
@@ -284,7 +294,10 @@ def cmd_infer(args) -> int:
 def _run_sweep(args, bank, cfg) -> float:
     if not args.val:
         raise ValueError("--sweep requires --val <dir> with labeled data")
-    gts, baselines, val_bank = _load_dataset_dir(args.val)
+    val = Path(args.val)
+    gts = load_timelines(val / "gt.csv")
+    baselines = load_logits(val / "baseline.csv")
+    val_bank = load_bank(val / "bank")
     best_by_vid = []
     rows_total = None
     for vid in sorted(baselines):
@@ -410,128 +423,66 @@ def render_report_text(results: dict) -> str:
 
 # ---------------------------------------------------------------- pipeline
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved end-to-end pipeline configuration."""
+def cmd_pipeline(args) -> int:
+    """simulate -> calibrate -> infer (all four strategies) -> evaluate -> report.
 
-    out_dir: Path
-    seed: int = 42
-    val_videos: int = 2
-    test_videos: int = 3
-    frames_mean: float = 1200.0
-    dwell_min: int | None = None
-    monotone: bool = True
-    base_acc: float = 0.85
-    pair_acc: tuple[float, ...] = DEFAULT_PAIR_ACCURACY
-    overconfidence: float = 2.5
-    jitter: int = 10
-    buffer: int = 100
-    threshold: float = 0.5
-    bins: int = 15
-    attention_smooth: int = 0
-    format: tuple[str, ...] = ("text", "json", "svg")
-
-    def echo_values(self) -> dict:
-        values = {k: v for k, v in vars(self).items() if k != "out_dir"}
-        return values
-
-
-def run_pipeline(cfg: RunConfig) -> int:
-    """simulate -> calibrate -> infer (both strategies) -> evaluate -> report.
-
-    Writes every artifact under cfg.out_dir; identical config and seed yield
-    byte-identical trees. Raises StageError naming the failing stage.
+    The whole configuration is checked before the first artifact is written.
+    Each stage writes its artifacts once and hands its in-memory results to
+    the next, so no artifact is read back. Identical configuration and seed
+    yield byte-identical trees. Raises StageError naming the failing stage.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    dwell_mean = cfg.frames_mean / NUM_PHASES
-    dwell_min = cfg.dwell_min if cfg.dwell_min is not None else max(1, round(dwell_mean / 4))
-    workflow = WorkflowSpec(dwell_mean=dwell_mean, dwell_min=dwell_min, monotone=cfg.monotone)
-    echo = cfg.echo_values()
-    echo["resolved_dwell_mean"] = workflow.dwell_mean[0]
-    echo["resolved_dwell_min"] = workflow.dwell_min[0]
+    with _stage("simulate"):
+        workflow = _workflow_spec(args)
+        noise = {
+            split: _noise_spec(args, derive_video_seed(args.seed, key))
+            for split, key in (("val", 101), ("test", 202))
+        }
+    with _stage("infer"):
+        uncal_cfg = inference.InferenceConfig(args.buffer, args.threshold)
+    out = Path(args.out)
+    echo = _simulation_echo(args, workflow)
+    del echo["command"]  # keeps pipeline echoes byte-identical to earlier versions
     write_config_echo(out, echo)
 
-    def noise(seed):
-        return NoiseSpec(
-            base_accuracy_target=cfg.base_acc,
-            pairwise_accuracy_target=cfg.pair_acc,
-            overconfidence=cfg.overconfidence,
-            boundary_jitter=cfg.jitter,
-            rng_seed=seed,
-        )
+    with _stage("simulate"):
+        videos = {}
+        for split, count in (("val", args.val_videos), ("test", args.test_videos)):
+            videos[split] = simulate.generate_dataset(
+                out / split, count, workflow, noise[split],
+                id_prefix=split, smoothing_window=args.attention_smooth,
+            )
+            write_config_echo(out / split, echo)
+        base_val = {v.baseline.video_id: v.baseline for v in videos["val"]}
+        base_test = {v.baseline.video_id: v.baseline for v in videos["test"]}
+        gts = {v.ground_truth.video_id: v.ground_truth for v in videos["test"]}
+        bank = TransitionLogitBank.merge([v.bank for v in videos["test"]])
 
-    try:
-        val_dir, test_dir = out / "val", out / "test"
-        simulate.generate_dataset(
-            val_dir, cfg.val_videos, workflow, noise(derive_video_seed(cfg.seed, 101)),
-            id_prefix="val", smoothing_window=cfg.attention_smooth,
-        )
-        write_config_echo(val_dir, echo)
-        simulate.generate_dataset(
-            test_dir, cfg.test_videos, workflow, noise(derive_video_seed(cfg.seed, 202)),
-            id_prefix="test", smoothing_window=cfg.attention_smooth,
-        )
-        write_config_echo(test_dir, echo)
-    except Exception as exc:
-        raise StageError("simulate", exc) from exc
-
-    try:
-        gts_val, base_val, _ = _load_dataset_dir(val_dir)
-        gts, base_test, bank = _load_dataset_dir(test_dir)
+    with _stage("calibrate"):
         cal_dir = out / "calibration"
-        cal_dir.mkdir(exist_ok=True)
-        val_seqs = _labeled_split(base_val)
-        test_seqs = _labeled_split(base_test)
-        cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=cfg.bins)
-        report.write_results_json(report.calibration_results(cal), cal_dir / "report.json")
-        (cal_dir / "report.txt").write_text(report.render_calibration_table(cal), encoding="utf-8")
-        report.write_reliability_csv(
-            calibration.reliability_bins(test_seqs, temperature=1.0, num_bins=cfg.bins),
-            cal_dir / "reliability_before.csv",
-        )
-        report.write_reliability_csv(
-            calibration.reliability_bins(test_seqs, temperature=cal.fitted.value, num_bins=cfg.bins),
-            cal_dir / "reliability_after.csv",
+        cal = _write_calibration(
+            cal_dir, cal_dir / "report.json", _labeled_split(base_val), _labeled_split(base_test), args.bins, {}
         )
         write_config_echo(cal_dir, echo)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("calibrate", exc) from exc
 
-    try:
+    with _stage("infer"):
         inf_dir = out / "inference"
         inf_dir.mkdir(exist_ok=True)
-        strategies: dict[str, dict[str, PhaseTimeline]] = {name: {} for name in STRATEGY_ORDER}
-        traces: dict[str, dict[str, inference.InferenceTrace]] = {
-            "transition": {}, "confidence_uncalibrated": {}, "confidence_calibrated": {}
-        }
-        cal_cfg = inference.InferenceConfig(cfg.buffer, cfg.threshold, cal.fitted.value)
-        uncal_cfg = inference.InferenceConfig(cfg.buffer, cfg.threshold, 1.0)
-        for vid in sorted(base_test):
-            strategies["baseline"][vid] = inference.baseline_argmax(base_test[vid])
-            timeline, trace = inference.transition_inference(bank, vid, cal_cfg)
-            strategies["transition"][vid] = timeline
-            traces["transition"][vid] = trace
-            timeline, trace = inference.confidence_inference(base_test[vid], bank, uncal_cfg)
-            strategies["confidence_uncalibrated"][vid] = timeline
-            traces["confidence_uncalibrated"][vid] = trace
-            timeline, trace = inference.confidence_inference(base_test[vid], bank, cal_cfg)
-            strategies["confidence_calibrated"][vid] = timeline
-            traces["confidence_calibrated"][vid] = trace
+        cal_cfg = replace(uncal_cfg, temperature=cal.fitted.value)
+        strategies = {"baseline": {vid: inference.baseline_argmax(base_test[vid]) for vid in sorted(base_test)}}
+        traces = {}
+        for name, strategy, cfg in (
+            ("transition", "transition", cal_cfg),
+            ("confidence_uncalibrated", "confidence", uncal_cfg),
+            ("confidence_calibrated", "confidence", cal_cfg),
+        ):
+            strategies[name], traces[name] = _infer(strategy, base_test, bank, cfg)
         for name, by_vid in strategies.items():
-            save_timelines([by_vid[v] for v in sorted(by_vid)], inf_dir / f"{name}.csv")
+            save_timelines(list(by_vid.values()), inf_dir / f"{name}.csv")
         for name, by_vid in traces.items():
-            inference.save_traces([by_vid[v] for v in sorted(by_vid)], inf_dir / f"{name}_trace.csv")
+            inference.save_traces(list(by_vid.values()), inf_dir / f"{name}_trace.csv")
         write_config_echo(inf_dir, echo)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("infer", exc) from exc
 
-    try:
+    with _stage("evaluate"):
         eval_dir = out / "evaluation"
         eval_dir.mkdir(exist_ok=True)
         results = dict(report.calibration_results(cal))
@@ -550,49 +501,23 @@ def run_pipeline(cfg: RunConfig) -> int:
             results[f"strategy.{name}.cascade.frames"] = frames
         for pair, acc in metrics.bank_restricted_accuracies(bank, gts).items():
             results[f"pair.{pair.name}.accuracy"] = acc
-        if "json" in cfg.format:
+        if "json" in args.format:
             report.write_results_json(results, eval_dir / "results.json")
-        if "text" in cfg.format:
+        if "text" in args.format:
             (eval_dir / "strategies.txt").write_text(
                 report.render_strategy_table(table_rows), encoding="utf-8"
             )
             (eval_dir / "report.txt").write_text(render_report_text(results), encoding="utf-8")
-        if "svg" in cfg.format:
+        if "svg" in args.format:
             for name in ("transition", "confidence_calibrated"):
                 for vid in sorted(strategies[name]):
                     report.write_ribbon_svg(
                         gts[vid], strategies[name][vid], eval_dir / f"ribbon_{name}_{vid}.svg"
                     )
         write_config_echo(eval_dir, echo)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("evaluate", exc) from exc
 
     print(render_report_text(results), end="")
     return 0
-
-
-def cmd_pipeline(args) -> int:
-    cfg = RunConfig(
-        out_dir=Path(args.out),
-        seed=args.seed,
-        val_videos=args.val_videos,
-        test_videos=args.test_videos,
-        frames_mean=args.frames_mean,
-        dwell_min=args.dwell_min,
-        monotone=args.monotone,
-        base_acc=args.base_acc,
-        pair_acc=args.pair_acc,
-        overconfidence=args.overconfidence,
-        jitter=args.jitter,
-        buffer=args.buffer,
-        threshold=args.threshold,
-        bins=args.bins,
-        attention_smooth=args.attention_smooth,
-        format=args.format,
-    )
-    return run_pipeline(cfg)
 
 
 def cmd_selftest(args) -> int:

@@ -19,16 +19,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .logits import LogitSequence, TransitionLogitBank, argmax_confidence_rows
+from .logits import LogitSequence, TransitionLogitBank, argmax_confidence_rows, positive_temperature
 from .workflow import (
     NUM_PHASES,
     PhaseLabel,
     PhaseTimeline,
     TransitionPair,
+    all_transition_pairs,
     pair_for_phase,
+    read_rows,
 )
 
 BASELINE_MODEL = "baseline"
+_MODEL_NAMES = frozenset([BASELINE_MODEL, *(pair.name for pair in all_transition_pairs())])
 
 TRACE_HEADER = "video_id,frame_idx,model,state,confidence,prediction"
 
@@ -76,10 +79,6 @@ class MajorityBuffer:
         return int(np.argmax(self._counts[1:])) + 1
 
 
-def majority(buf: MajorityBuffer) -> int:
-    return buf.majority()
-
-
 @dataclass(frozen=True)
 class InferenceConfig:
     """Shared knobs: buffer size N, confidence threshold, and temperature."""
@@ -93,10 +92,7 @@ class InferenceConfig:
             raise ValueError("buffer_size must be >= 1")
         if not 0.0 <= self.conf_threshold <= 1.0:
             raise ValueError("conf_threshold must lie in [0, 1]")
-        t = float(self.temperature)
-        if not math.isfinite(t) or t <= 0:
-            raise ValueError("temperature must be a positive finite real")
-        object.__setattr__(self, "temperature", t)
+        object.__setattr__(self, "temperature", positive_temperature(self.temperature))
 
 
 @dataclass(frozen=True)
@@ -257,37 +253,23 @@ def save_traces(traces, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _trace_row(fields) -> tuple[str, int, float | None, int]:
+    model, state, conf, pred = fields
+    if model not in _MODEL_NAMES:
+        raise ValueError(f"model must be {BASELINE_MODEL!r} or a transition pair name, got {model!r}")
+    confidence = None if conf == "" else float(conf)
+    if confidence is not None and not math.isfinite(confidence):
+        raise ValueError("non-finite confidence")
+    return model, int(state), confidence, int(pred)
+
+
 def load_traces(path) -> dict[str, InferenceTrace]:
-    path = Path(path)
-    per_video: dict[str, list[TraceRecord]] = {}
-    header_seen = False
-    with path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != TRACE_HEADER:
-                    raise ValueError(f"{path}:{lineno}: expected header {TRACE_HEADER!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-            vid, idx_s, model, state_s, conf_s, pred_s = parts
-            try:
-                record = TraceRecord(
-                    frame_idx=int(idx_s),
-                    model=model,
-                    state=int(state_s),
-                    confidence=None if conf_s == "" else float(conf_s),
-                    prediction=int(pred_s),
-                )
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed trace row") from None
-            per_video.setdefault(vid, []).append(record)
-    if not header_seen:
-        raise ValueError(f"{path}: missing header line")
-    if not per_video:
-        raise ValueError(f"{path}: no frames")
-    return {vid: InferenceTrace(vid, tuple(records)) for vid, records in per_video.items()}
+    """Parse a trace file into {video_id: InferenceTrace} (see read_rows).
+
+    The model column must be ``baseline`` or a transition pair name.
+    """
+    per_video = read_rows(path, TRACE_HEADER, _trace_row)
+    return {
+        vid: InferenceTrace(vid, tuple(TraceRecord(i, *row) for i, row in enumerate(rows)))
+        for vid, rows in per_video.items()
+    }

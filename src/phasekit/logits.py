@@ -4,14 +4,23 @@ baseline and transition-model score streams."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .workflow import PHASE_MAX, PHASE_MIN, TransitionPair, all_transition_pairs
+from .workflow import PHASE_MAX, PHASE_MIN, TransitionPair, all_transition_pairs, read_rows
 
 BANK_FILE_SUFFIX = ".csv"
+LOGIT_HEADER = "video_id,frame_idx,label"
+
+
+def positive_temperature(value) -> float:
+    """``value`` as a float, rejecting anything but a positive finite real."""
+    t = float(value)
+    if not math.isfinite(t) or t <= 0:
+        raise ValueError(f"temperature must be a positive finite real, got {value}")
+    return t
 
 
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
@@ -21,9 +30,7 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     the result is invariant (to ~1e-12) to adding a constant to all entries.
     Rejects non-finite input and non-positive temperature.
     """
-    t = float(temperature)
-    if not math.isfinite(t) or t <= 0:
-        raise ValueError(f"temperature must be a positive finite real, got {temperature}")
+    t = positive_temperature(temperature)
     z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise ValueError("softmax input is empty")
@@ -165,26 +172,9 @@ class TransitionLogitBank:
         return next(iter(by_pair.values())).num_frames
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    """Pairwise-disjoint train / validation / test video-id sets."""
-
-    train: frozenset[str] = field(default_factory=frozenset)
-    validation: frozenset[str] = field(default_factory=frozenset)
-    test: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "train", frozenset(self.train))
-        object.__setattr__(self, "validation", frozenset(self.validation))
-        object.__setattr__(self, "test", frozenset(self.test))
-        overlap = (self.train & self.validation) | (self.train & self.test) | (self.validation & self.test)
-        if overlap:
-            raise ValueError(f"split sets overlap on: {sorted(overlap)}")
-
-
 def _logit_header(num_classes: int) -> str:
     zcols = ",".join(f"z{i}" for i in range(1, num_classes + 1))
-    return f"video_id,frame_idx,label,{zcols}"
+    return f"{LOGIT_HEADER},{zcols}"
 
 
 def save_logits(sequences, path) -> None:
@@ -214,65 +204,29 @@ def save_logits(sequences, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_logits(path) -> dict[str, LogitSequence]:
-    """Parse a logit file into {video_id: LogitSequence}.
+def _logit_row(fields) -> tuple[int, list[float]]:
+    z = [float(v) for v in fields[1:]]
+    if not all(map(math.isfinite, z)):
+        raise ValueError("non-finite logit")
+    return int(fields[0]), z
 
-    ``#`` lines are comments. Rows with the wrong column count or non-numeric
-    entries raise ValueError naming the line number. An all-zero label column
-    for a video loads as labels=None.
+
+def load_logits(path) -> dict[str, LogitSequence]:
+    """Parse a logit file into {video_id: LogitSequence} (see read_rows).
+
+    Non-numeric or non-finite entries raise ValueError naming the line. An
+    all-zero label column for a video loads as labels=None.
     """
-    path = Path(path)
-    expected_cols: int | None = None
-    k: int | None = None
-    rows: dict[str, list[np.ndarray]] = {}
-    labels: dict[str, list[int]] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if expected_cols is None:
-                if len(parts) < 5 or parts[:3] != ["video_id", "frame_idx", "label"]:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected header 'video_id,frame_idx,label,z1,...', got {line!r}"
-                    )
-                expected_cols = len(parts)
-                k = expected_cols - 3
-                continue
-            if len(parts) != expected_cols:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {expected_cols} columns, got {len(parts)}"
-                )
-            vid = parts[0]
-            try:
-                idx = int(parts[1])
-                lab = int(parts[2])
-                z = np.array([float(v) for v in parts[3:]], dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
-            vrows = rows.setdefault(vid, [])
-            if idx != len(vrows):
-                raise ValueError(
-                    f"{path}:{lineno}: frame_idx {idx} out of order for video {vid!r} "
-                    f"(expected {len(vrows)})"
-                )
-            vrows.append(z)
-            labels.setdefault(vid, []).append(lab)
-    if expected_cols is None:
-        raise ValueError(f"{path}: missing header line")
-    if not rows:
-        raise ValueError(f"{path}: no frames")
     out: dict[str, LogitSequence] = {}
-    for vid, vrows in rows.items():
-        labs = labels[vid]
-        if all(l == 0 for l in labs):
+    for vid, rows in read_rows(path, LOGIT_HEADER, _logit_row, open_ended=True).items():
+        labs, zs = zip(*rows)
+        if not any(labs):
             lab_arr = None
-        elif any(l == 0 for l in labs):
+        elif not all(labs):
             raise ValueError(f"{path}: video {vid!r} mixes labeled and unlabeled (0) rows")
         else:
             lab_arr = np.array(labs, dtype=np.int64)
-        out[vid] = LogitSequence(vid, np.vstack(vrows), labels=lab_arr)
+        out[vid] = LogitSequence(vid, np.array(zs, dtype=np.float64), labels=lab_arr)
     return out
 
 

@@ -59,11 +59,8 @@ class WorkflowSpec:
     dwell_mean: tuple[float, ...] = (257.0,) * NUM_PHASES
     dwell_min: tuple[int, ...] = (60,) * NUM_PHASES
     monotone: bool = True
-    num_phases: int = NUM_PHASES
 
     def __post_init__(self):
-        if self.num_phases != NUM_PHASES:
-            raise ValueError(f"the workflow graph is fixed at {NUM_PHASES} phases")
         means = _per_phase(self.dwell_mean, float)
         mins = _per_phase(self.dwell_min, int)
         for i, (mean, mn) in enumerate(zip(means, mins), start=1):
@@ -129,18 +126,13 @@ def _margin_for_accuracy(target: float, num_classes: int) -> float:
     return float(brentq(lambda m: accuracy(m) - target, 0.0, 16.0, xtol=1e-10))
 
 
-def _dwell_lengths(spec: WorkflowSpec, rng: np.random.Generator) -> np.ndarray:
-    """One dwell per phase: dwell_min plus a shifted-geometric tail with the
+def _dwell(spec: WorkflowSpec, phase: int, rng: np.random.Generator) -> int:
+    """One dwell at ``phase``: dwell_min plus a shifted-geometric tail with the
     configured mean."""
-    lengths = np.empty(NUM_PHASES, dtype=np.int64)
-    for i in range(NUM_PHASES):
-        mean, mn = spec.dwell_mean[i], spec.dwell_min[i]
-        if mean <= mn:
-            lengths[i] = mn
-        else:
-            p = 1.0 / (1.0 + mean - mn)
-            lengths[i] = mn + rng.geometric(p) - 1
-    return lengths
+    mean, mn = spec.dwell_mean[phase - 1], spec.dwell_min[phase - 1]
+    if mean <= mn:
+        return mn
+    return mn + int(rng.geometric(1.0 / (1.0 + mean - mn))) - 1
 
 
 def generate_ground_truth(spec: WorkflowSpec, seed, video_id: str = "sim") -> PhaseTimeline:
@@ -153,19 +145,13 @@ def generate_ground_truth(spec: WorkflowSpec, seed, video_id: str = "sim") -> Ph
     """
     rng = np.random.default_rng(seed)
     if spec.monotone:
-        lengths = _dwell_lengths(spec, rng)
+        lengths = [_dwell(spec, phase, rng) for phase in range(1, NUM_PHASES + 1)]
         labels = np.repeat(np.arange(1, NUM_PHASES + 1), lengths)
         return PhaseTimeline(video_id, labels)
     chunks = []
     phase = 1
     while True:
-        mean, mn = spec.dwell_mean[phase - 1], spec.dwell_min[phase - 1]
-        if mean <= mn:
-            dwell = mn
-        else:
-            p = 1.0 / (1.0 + mean - mn)
-            dwell = mn + rng.geometric(p) - 1
-        chunks.append(np.full(dwell, phase, dtype=np.int64))
+        chunks.append(np.full(_dwell(spec, phase, rng), phase, dtype=np.int64))
         if phase == NUM_PHASES:
             break
         if phase > 1 and rng.random() < 0.15:
@@ -334,11 +320,11 @@ def generate_dataset(
     noise: NoiseSpec,
     id_prefix: str = "video",
     smoothing_window: int = 0,
-) -> list[str]:
+) -> list[SimulatedVideo]:
     """Simulate ``num_videos`` videos and write them as a dataset directory.
 
     Layout: ``gt.csv`` (timelines), ``baseline.csv`` (K=7 logits), and
-    ``bank/trans_<i>_<i+1>.csv``. Returns the video ids, in file order.
+    ``bank/trans_<i>_<i+1>.csv``. Returns the written videos, in file order.
     """
     if num_videos < 1:
         raise ValueError("num_videos must be >= 1")
@@ -351,4 +337,4 @@ def generate_dataset(
     save_timelines([v.ground_truth for v in videos], out_dir / "gt.csv")
     save_logits([v.baseline for v in videos], out_dir / "baseline.csv")
     save_bank(TransitionLogitBank.merge([v.bank for v in videos]), out_dir / "bank")
-    return [v.ground_truth.video_id for v in videos]
+    return videos

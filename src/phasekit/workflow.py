@@ -136,47 +136,64 @@ def save_timelines(timelines, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_timelines(path) -> dict[str, PhaseTimeline]:
-    """Parse a timeline file into {video_id: PhaseTimeline}.
+def read_rows(path, header: str, convert, *, open_ended: bool = False) -> dict[str, list]:
+    """Parse a comma-separated file keyed by ``video_id,frame_idx`` into
+    {video_id: [convert(columns after frame_idx), ...]}.
 
-    Lines beginning with ``#`` are ignored. Malformed rows raise ValueError
-    naming the offending line number.
+    Blank lines and lines beginning with ``#`` are skipped. The first other
+    line must equal ``header``; with ``open_ended`` it must instead start with
+    ``header``'s columns and add two or more (a logit file's K >= 2 scores).
+    Every row must have the header's column count, frame_idx must run 0, 1,
+    2, ... within each video, and ``convert`` rejects a row by raising
+    ValueError. Every error is a ValueError beginning ``path:line:``.
     """
     path = Path(path)
-    per_video: dict[str, list[int]] = {}
-    header_seen = False
+    names = header.split(",")
+    columns = None
+    per_video: dict[str, list] = {}
     with path.open(encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if not header_seen:
-                if line != TIMELINE_HEADER:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected header {TIMELINE_HEADER!r}, got {line!r}"
-                    )
-                header_seen = True
+            fields = line.split(",")
+            if columns is None:
+                if open_ended:
+                    ok = fields[:len(names)] == names and len(fields) >= len(names) + 2
+                else:
+                    ok = fields == names
+                if not ok:
+                    shown = header + ",..." if open_ended else header
+                    raise ValueError(f"{path}:{lineno}: expected header {shown!r}, got {line!r}")
+                columns = len(fields)
                 continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-            vid, idx_s, phase_s = parts
+            if len(fields) != columns:
+                raise ValueError(f"{path}:{lineno}: expected {columns} columns, got {len(fields)}")
+            rows = per_video.setdefault(fields[0], [])
             try:
-                idx = int(idx_s)
-                phase = int(phase_s)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer frame_idx or phase") from None
-            rows = per_video.setdefault(vid, [])
-            if idx != len(rows):
-                raise ValueError(
-                    f"{path}:{lineno}: frame_idx {idx} out of order for video {vid!r} "
-                    f"(expected {len(rows)})"
-                )
-            if not PHASE_MIN <= phase <= PHASE_MAX:
-                raise ValueError(f"{path}:{lineno}: phase {phase} outside [1, 7]")
-            rows.append(phase)
-    if not header_seen:
+                idx = int(fields[1])
+                if idx != len(rows):
+                    raise ValueError(
+                        f"frame_idx {idx} out of order for video {fields[0]!r} (expected {len(rows)})"
+                    )
+                rows.append(convert(fields[2:]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if columns is None:
         raise ValueError(f"{path}: missing header line")
     if not per_video:
         raise ValueError(f"{path}: no frames")
+    return per_video
+
+
+def _phase(fields) -> int:
+    phase = int(fields[0])
+    if not PHASE_MIN <= phase <= PHASE_MAX:
+        raise ValueError(f"phase {phase} outside [{PHASE_MIN}, {PHASE_MAX}]")
+    return phase
+
+
+def load_timelines(path) -> dict[str, PhaseTimeline]:
+    """Parse a timeline file into {video_id: PhaseTimeline} (see read_rows)."""
+    per_video = read_rows(path, TIMELINE_HEADER, _phase)
     return {vid: PhaseTimeline(vid, rows) for vid, rows in per_video.items()}

@@ -9,7 +9,6 @@ properties at pinned tolerances instead.
 import filecmp
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ import pytest
 from conftest import proximity_bank
 from oracles import grid_search_temperature
 from phasekit.calibration import calibrate_report, ece, fit_temperature
-from phasekit.cli import RunConfig, run_pipeline
+from phasekit.cli import main
 from phasekit.inference import (
     InferenceConfig,
     baseline_argmax,
@@ -184,9 +183,9 @@ def test_criterion_8_ece_anchors():
 
 
 def test_criterion_9_pipeline_determinism(tmp_path):
-    cfg = RunConfig(out_dir=tmp_path / "a", seed=9, val_videos=1, test_videos=1, frames_mean=420.0)
-    run_pipeline(cfg)
-    run_pipeline(replace(cfg, out_dir=tmp_path / "b"))
+    for run in ("a", "b"):
+        assert main(["pipeline", "--out", str(tmp_path / run), "--seed", "9", "--val-videos", "1",
+                     "--test-videos", "1", "--frames-mean", "420"]) == 0
     files_a = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())
     files_b = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*") if p.is_file())
     assert files_a == files_b

@@ -229,3 +229,5 @@ class TestCalibrateReport:
             CalibrationReport(-0.1, 0.1, 0.1, 0.1, Temperature(1.0))
         with pytest.raises(ValueError):
             CalibrationReport(0.1, 0.1, 1.5, 0.1, Temperature(1.0))
+        with pytest.raises(ValueError):
+            CalibrationReport(math.nan, 1.0, math.nan, 0.1, Temperature(2.0))

@@ -1,3 +1,5 @@
+import filecmp
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,17 @@ class TestInfer:
         assert rc == 2
         assert "trans_1_2" in capsys.readouterr().err
 
+    def test_non_finite_baseline_names_line(self, small_dataset, tmp_path, capsys):
+        _, test = small_dataset
+        rows = [line.split(",") for line in (test / "baseline.csv").read_text().splitlines()]
+        rows[4][5] = "nan"
+        base = tmp_path / "baseline.csv"
+        base.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        rc = main(["infer", "--strategy", "confidence", "--base", str(base),
+                   "--bank", str(test / "bank"), "--out", str(tmp_path / "pred.csv")])
+        assert rc == 2
+        assert f"{base}:5:" in capsys.readouterr().err
+
     def test_sweep_prints_grid(self, small_dataset, tmp_path, capsys):
         val, test = small_dataset
         rc = main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
@@ -133,6 +146,25 @@ class TestEvaluate:
         assert (out / "evaluation.txt").exists()
         assert (out / "ribbon_video00.svg").exists()
         assert "accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("column, value", [
+        (1, "99999"),  # beyond the end of the timeline
+        (1, "-3"),  # would otherwise index from the end
+        (2, "trans_9_9"),  # names no transition pair
+    ])
+    def test_bad_trace_row_names_line(self, small_dataset, tmp_path, capsys, column, value):
+        _, test = small_dataset
+        pred = tmp_path / "pred.csv"
+        trace = tmp_path / "trace.csv"
+        main(["infer", "--strategy", "transition", "--bank", str(test / "bank"),
+              "--trace", str(trace), "--out", str(pred)])
+        rows = [line.split(",") for line in trace.read_text().splitlines()]
+        rows[5][column] = value
+        trace.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        rc = main(["evaluate", "--pred", str(pred), "--gt", str(test / "gt.csv"),
+                   "--trace", str(trace), "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert f"{trace}:6:" in capsys.readouterr().err
 
     def test_report_rerenders(self, small_dataset, tmp_path):
         _, test = small_dataset
@@ -194,6 +226,34 @@ class TestPipeline:
         rc = main(["pipeline", "--out", str(tmp_path / "run"), "--base-acc", "0.05"])
         assert rc == 2
         assert "simulate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--buffer", "0"), ("--threshold", "2")])
+    def test_bad_inference_config_writes_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        rc = main(["pipeline", "--out", str(out), flag, value])
+        assert rc == 2
+        assert "infer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matches_its_subcommands(self, tmp_path):
+        """The pipeline's in-memory stages write what the subcommands write
+        when run on the dataset the pipeline saved."""
+        out = tmp_path / "run"
+        rc = main(["pipeline", "--out", str(out), "--frames-mean", "420",
+                   "--val-videos", "1", "--test-videos", "1", "--seed", "3"])
+        assert rc == 0
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--val", str(out / "val"), "--test", str(out / "test"),
+                     "--out", str(cal)]) == 0
+        inf = tmp_path / "inf"
+        assert main(["infer", "--strategy", "transition", "--bank", str(out / "test" / "bank"),
+                     "--trace", str(inf / "transition_trace.csv"),
+                     "--out", str(inf / "transition.csv")]) == 0
+        pairs = [(cal / f, out / "calibration" / f)
+                 for f in ("report.json", "reliability_before.csv", "reliability_after.csv")]
+        pairs += [(inf / f, out / "inference" / f) for f in ("transition.csv", "transition_trace.csv")]
+        for mine, piped in pairs:
+            assert filecmp.cmp(mine, piped, shallow=False), piped.name
 
     def test_default_demo_orders_calibrated_at_or_above_baseline(self, tmp_path):
         out = tmp_path / "run"

@@ -13,7 +13,6 @@ from phasekit.inference import (
     baseline_argmax,
     confidence_inference,
     load_traces,
-    majority,
     save_traces,
     sweep_threshold,
     transition_inference,
@@ -51,7 +50,7 @@ class TestMajorityBuffer:
         assert MajorityBuffer.from_contents([3, 2, 3, 3]).majority() == 3
 
     def test_module_level_helper(self):
-        assert majority(MajorityBuffer(4)) == 1
+        assert MajorityBuffer(4).majority() == 1
 
     @given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=40))
     def test_matches_counter_oracle(self, labels):
@@ -237,3 +236,15 @@ class TestTraceIO:
         assert load_traces(path)["v"] == trace
         save_traces([trace2], path)
         assert load_traces(path)["v"] == trace2
+
+    @pytest.mark.parametrize("row", [
+        "v,1,baseline,1,0.5,1",  # frame_idx skips 0
+        "v,0,trans_9_9,1,,1",
+        "v,0,oracle,1,,1",
+        "v,0,baseline,1,nan,1",
+    ])
+    def test_bad_row_names_line(self, tmp_path, row):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"video_id,frame_idx,model,state,confidence,prediction\n{row}\n")
+        with pytest.raises(ValueError, match=":2:"):
+            load_traces(path)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import oracle_softmax
 from phasekit.logits import (
-    DatasetSplit,
     LogitSequence,
     TransitionLogitBank,
     argmax_confidence,
@@ -176,6 +175,13 @@ class TestLogitIO:
         with pytest.raises(ValueError, match=":2:"):
             load_logits(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_entry_names_line(self, tmp_path, bad):
+        path = tmp_path / "logits.csv"
+        path.write_text(f"video_id,frame_idx,label,z1,z2\nv,0,1,0.5,0.1\nv,1,1,{bad},0.1\n")
+        with pytest.raises(ValueError, match=":3: non-finite"):
+            load_logits(path)
+
     def test_empty_data_section(self, tmp_path):
         path = tmp_path / "logits.csv"
         path.write_text("video_id,frame_idx,label,z1,z2\n")
@@ -235,12 +241,3 @@ class TestBank:
         with pytest.raises(ValueError, match="trans_3_4"):
             load_bank(tmp_path / "bank")
 
-
-class TestDatasetSplit:
-    def test_disjoint_ok(self):
-        s = DatasetSplit(train={"a"}, validation={"b"}, test={"c"})
-        assert s.train == {"a"}
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            DatasetSplit(train={"a"}, validation={"a"}, test=set())
