@@ -240,11 +240,10 @@ def _bank_temperatures(bank) -> dict:
 
 # ---------------------------------------------------------------- infer
 
-def _resolve_temperature(args) -> float:
+def _resolve_temperature(args, val_base) -> float:
     if args.temperature == "auto":
-        if not args.val:
+        if val_base is None:
             raise ValueError("--temperature auto requires --val <dir> to fit on")
-        val_base = load_logits(Path(args.val) / "baseline.csv")
         fitted = calibration.fit_temperature(_labeled_split(val_base))
         print(f"fitted temperature on validation split: {fitted.value!r}")
         return fitted.value
@@ -265,15 +264,20 @@ def _infer(strategy: str, baselines: dict[str, LogitSequence], bank, cfg) -> tup
 
 def cmd_infer(args) -> int:
     bank = load_bank(args.bank)
+    confidence = args.strategy == "confidence"
+    # one parse of the validation baselines serves both --temperature auto and --sweep
+    val_base = None
+    if args.val and (args.sweep or (confidence and args.temperature == "auto")):
+        val_base = load_logits(Path(args.val) / "baseline.csv")
     cfg = inference.InferenceConfig(
         buffer_size=args.buffer,
         conf_threshold=args.threshold,
-        temperature=_resolve_temperature(args) if args.strategy == "confidence" else 1.0,
+        temperature=_resolve_temperature(args, val_base) if confidence else 1.0,
     )
     if args.sweep:
-        cfg = replace(cfg, conf_threshold=_run_sweep(args, bank, cfg))
+        cfg = replace(cfg, conf_threshold=_run_sweep(args, cfg, val_base))
     baselines = {}
-    if args.strategy == "confidence":
+    if confidence:
         if not args.base:
             raise ValueError("--strategy confidence requires --base <file>")
         baselines = load_logits(args.base)
@@ -291,18 +295,15 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _run_sweep(args, bank, cfg) -> float:
-    if not args.val:
+def _run_sweep(args, cfg, baselines) -> float:
+    if baselines is None:
         raise ValueError("--sweep requires --val <dir> with labeled data")
     val = Path(args.val)
     gts = load_timelines(val / "gt.csv")
-    baselines = load_logits(val / "baseline.csv")
     val_bank = load_bank(val / "bank")
-    best_by_vid = []
     rows_total = None
     for vid in sorted(baselines):
-        best, rows = inference.sweep_threshold(baselines[vid], val_bank, gts[vid], cfg)
-        best_by_vid.append(best)
+        _, rows = inference.sweep_threshold(baselines[vid], val_bank, gts[vid], cfg)
         if rows_total is None:
             rows_total = [[t, a * len(gts[vid])] for t, a in rows]
         else:
@@ -374,6 +375,7 @@ def cmd_report(args) -> int:
             raise ValueError("--format svg requires --pred and --gt timelines")
         preds = load_timelines(args.pred)
         gts = load_timelines(args.gt)
+        metrics.require_ground_truth(preds, gts)
         for vid in sorted(preds):
             report.write_ribbon_svg(gts[vid], preds[vid], out / f"ribbon_{vid}.svg")
     write_config_echo(out, _echo_values(args))
@@ -437,6 +439,12 @@ def cmd_pipeline(args) -> int:
             split: _noise_spec(args, derive_video_seed(args.seed, key))
             for split, key in (("val", 101), ("test", 202))
         }
+        for flag, count in (("--val-videos", args.val_videos), ("--test-videos", args.test_videos)):
+            if count < 1:
+                raise ValueError(f"{flag} must be >= 1, got {count}")
+    with _stage("calibrate"):
+        if args.bins < 1:
+            raise ValueError(f"--bins must be >= 1, got {args.bins}")
     with _stage("infer"):
         uncal_cfg = inference.InferenceConfig(args.buffer, args.threshold)
     out = Path(args.out)

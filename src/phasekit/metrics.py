@@ -82,6 +82,13 @@ def per_phase_stats(pred, gt) -> dict[int, PhaseStats]:
     return out
 
 
+def require_ground_truth(preds: dict[str, PhaseTimeline], gts: dict[str, PhaseTimeline]) -> None:
+    """Raise ValueError naming every predicted video without a ground-truth timeline."""
+    missing = sorted(set(preds) - set(gts))
+    if missing:
+        raise ValueError(f"missing ground truth for videos: {', '.join(missing)}")
+
+
 def evaluate_predictions(preds: dict[str, PhaseTimeline], gts: dict[str, PhaseTimeline]) -> EvalResult:
     """Pool predictions over videos and compute the full metric set.
 
@@ -91,9 +98,7 @@ def evaluate_predictions(preds: dict[str, PhaseTimeline], gts: dict[str, PhaseTi
     """
     if not preds:
         raise ValueError("no predictions to evaluate")
-    missing = sorted(set(preds) - set(gts))
-    if missing:
-        raise ValueError(f"missing ground truth for videos: {', '.join(missing)}")
+    require_ground_truth(preds, gts)
     order = sorted(preds)
     p_all = np.concatenate([preds[v].labels for v in order])
     g_all = np.concatenate([gts[v].labels for v in order])

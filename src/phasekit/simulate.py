@@ -20,14 +20,12 @@ split.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.stats import norm
+from numpy.polynomial.hermite_e import hermegauss
 
 from .attention import scaled_dot_attention
 from .logits import LogitSequence, TransitionLogitBank, save_bank, save_logits
@@ -45,6 +43,11 @@ from .workflow import (
 _NOISELESS_MARGIN = 4.0
 
 DEFAULT_PAIR_ACCURACY = (0.9604, 0.9519, 0.9471, 0.9785, 0.9348, 0.8347)
+
+# Probabilists' Gauss-Hermite rule (Abramowitz & Stegun 25.4.46), weights
+# normalised so that sum(w * f(u)) approximates E[f(u)] for u ~ N(0, 1).
+_GH_NODES, _GH_WEIGHTS = hermegauss(96)
+_GH_RULE = tuple(zip(_GH_NODES.tolist(), (_GH_WEIGHTS / math.sqrt(2.0 * math.pi)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -112,18 +115,24 @@ def _per_phase(value, cast):
     return out
 
 
-@lru_cache(maxsize=256)
 def _margin_for_accuracy(target: float, num_classes: int) -> float:
     """Solve P(m + e0 > max of K-1 iid standard normals) = target for m."""
     rivals = num_classes - 1
     if rivals == 1:
-        return math.sqrt(2.0) * float(norm.ppf(target))
+        return math.sqrt(2.0) * statistics.NormalDist().inv_cdf(target)
 
     def accuracy(m: float) -> float:
-        val, _ = quad(lambda u: norm.pdf(u) * norm.cdf(m + u) ** rivals, -10.0, 10.0)
-        return val
+        # E[Phi(m + u)^(K-1)] with Phi(x) = erfc(-x / sqrt 2) / 2
+        return sum(w * (0.5 * math.erfc(-(m + u) / math.sqrt(2.0))) ** rivals for u, w in _GH_RULE)
 
-    return float(brentq(lambda m: accuracy(m) - target, 0.0, 16.0, xtol=1e-10))
+    lo, hi = 0.0, 16.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if accuracy(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _dwell(spec: WorkflowSpec, phase: int, rng: np.random.Generator) -> int:

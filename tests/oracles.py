@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: NLL goes
 through scipy's logsumexp, the temperature oracle is an exhaustive geometric
-grid, and majority voting uses collections.Counter.
+grid, majority voting uses collections.Counter, and the simulator's margin
+solve uses adaptive quadrature inside brentq.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ import math
 from collections import Counter
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import logsumexp
+from scipy.stats import norm
 
 
 def oracle_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
@@ -77,3 +81,16 @@ def oracle_ece(confidences, correct, num_bins: int) -> float:
         acc = sum(1 for i in idx if correct[i]) / len(idx)
         out += len(idx) / total * abs(acc - conf)
     return out
+
+
+def oracle_margin(target: float, num_classes: int) -> float:
+    """Solve P(m + e0 > max of K-1 iid standard normals) = target for m."""
+    rivals = num_classes - 1
+    if rivals == 1:
+        return math.sqrt(2.0) * float(norm.ppf(target))
+
+    def accuracy(m: float) -> float:
+        val, _ = quad(lambda u: norm.pdf(u) * norm.cdf(m + u) ** rivals, -10.0, 10.0)
+        return val
+
+    return float(brentq(lambda m: accuracy(m) - target, 0.0, 16.0, xtol=1e-10))

@@ -1,8 +1,11 @@
 import filecmp
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from phasekit import cli
+from phasekit.calibration import fit_temperature
 from phasekit.cli import main
 from phasekit.inference import baseline_argmax, load_traces
 from phasekit.logits import load_bank, load_logits
@@ -120,6 +123,24 @@ class TestInfer:
         assert rc == 2
         assert f"{base}:5:" in capsys.readouterr().err
 
+    def test_auto_temperature_with_sweep_reads_validation_once(self, small_dataset, tmp_path, monkeypatch):
+        val, test = small_dataset
+        reads = []
+
+        def counting_load(path):
+            reads.append(Path(path))
+            return load_logits(path)
+
+        monkeypatch.setattr(cli, "load_logits", counting_load)
+        rc = main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
+                   "--bank", str(test / "bank"), "--temperature", "auto", "--sweep", "--val", str(val),
+                   "--out", str(tmp_path / "pred.csv")])
+        assert rc == 0
+        assert reads.count(val / "baseline.csv") == 1
+        val_base = load_logits(val / "baseline.csv")
+        fitted = fit_temperature([val_base[v] for v in sorted(val_base)])
+        assert f"resolved_temperature = {fitted.value!r}" in (tmp_path / "config.txt").read_text()
+
     def test_sweep_prints_grid(self, small_dataset, tmp_path, capsys):
         val, test = small_dataset
         rc = main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
@@ -178,6 +199,17 @@ class TestEvaluate:
         assert rc == 0
         assert "2-class model accuracy" in (out / "report.txt").read_text()
 
+    def test_report_svg_names_video_without_ground_truth(self, small_dataset, tmp_path, capsys):
+        _, test = small_dataset
+        results = tmp_path / "results.json"
+        results.write_text("{}")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("video_id,frame_idx,phase\nzz,0,1\n")
+        rc = main(["report", "--results", str(results), "--pred", str(pred), "--gt", str(test / "gt.csv"),
+                   "--format", "svg", "--out", str(tmp_path / "render")])
+        assert rc == 2
+        assert "missing ground truth for videos: zz" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_overrides_defaults_and_flags_override_file(self, tmp_path):
@@ -233,6 +265,16 @@ class TestPipeline:
         rc = main(["pipeline", "--out", str(out), flag, value])
         assert rc == 2
         assert "infer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, stage", [
+        ("--val-videos", "simulate"), ("--test-videos", "simulate"), ("--bins", "calibrate"),
+    ])
+    def test_bad_count_writes_nothing(self, tmp_path, capsys, flag, stage):
+        out = tmp_path / "run"
+        rc = main(["pipeline", "--out", str(out), flag, "0"])
+        assert rc == 2
+        assert f"error in stage {stage}: {flag} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_matches_its_subcommands(self, tmp_path):

@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import phasekit
+from oracles import oracle_margin
 from phasekit.calibration import fit_temperature
 from phasekit.inference import _pair_predictions
 from phasekit.logits import load_bank, load_logits
@@ -8,6 +17,7 @@ from phasekit.simulate import (
     DEFAULT_PAIR_ACCURACY,
     NoiseSpec,
     WorkflowSpec,
+    _margin_for_accuracy,
     attention_smooth,
     boundary_mask,
     generate_baseline_logits,
@@ -50,6 +60,27 @@ class TestSpecs:
     def test_scalar_pair_target_broadcasts(self):
         spec = NoiseSpec(pairwise_accuracy_target=0.9)
         assert spec.pairwise_accuracy_target == (0.9,) * 6
+
+
+@st.composite
+def margin_problems(draw):
+    num_classes = draw(st.integers(2, 7))
+    target = draw(st.floats(1.0 / num_classes + 1e-3, 0.9999, exclude_min=True))
+    return target, num_classes
+
+
+class TestMarginSolve:
+    @settings(max_examples=20)
+    @given(margin_problems())
+    def test_agrees_with_quadrature_oracle(self, problem):
+        target, num_classes = problem
+        assert abs(_margin_for_accuracy(target, num_classes) - oracle_margin(target, num_classes)) <= 1e-9
+
+    def test_cli_import_leaves_scipy_out(self):
+        code = "import sys, phasekit.cli; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(phasekit.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert child.stdout.strip() == "False"
 
 
 class TestGroundTruth:
