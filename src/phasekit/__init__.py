@@ -29,7 +29,6 @@ from .inference import (
 from .logits import (
     LogitSequence,
     TransitionLogitBank,
-    argmax_confidence,
     load_bank,
     load_logits,
     save_bank,

@@ -28,10 +28,6 @@ class HeadConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
-    @property
-    def output_width(self) -> int:
-        return self.num_heads * self.d_h
-
 
 @dataclass(frozen=True)
 class AttentionWeights:

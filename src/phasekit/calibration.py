@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logits import LogitSequence, argmax_confidence_rows, positive_temperature
-from .workflow import PhaseTimeline
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
 _INV_PHI_SQ = (3 - math.sqrt(5)) / 2
 
 DEFAULT_NUM_BINS = 15
 TEMPERATURE_SEARCH_RANGE = (0.01, 100.0)
+# bracket width of the golden-section search on log T
+TEMPERATURE_LOG_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -82,46 +83,36 @@ class CalibrationReport:
     def __post_init__(self):
         for name in ("nll_before", "nll_after", "ece_before", "ece_after"):
             v = getattr(self, name)
-            if not v >= 0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         for name in ("ece_before", "ece_after"):
             if getattr(self, name) > 1:
                 raise ValueError(f"{name} must be <= 1")
 
 
 def as_arrays(logits, labels=None) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize (logits, labels) inputs to a (n, K) float array and a 1-based
-    int label array.
+    """Normalize calibration inputs to a (n, K) float array and a 1-based int
+    label array.
 
-    Accepts a LogitSequence (using its embedded labels when ``labels`` is
-    None), a list of LogitSequence to concatenate, or plain arrays. Labels may
-    be a PhaseTimeline, an array, or a list of either matching a sequence
-    list.
+    Accepts exactly two shapes: a labeled LogitSequence, or a list or tuple
+    of them concatenated in the given order, with ``labels`` None; or an
+    (n, K) logit array with a matching label array.
     """
     if isinstance(logits, LogitSequence):
         logits = [logits]
-    if isinstance(labels, PhaseTimeline):
-        labels = [labels]
     if isinstance(logits, (list, tuple)) and logits and isinstance(logits[0], LogitSequence):
+        if labels is not None:
+            raise ValueError("labeled sequences carry their own labels; pass labels=None")
+        for s in logits:
+            if s.labels is None:
+                raise ValueError(f"sequence {s.video_id!r} carries no labels")
         z = np.concatenate([s.logits for s in logits], axis=0)
-        if labels is None:
-            parts = []
-            for s in logits:
-                if s.labels is None:
-                    raise ValueError(f"sequence {s.video_id!r} carries no labels")
-                parts.append(s.labels)
-            y = np.concatenate(parts)
-        else:
-            y = np.concatenate([np.asarray(t.labels if isinstance(t, PhaseTimeline) else t) for t in labels])
+        y = np.concatenate([s.labels for s in logits])
     else:
-        z = np.asarray(logits, dtype=np.float64)
         if labels is None:
             raise ValueError("labels are required with plain logit arrays")
-        if isinstance(labels, (list, tuple)) and labels and isinstance(labels[0], PhaseTimeline):
-            y = np.concatenate([t.labels for t in labels])
-        else:
-            y = np.asarray(labels)
-    y = np.asarray(y, dtype=np.int64)
+        z = np.asarray(logits, dtype=np.float64)
+        y = np.asarray(labels, dtype=np.int64)
     if z.ndim != 2:
         raise ValueError("logits must form an (n, K) array")
     if y.shape != (z.shape[0],):
@@ -206,33 +197,26 @@ def golden_section_minimize(fn, lo: float, hi: float, tol: float) -> float:
     return (a + d) / 2 if yc < yd else (c + b) / 2
 
 
-def fit_temperature(
-    logits,
-    labels=None,
-    *,
-    search_range: tuple[float, float] = TEMPERATURE_SEARCH_RANGE,
-    log_tol: float = 1e-4,
-) -> Temperature:
+def fit_temperature(logits, labels=None) -> Temperature:
     """Fit the scalar temperature minimizing NLL on the given set.
 
-    Golden-section search on log T over ``search_range``. The result never has
-    a worse NLL than T=1 on the fitting set. When the minimum sits on a search
-    bound (degenerate sets where NLL is monotone in T, e.g. every prediction
-    wrong), the bound itself is returned and a RuntimeWarning is emitted.
+    Golden-section search on log T over TEMPERATURE_SEARCH_RANGE. The result
+    never has a worse NLL than T=1 on the fitting set. When the minimum sits on
+    a search bound (degenerate sets where NLL is monotone in T, e.g. every
+    prediction wrong), the bound itself is returned and a RuntimeWarning is
+    emitted.
     """
     z, y = as_arrays(logits, labels)
-    lo, hi = search_range
-    if not (0 < lo < hi):
-        raise ValueError("search_range must satisfy 0 < lo < hi")
+    lo, hi = TEMPERATURE_SEARCH_RANGE
     log_lo, log_hi = math.log(lo), math.log(hi)
 
     def objective(log_t: float) -> float:
         return _nll_arrays(z, y, math.exp(log_t))
 
-    best_log = golden_section_minimize(objective, log_lo, log_hi, log_tol)
+    best_log = golden_section_minimize(objective, log_lo, log_hi, TEMPERATURE_LOG_TOL)
     fitted = math.exp(best_log)
-    if best_log - log_lo < 3 * log_tol or log_hi - best_log < 3 * log_tol:
-        fitted = lo if best_log - log_lo < 3 * log_tol else hi
+    if min(best_log - log_lo, log_hi - best_log) < 3 * TEMPERATURE_LOG_TOL:
+        fitted = lo if best_log - log_lo < log_hi - best_log else hi
         warnings.warn(
             f"temperature fit hit the search bound T={fitted}; "
             "NLL appears monotone on the fitting set",
@@ -247,12 +231,11 @@ def fit_temperature(
 def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS) -> CalibrationReport:
     """Fit T on the validation split, evaluate NLL/ECE on the test split.
 
-    ``val`` and ``test`` are either (logits, labels) pairs or labeled
-    LogitSequence collections; see as_arrays for the accepted forms.
+    ``val`` and ``test`` are each a labeled LogitSequence or a list or tuple
+    of them (see as_arrays).
     """
-    val_z, val_y = _split_arrays(val)
-    test_z, test_y = _split_arrays(test)
-    fitted = fit_temperature(val_z, val_y)
+    fitted = fit_temperature(val)
+    test_z, test_y = as_arrays(test)
     return CalibrationReport(
         nll_before=_nll_arrays(test_z, test_y, 1.0),
         nll_after=_nll_arrays(test_z, test_y, fitted.value),
@@ -260,9 +243,3 @@ def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS) -> Calibration
         ece_after=ece(test_z, test_y, fitted.value, num_bins),
         fitted=fitted,
     )
-
-
-def _split_arrays(split) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(split, tuple) and len(split) == 2:
-        return as_arrays(split[0], split[1])
-    return as_arrays(split)

@@ -18,7 +18,7 @@ from . import calibration, inference, metrics, report, simulate
 from .logits import LogitSequence, TransitionLogitBank, load_bank, load_logits
 from .selfcheck import run_selftest
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
-from .workflow import NUM_PHASES, load_timelines, save_timelines
+from .workflow import NUM_PHASES, TransitionPair, all_transition_pairs, load_timelines, save_timelines
 
 # Keys never written to config echoes: paths vary between runs without
 # affecting artifact content, and byte-identical reruns are a contract.
@@ -153,8 +153,8 @@ def _noise_spec(args, seed=None) -> NoiseSpec:
 
 def _simulation_echo(args, workflow: WorkflowSpec) -> dict:
     echo = _echo_values(args)
-    echo["resolved_dwell_mean"] = workflow.dwell_mean[0]
-    echo["resolved_dwell_min"] = workflow.dwell_min[0]
+    echo["resolved_dwell_mean"] = workflow.dwell_mean
+    echo["resolved_dwell_min"] = workflow.dwell_min
     return echo
 
 
@@ -176,22 +176,18 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- calibrate
 
-def _labeled_split(baselines: dict[str, LogitSequence]) -> list[LogitSequence]:
-    seqs = [baselines[v] for v in sorted(baselines)]
-    for seq in seqs:
-        if seq.labels is None:
-            raise ValueError(f"baseline logits for {seq.video_id!r} carry no labels")
-    return seqs
-
-
 def _write_calibration(
-    out_dir, report_path, val_seqs, test_seqs, bins: int, extra_results: dict
+    out_dir, report_path, val: dict, test: dict, bins: int, extra_results: dict
 ) -> calibration.CalibrationReport:
-    """Fit T on ``val_seqs`` and write the report (plus ``extra_results``), its
-    text table and the test split's reliability bins before and after."""
+    """Fit T on the ``val`` baselines ({video_id: LogitSequence}) and write the
+    report (plus ``extra_results``), its text table and the ``test`` split's
+    reliability bins before and after. Nothing is written unless the report
+    can be computed."""
+    # video id order fixes the concatenation order, and so the float results
+    val_seqs, test_seqs = ([split[v] for v in sorted(split)] for split in (val, test))
+    cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=bins)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=bins)
     report.write_results_json({**report.calibration_results(cal), **extra_results}, report_path)
     (out_dir / "report.txt").write_text(report.render_calibration_table(cal), encoding="utf-8")
     for name, temperature in (("before", 1.0), ("after", cal.fitted.value)):
@@ -206,10 +202,10 @@ def cmd_calibrate(args) -> int:
         out_dir, report_path = out.parent, out
     else:
         out_dir, report_path = out, out / "report.json"
-    val_seqs = _labeled_split(load_logits(Path(args.val) / "baseline.csv"))
-    test_seqs = _labeled_split(load_logits(Path(args.test) / "baseline.csv"))
+    val = load_logits(Path(args.val) / "baseline.csv")
+    test = load_logits(Path(args.test) / "baseline.csv")
     extra = _bank_temperatures(load_bank(Path(args.val) / "bank")) if args.include_bank else {}
-    cal = _write_calibration(out_dir, report_path, val_seqs, test_seqs, args.bins, extra)
+    cal = _write_calibration(out_dir, report_path, val, test, args.bins, extra)
     write_config_echo(out_dir, _echo_values(args))
     print(report.render_calibration_table(cal), end="")
     return 0
@@ -217,13 +213,11 @@ def cmd_calibrate(args) -> int:
 
 def _bank_temperatures(bank) -> dict:
     """Optional per-pair fits on in-pair frames, labels mapped to {1, 2}."""
-    from .workflow import all_transition_pairs
-
     out = {}
     for pair in all_transition_pairs():
         zs, ys = [], []
         for vid in bank.videos():
-            seq = bank.get(vid, pair)
+            seq = bank.sequences[vid][pair]
             if seq.labels is None:
                 continue
             mask = (seq.labels == pair.low) | (seq.labels == pair.high)
@@ -244,7 +238,7 @@ def _resolve_temperature(args, val_base) -> float:
     if args.temperature == "auto":
         if val_base is None:
             raise ValueError("--temperature auto requires --val <dir> to fit on")
-        fitted = calibration.fit_temperature(_labeled_split(val_base))
+        fitted = calibration.fit_temperature([val_base[v] for v in sorted(val_base)])
         print(f"fitted temperature on validation split: {fitted.value!r}")
         return fitted.value
     try:
@@ -298,20 +292,9 @@ def cmd_infer(args) -> int:
 def _run_sweep(args, cfg, baselines) -> float:
     if baselines is None:
         raise ValueError("--sweep requires --val <dir> with labeled data")
-    val = Path(args.val)
-    gts = load_timelines(val / "gt.csv")
-    val_bank = load_bank(val / "bank")
-    rows_total = None
-    for vid in sorted(baselines):
-        _, rows = inference.sweep_threshold(baselines[vid], val_bank, gts[vid], cfg)
-        if rows_total is None:
-            rows_total = [[t, a * len(gts[vid])] for t, a in rows]
-        else:
-            for i, (t, a) in enumerate(rows):
-                rows_total[i][1] += a * len(gts[vid])
-    n_frames = sum(len(g) for g in gts.values())
-    table = [(t, weighted / n_frames) for t, weighted in rows_total]
-    best = max(table, key=lambda row: (row[1], -row[0]))[0]
+    gts = load_timelines(Path(args.val) / "gt.csv")
+    metrics.require_ground_truth(baselines, gts)
+    best, table = inference.sweep_threshold(baselines, load_bank(Path(args.val) / "bank"), gts, cfg)
     print("threshold sweep on validation split:")
     for t, a in table:
         marker = "  <- best" if t == best else ""
@@ -385,8 +368,6 @@ def cmd_report(args) -> int:
 
 def render_report_text(results: dict) -> str:
     """Re-render the text tables from a flat results dict."""
-    from .workflow import TransitionPair
-
     blocks = []
     strategies = sorted(
         {k.split(".")[1] for k in results if k.startswith("strategy.") and k.endswith(".accuracy.pooled")},
@@ -467,9 +448,7 @@ def cmd_pipeline(args) -> int:
 
     with _stage("calibrate"):
         cal_dir = out / "calibration"
-        cal = _write_calibration(
-            cal_dir, cal_dir / "report.json", _labeled_split(base_val), _labeled_split(base_test), args.bins, {}
-        )
+        cal = _write_calibration(cal_dir, cal_dir / "report.json", base_val, base_test, args.bins, {})
         write_config_echo(cal_dir, echo)
 
     with _stage("infer"):
@@ -529,7 +508,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    return 0 if run_selftest(verbose=True) else 1
+    return 0 if run_selftest() else 1
 
 
 # ---------------------------------------------------------------- parser

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,9 @@ BASELINE_MODEL = "baseline"
 _MODEL_NAMES = frozenset([BASELINE_MODEL, *(pair.name for pair in all_transition_pairs())])
 
 TRACE_HEADER = "video_id,frame_idx,model,state,confidence,prediction"
+
+# Confidence thresholds tried by sweep_threshold, ascending.
+SWEEP_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
 class MajorityBuffer:
@@ -58,10 +61,6 @@ class MajorityBuffer:
         for l in labels:
             buf.push(l)
         return buf
-
-    @property
-    def capacity(self) -> int:
-        return self._fifo.maxlen
 
     @property
     def contents(self) -> tuple[int, ...]:
@@ -212,30 +211,31 @@ def baseline_argmax(base: LogitSequence) -> PhaseTimeline:
 
 
 def sweep_threshold(
-    base: LogitSequence,
+    baselines: dict[str, LogitSequence],
     bank: TransitionLogitBank,
-    reference: PhaseTimeline,
+    references: dict[str, PhaseTimeline],
     cfg: InferenceConfig,
-    grid=None,
 ) -> tuple[float, list[tuple[float, float]]]:
-    """Evaluate confidence thresholds on a labeled video and pick the best.
+    """Pick the confidence threshold with the most correct frames.
 
-    Returns (best_threshold, [(threshold, accuracy), ...]); ties resolve to
-    the smallest threshold.
+    Runs the confidence strategy at every SWEEP_GRID threshold on each video
+    in ``baselines`` and pools its integer hit count against ``references``
+    over all of their frames. Returns (best_threshold, [(threshold,
+    accuracy), ...]); ties resolve to the smallest threshold.
     """
-    from dataclasses import replace
-
-    if grid is None:
-        grid = [round(0.1 * i, 1) for i in range(1, 10)]
+    n_frames = sum(base.num_frames for base in baselines.values())
     rows = []
-    best = (None, -1.0)
-    for t_conf in grid:
-        timeline, _ = confidence_inference(base, bank, replace(cfg, conf_threshold=t_conf))
-        acc = float((timeline.labels == reference.labels).mean())
-        rows.append((t_conf, acc))
-        if acc > best[1]:
-            best = (t_conf, acc)
-    return best[0], rows
+    best, best_hits = None, -1
+    for t_conf in SWEEP_GRID:
+        run_cfg = replace(cfg, conf_threshold=t_conf)
+        hits = 0
+        for vid in sorted(baselines):
+            timeline, _ = confidence_inference(baselines[vid], bank, run_cfg)
+            hits += int(np.count_nonzero(timeline.labels == references[vid].labels))
+        rows.append((t_conf, hits / n_frames))
+        if hits > best_hits:
+            best, best_hits = t_conf, hits
+    return best, rows
 
 
 def save_traces(traces, path) -> None:

@@ -42,23 +42,14 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def argmax_confidence(logits, temperature: float = 1.0) -> tuple[int, float]:
-    """Predicted class (1-based) and its max-softmax probability.
-
-    The argmax is taken on the raw logits, so the predicted class is invariant
-    to the temperature; the confidence is evaluated at the given temperature.
-    Exact ties resolve to the smallest class index.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("argmax_confidence expects a single logit vector")
-    probs = softmax(z, temperature)
-    k = int(np.argmax(z))
-    return k + 1, float(probs[k])
-
-
 def argmax_confidence_rows(logits, temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise argmax_confidence for an (n, K) array: (classes, confidences)."""
+    """Predicted classes (1-based) and their max-softmax probabilities for an
+    (n, K) array of logits.
+
+    The argmax is taken on the raw logits, so the predicted classes are
+    invariant to the temperature; the confidences are evaluated at the given
+    temperature. Exact ties resolve to the smallest class index.
+    """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("expected an (n, K) array of logits")
@@ -143,10 +134,6 @@ class TransitionLogitBank:
                 raise ValueError(f"bank for video {vid!r} has mismatched frame counts: {sorted(counts)}")
 
     @classmethod
-    def for_video(cls, video_id: str, by_pair: dict[TransitionPair, LogitSequence]) -> "TransitionLogitBank":
-        return cls({video_id: dict(by_pair)})
-
-    @classmethod
     def merge(cls, banks) -> "TransitionLogitBank":
         merged: dict[str, dict[TransitionPair, LogitSequence]] = {}
         for bank in banks:
@@ -158,12 +145,6 @@ class TransitionLogitBank:
 
     def videos(self) -> list[str]:
         return sorted(self.sequences)
-
-    def get(self, video_id: str, pair: TransitionPair) -> LogitSequence:
-        try:
-            return self.sequences[video_id][pair]
-        except KeyError:
-            raise KeyError(f"bank does not cover video {video_id!r}") from None
 
     def frame_count(self, video_id: str) -> int:
         by_pair = self.sequences.get(video_id)
@@ -246,16 +227,15 @@ def save_bank(bank: TransitionLogitBank, directory) -> None:
 def load_bank(directory) -> TransitionLogitBank:
     """Load a bank directory written by save_bank.
 
-    A missing pair file raises ValueError naming that file. Accepts files
-    with or without the ``.csv`` suffix.
+    Reads exactly the six ``trans_<i>_<i+1>.csv`` files; a missing one raises
+    ValueError naming it.
     """
     directory = Path(directory)
     per_video: dict[str, dict[TransitionPair, LogitSequence]] = {}
     for pair in all_transition_pairs():
-        candidates = [bank_path(directory, pair), directory / pair.name]
-        found = next((c for c in candidates if c.exists()), None)
-        if found is None:
-            raise ValueError(f"missing transition file {pair.name}{BANK_FILE_SUFFIX} in {directory}")
-        for vid, seq in load_logits(found).items():
+        path = bank_path(directory, pair)
+        if not path.exists():
+            raise ValueError(f"missing transition file {path.name} in {directory}")
+        for vid, seq in load_logits(path).items():
             per_video.setdefault(vid, {})[pair] = seq
     return TransitionLogitBank(per_video)

@@ -34,10 +34,10 @@ def pct(value: float | None) -> str:
     return f"{100.0 * value:.2f}"
 
 
-def metric(value: float | None, digits: int = 3) -> str:
+def metric(value: float | None) -> str:
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return UNDEFINED
-    return f"{value:.{digits}f}"
+    return f"{value:.3f}"
 
 
 def render_table(headers: list[str], rows: list[list[str]], title: str | None = None) -> str:
@@ -156,12 +156,13 @@ def write_reliability_csv(bins: ReliabilityBins, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def ribbon_svg(gt: PhaseTimeline, pred: PhaseTimeline, cell_width: int = 3, row_height: int = 24) -> str:
+def ribbon_svg(gt: PhaseTimeline, pred: PhaseTimeline) -> str:
     """Two-row SVG ribbon (ground truth above, prediction below), one colored
     cell per frame per row."""
     if len(gt) != len(pred):
         raise ValueError("ribbon needs equal-length timelines")
     n = len(gt)
+    cell_width, row_height = 3, 24
     label_w = 90
     pad = 4
     width = label_w + n * cell_width + pad
@@ -184,5 +185,5 @@ def ribbon_svg(gt: PhaseTimeline, pred: PhaseTimeline, cell_width: int = 3, row_
     return "\n".join(parts) + "\n"
 
 
-def write_ribbon_svg(gt: PhaseTimeline, pred: PhaseTimeline, path, **kwargs) -> None:
-    Path(path).write_text(ribbon_svg(gt, pred, **kwargs), encoding="utf-8")
+def write_ribbon_svg(gt: PhaseTimeline, pred: PhaseTimeline, path) -> None:
+    Path(path).write_text(ribbon_svg(gt, pred), encoding="utf-8")

@@ -87,13 +87,12 @@ def check_attention_against_oracle(
     return worst_diff, worst_rowsum
 
 
-def run_selftest(verbose: bool = True) -> bool:
-    """Run all built-in checks; returns True when everything passes."""
+def run_selftest() -> bool:
+    """Run all built-in checks, printing one line each; True when all pass."""
     failures = []
 
     def check(name: str, ok: bool, detail: str = ""):
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail and not ok else ""))
+        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail and not ok else ""))
         if not ok:
             failures.append(name)
 
@@ -120,6 +119,6 @@ def run_selftest(verbose: bool = True) -> bool:
     best = golden_section_minimize(lambda x: (x - 2.0) ** 2, -5.0, 9.0, 1e-7)
     check("golden-section finds a quadratic minimum", abs(best - 2.0) < 1e-6)
 
-    if verbose and not failures:
+    if not failures:
         print("all self-test checks passed")
     return not failures

@@ -54,25 +54,22 @@ _GH_RULE = tuple(zip(_GH_NODES.tolist(), (_GH_WEIGHTS / math.sqrt(2.0 * math.pi)
 class WorkflowSpec:
     """Dwell-time model for the seven-phase workflow at 1 fps.
 
-    ``dwell_mean`` and ``dwell_min`` accept a scalar (shared by all phases) or
-    a length-7 sequence. The default mode is monotone: phases 1..7 once each,
+    ``dwell_mean`` (cast to float) and ``dwell_min`` (cast to int) are shared
+    by all seven phases. The default mode is monotone: phases 1..7 once each,
     in order.
     """
 
-    dwell_mean: tuple[float, ...] = (257.0,) * NUM_PHASES
-    dwell_min: tuple[int, ...] = (60,) * NUM_PHASES
+    dwell_mean: float = 257.0
+    dwell_min: int = 60
     monotone: bool = True
 
     def __post_init__(self):
-        means = _per_phase(self.dwell_mean, float)
-        mins = _per_phase(self.dwell_min, int)
-        for i, (mean, mn) in enumerate(zip(means, mins), start=1):
-            if mn < 1:
-                raise ValueError(f"dwell_min for phase {i} must be >= 1")
-            if mean < mn:
-                raise ValueError(f"dwell_mean for phase {i} must be >= dwell_min")
-        object.__setattr__(self, "dwell_mean", means)
-        object.__setattr__(self, "dwell_min", mins)
+        object.__setattr__(self, "dwell_mean", float(self.dwell_mean))
+        object.__setattr__(self, "dwell_min", int(self.dwell_min))
+        if self.dwell_min < 1:
+            raise ValueError("dwell_min must be >= 1")
+        if self.dwell_mean < self.dwell_min:
+            raise ValueError("dwell_mean must be >= dwell_min")
 
 
 @dataclass(frozen=True)
@@ -106,15 +103,6 @@ class NoiseSpec:
             raise ValueError("boundary_jitter must be >= 0")
 
 
-def _per_phase(value, cast):
-    if isinstance(value, (int, float)):
-        return tuple(cast(value) for _ in range(NUM_PHASES))
-    out = tuple(cast(v) for v in value)
-    if len(out) != NUM_PHASES:
-        raise ValueError(f"per-phase values need {NUM_PHASES} entries, got {len(out)}")
-    return out
-
-
 def _margin_for_accuracy(target: float, num_classes: int) -> float:
     """Solve P(m + e0 > max of K-1 iid standard normals) = target for m."""
     rivals = num_classes - 1
@@ -135,10 +123,10 @@ def _margin_for_accuracy(target: float, num_classes: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _dwell(spec: WorkflowSpec, phase: int, rng: np.random.Generator) -> int:
-    """One dwell at ``phase``: dwell_min plus a shifted-geometric tail with the
+def _dwell(spec: WorkflowSpec, rng: np.random.Generator) -> int:
+    """One phase dwell: dwell_min plus a shifted-geometric tail with the
     configured mean."""
-    mean, mn = spec.dwell_mean[phase - 1], spec.dwell_min[phase - 1]
+    mean, mn = spec.dwell_mean, spec.dwell_min
     if mean <= mn:
         return mn
     return mn + int(rng.geometric(1.0 / (1.0 + mean - mn))) - 1
@@ -154,13 +142,13 @@ def generate_ground_truth(spec: WorkflowSpec, seed, video_id: str = "sim") -> Ph
     """
     rng = np.random.default_rng(seed)
     if spec.monotone:
-        lengths = [_dwell(spec, phase, rng) for phase in range(1, NUM_PHASES + 1)]
+        lengths = [_dwell(spec, rng) for _ in range(NUM_PHASES)]
         labels = np.repeat(np.arange(1, NUM_PHASES + 1), lengths)
         return PhaseTimeline(video_id, labels)
     chunks = []
     phase = 1
     while True:
-        chunks.append(np.full(_dwell(spec, phase, rng), phase, dtype=np.int64))
+        chunks.append(np.full(_dwell(spec, rng), phase, dtype=np.int64))
         if phase == NUM_PHASES:
             break
         if phase > 1 and rng.random() < 0.15:
@@ -266,7 +254,7 @@ def generate_transition_bank(gt: PhaseTimeline, noise: NoiseSpec) -> TransitionL
         if target < 1.0 and in_pair.any():
             z[in_pair] = _contest_logits(col[in_pair] + 1, target, 2, rng, with_prior=False)
         by_pair[pair] = LogitSequence(gt.video_id, z, labels=labels)
-    return TransitionLogitBank.for_video(gt.video_id, by_pair)
+    return TransitionLogitBank({gt.video_id: by_pair})
 
 
 def attention_smooth(seq: LogitSequence, window: int) -> LogitSequence:

@@ -36,7 +36,7 @@ def bank_from_argmax(video_id: str, per_pair_argmax: dict, n_frames: int) -> Tra
         else:
             cols = [0 if l == pair.low else 1 for l in labels]
         by_pair[pair] = LogitSequence(video_id, binary_rows(cols))
-    return TransitionLogitBank.for_video(video_id, by_pair)
+    return TransitionLogitBank({video_id: by_pair})
 
 
 def proximity_bank(video_id: str, gt: PhaseTimeline, override: dict | None = None) -> TransitionLogitBank:

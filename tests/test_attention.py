@@ -127,7 +127,7 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(9)
         cfg = HeadConfig(3, 5, 2)
         out = multi_head_attention(rng.normal(size=(4, 5)), random_heads(rng, 3, 5, 2), cfg)
-        assert out.shape == (4, cfg.output_width)
+        assert out.shape == (4, cfg.num_heads * cfg.d_h)
 
     def test_head_count_mismatch_rejected(self):
         rng = np.random.default_rng(10)

@@ -18,7 +18,6 @@ from phasekit.calibration import (
 )
 from phasekit.logits import LogitSequence, argmax_confidence_rows
 from phasekit.simulate import NoiseSpec, WorkflowSpec, generate_baseline_logits, generate_ground_truth
-from phasekit.workflow import PhaseTimeline
 
 
 def calibrated_sample(n_frames=4000, t_star=1.0, accuracy=0.85, seed=5):
@@ -82,7 +81,17 @@ class TestNll:
     def test_accepts_sequences_and_timelines(self):
         seq = LogitSequence("v", np.zeros((3, 7)), labels=[1, 2, 3])
         assert nll(seq) == pytest.approx(math.log(7))
-        assert nll(seq, PhaseTimeline("v", [1, 2, 3])) == pytest.approx(math.log(7))
+
+    def test_plain_array_needs_labels(self):
+        with pytest.raises(ValueError, match="labels are required"):
+            nll(np.zeros((3, 7)))
+
+    def test_sequences_carry_their_own_labels(self):
+        seq = LogitSequence("v", np.zeros((3, 7)), labels=[1, 2, 3])
+        with pytest.raises(ValueError, match="labels=None"):
+            nll(seq, np.array([1, 2, 3]))
+        with pytest.raises(ValueError, match="sequence 'u' carries no labels"):
+            nll([seq, LogitSequence("u", np.zeros((2, 7)))])
 
 
 class TestEce:
@@ -213,16 +222,29 @@ class TestCalibrateReport:
     def test_already_calibrated_input(self):
         z_val, y_val = calibrated_sample(t_star=1.0, seed=21)
         z_test, y_test = calibrated_sample(t_star=1.0, seed=22)
-        report = calibrate_report((z_val, y_val), (z_test, y_test))
+        report = calibrate_report(LogitSequence("val", z_val, y_val), LogitSequence("test", z_test, y_test))
         assert report.fitted.value == pytest.approx(1.0, rel=0.02)
         assert report.nll_after == pytest.approx(report.nll_before, rel=0.02)
 
     def test_overconfident_input_improves(self):
         z_val, y_val = calibrated_sample(t_star=2.5, seed=31)
         z_test, y_test = calibrated_sample(t_star=2.5, seed=32)
-        report = calibrate_report((z_val, y_val), (z_test, y_test))
+        report = calibrate_report(LogitSequence("val", z_val, y_val), LogitSequence("test", z_test, y_test))
         assert report.nll_after < report.nll_before
         assert report.ece_after < report.ece_before
+
+    def test_tuple_of_sequences_matches_list(self):
+        seqs = [
+            LogitSequence(f"v{seed}", *calibrated_sample(n_frames=700, t_star=2.0, seed=seed))
+            for seed in (41, 42)
+        ]
+        assert calibrate_report(tuple(seqs), tuple(seqs)) == calibrate_report(seqs, seqs)
+
+    def test_overflowing_nll_rejected(self):
+        val = LogitSequence("val", [[2.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 0.0]], labels=[1, 2, 2, 1])
+        test = LogitSequence("test", [[1e308, -1e308], [0.0, 0.0]], labels=[2, 1])
+        with pytest.raises(ValueError, match="nll_before must be finite and >= 0, got inf"):
+            calibrate_report(val, test)
 
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -231,3 +253,5 @@ class TestCalibrateReport:
             CalibrationReport(0.1, 0.1, 1.5, 0.1, Temperature(1.0))
         with pytest.raises(ValueError):
             CalibrationReport(math.nan, 1.0, math.nan, 0.1, Temperature(2.0))
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationReport(0.1, math.inf, 0.1, 0.1, Temperature(2.0))

@@ -1,4 +1,5 @@
 import filecmp
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,42 @@ class TestCalibrate:
         assert rc == 0
         results = load_results_json(out / "report.json")
         assert "calibration.bank.trans_1_2.temperature" in results
+
+    def test_bad_bins_writes_nothing(self, small_dataset, tmp_path, capsys):
+        val, test = small_dataset
+        out = tmp_path / "cal"
+        rc = main(["calibrate", "--val", str(val), "--test", str(test), "--bins", "0", "--out", str(out)])
+        assert rc == 2
+        assert "num_bins" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unlabeled_validation_named_and_writes_nothing(self, small_dataset, tmp_path, capsys):
+        val, test = small_dataset
+        unlabeled = tmp_path / "val"
+        shutil.copytree(val, unlabeled)
+        lines = (val / "baseline.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            row[2] = "0"
+        (unlabeled / "baseline.csv").write_text("\n".join([lines[0], *(",".join(r) for r in rows)]) + "\n")
+        out = tmp_path / "cal"
+        rc = main(["calibrate", "--val", str(unlabeled), "--test", str(test), "--out", str(out)])
+        assert rc == 2
+        assert "sequence 'video00' carries no labels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_nll_rejected_and_writes_nothing(self, tmp_path, capsys):
+        header = "video_id,frame_idx,label,z1,z2\n"
+        val, test = tmp_path / "val", tmp_path / "test"
+        for split, body in ((val, "v,0,1,2.0,0.0\nv,1,2,2.0,0.0\nv,2,2,0.0,2.0\nv,3,1,1.0,0.0\n"),
+                            (test, "t,0,2,1e308,-1e308\nt,1,1,0.0,0.0\n")):
+            split.mkdir()
+            (split / "baseline.csv").write_text(header + body)
+        out = tmp_path / "cal"
+        rc = main(["calibrate", "--val", str(val), "--test", str(test), "--out", str(out)])
+        assert rc == 2
+        assert "nll_before must be finite and >= 0, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInfer:
@@ -149,6 +186,18 @@ class TestInfer:
         assert rc == 0
         out = capsys.readouterr().out
         assert "t_conf=0.1" in out and "t_conf=0.9" in out and "<- best" in out
+
+    def test_sweep_names_video_without_ground_truth(self, small_dataset, tmp_path, capsys):
+        val, test = small_dataset
+        partial = tmp_path / "val"
+        shutil.copytree(val, partial)
+        kept = [line for line in (val / "gt.csv").read_text().splitlines() if not line.startswith("video01,")]
+        (partial / "gt.csv").write_text("\n".join(kept) + "\n")
+        rc = main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
+                   "--bank", str(test / "bank"), "--sweep", "--val", str(partial),
+                   "--out", str(tmp_path / "pred.csv")])
+        assert rc == 2
+        assert "missing ground truth for videos: video01" in capsys.readouterr().err
 
 
 class TestEvaluate:

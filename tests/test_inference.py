@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import bank_from_argmax, proximity_bank
 from oracles import oracle_majority
 from phasekit.inference import (
+    SWEEP_GRID,
     InferenceConfig,
     MajorityBuffer,
     baseline_argmax,
@@ -17,7 +18,7 @@ from phasekit.inference import (
     sweep_threshold,
     transition_inference,
 )
-from phasekit.logits import LogitSequence
+from phasekit.logits import LogitSequence, TransitionLogitBank
 from phasekit.workflow import PhaseTimeline, pair_for_phase
 
 
@@ -217,11 +218,38 @@ class TestSweep:
         z = 4.0 * np.eye(7)[gt.labels - 1] + rng.normal(scale=0.5, size=(140, 7))
         base = LogitSequence("v", z)
         bank = proximity_bank("v", gt)
-        best, rows = sweep_threshold(base, bank, gt, InferenceConfig())
+        best, rows = sweep_threshold({"v": base}, bank, {"v": gt}, InferenceConfig())
         assert [t for t, _ in rows] == [round(0.1 * i, 1) for i in range(1, 10)]
         assert best in [t for t, _ in rows]
         best_acc = max(acc for _, acc in rows)
         assert dict(rows)[best] == best_acc
+
+    def test_pooled_sweep_counts_frames_not_videos(self):
+        # Every frame's truth is phase 1 and the baseline argmax has confidence
+        # 0.55 or ~1. In "s", four 0.55 frames are wrong and the bank fixes them,
+        # so t_conf >= 0.6 wins there; in "l", ten 0.55 frames are right and the
+        # bank breaks them, so t_conf <= 0.5 wins. Averaging the two videos'
+        # accuracies would pick 0.6 (4/10 > 10/100); pooled hits pick 0.1.
+        def video(vid, n, doubtful, wrong_base):
+            # doubtful frames sit at even indices, each followed by a sure frame
+            # that resets p_last to 1
+            z = [conf_logit(0.999, 1)] * n
+            bank_says = [1] * n
+            for t in range(0, 2 * doubtful, 2):
+                z[t] = conf_logit(0.55, 2 if wrong_base else 1)
+                bank_says[t] = 1 if wrong_base else 2
+            base = LogitSequence(vid, z)
+            return base, bank_from_argmax(vid, {"trans_1_2": bank_says}, n), PhaseTimeline(vid, [1] * n)
+
+        s_base, s_bank, s_gt = video("s", 10, 4, wrong_base=True)
+        l_base, l_bank, l_gt = video("l", 100, 10, wrong_base=False)
+        bank = TransitionLogitBank.merge([s_bank, l_bank])
+        cfg = InferenceConfig()
+        assert sweep_threshold({"s": s_base}, bank, {"s": s_gt}, cfg)[0] == 0.6
+        assert sweep_threshold({"l": l_base}, bank, {"l": l_gt}, cfg)[0] == 0.1
+        best, rows = sweep_threshold({"s": s_base, "l": l_base}, bank, {"s": s_gt, "l": l_gt}, cfg)
+        assert best == 0.1
+        assert rows == [(t, (106 if t <= 0.5 else 100) / 110) for t in SWEEP_GRID]
 
 
 class TestTraceIO:

@@ -9,7 +9,7 @@ from oracles import oracle_softmax
 from phasekit.logits import (
     LogitSequence,
     TransitionLogitBank,
-    argmax_confidence,
+    argmax_confidence_rows,
     load_bank,
     load_logits,
     save_bank,
@@ -78,6 +78,12 @@ class TestSoftmax:
             softmax([1.0, math.nan])
         with pytest.raises(ValueError):
             softmax([1.0, math.inf])
+
+
+def argmax_confidence(z, temperature=1.0):
+    """argmax_confidence_rows on a one-row input: (class, confidence)."""
+    classes, confs = argmax_confidence_rows([z], temperature)
+    return int(classes[0]), float(confs[0])
 
 
 class TestArgmaxConfidence:
@@ -208,7 +214,7 @@ class TestBank:
             pair: LogitSequence(vid, np.zeros((frames, 2)) + [1.0, 0.0])
             for pair in all_transition_pairs()
         }
-        return TransitionLogitBank.for_video(vid, by_pair)
+        return TransitionLogitBank({vid: by_pair})
 
     def test_requires_all_six_pairs(self):
         by_pair = {TransitionPair(1, 2): LogitSequence("v", [[1.0, 0.0]])}

@@ -193,7 +193,7 @@ class TestTransitionBank:
         a = generate_transition_bank(gt, noise)
         b = generate_transition_bank(gt, noise)
         for pair in all_transition_pairs():
-            assert np.array_equal(a.get("sim", pair).logits, b.get("sim", pair).logits)
+            assert np.array_equal(a.sequences["sim"][pair].logits, b.sequences["sim"][pair].logits)
 
 
 class TestAttentionSmooth:
