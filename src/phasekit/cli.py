@@ -305,8 +305,6 @@ def _run_sweep(args, cfg, baselines) -> float:
 # ---------------------------------------------------------------- evaluate
 
 def cmd_evaluate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     preds = load_timelines(args.pred)
     gts = load_timelines(args.gt)
     result = metrics.evaluate_predictions(preds, gts)
@@ -321,6 +319,8 @@ def cmd_evaluate(args) -> int:
             cascade_by_video[vid] = metrics.detect_cascades(traces[vid], gts[vid])
             results.update(report.cascade_results(cascade_by_video[vid], prefix=f"video.{vid}"))
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if "json" in args.format:
         report.write_results_json(results, out / "results.json")
     if "text" in args.format:
@@ -348,19 +348,20 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------- report
 
 def cmd_report(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     results = report.load_results_json(args.results)
     text = render_report_text(results)
-    (out / "report.txt").write_text(text, encoding="utf-8")
+    preds = gts = {}
     if "svg" in args.format:
         if not (args.pred and args.gt):
             raise ValueError("--format svg requires --pred and --gt timelines")
         preds = load_timelines(args.pred)
         gts = load_timelines(args.gt)
         metrics.require_ground_truth(preds, gts)
-        for vid in sorted(preds):
-            report.write_ribbon_svg(gts[vid], preds[vid], out / f"ribbon_{vid}.svg")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.txt").write_text(text, encoding="utf-8")
+    for vid in sorted(preds):
+        report.write_ribbon_svg(gts[vid], preds[vid], out / f"ribbon_{vid}.svg")
     write_config_echo(out, _echo_values(args))
     print(text, end="")
     return 0

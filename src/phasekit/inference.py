@@ -253,14 +253,16 @@ def save_traces(traces, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _trace_row(fields) -> tuple[str, int, float | None, int]:
-    model, state, conf, pred = fields
-    if model not in _MODEL_NAMES:
-        raise ValueError(f"model must be {BASELINE_MODEL!r} or a transition pair name, got {model!r}")
-    confidence = None if conf == "" else float(conf)
-    if confidence is not None and not math.isfinite(confidence):
+def _trace_columns(cells) -> tuple[list[str], list[int], list[float | None], list[int]]:
+    models, states, confs, preds = cells
+    unknown = set(models) - _MODEL_NAMES
+    if unknown:
+        raise ValueError(f"model must be {BASELINE_MODEL!r} or a transition pair name, got {min(unknown)!r}")
+    confidences = [None if c == "" else float(c) for c in confs]
+    # filter(None, ...) drops None and 0.0; NaN and inf are truthy
+    if not all(map(math.isfinite, filter(None, confidences))):
         raise ValueError("non-finite confidence")
-    return model, int(state), confidence, int(pred)
+    return models, list(map(int, states)), confidences, list(map(int, preds))
 
 
 def load_traces(path) -> dict[str, InferenceTrace]:
@@ -268,8 +270,7 @@ def load_traces(path) -> dict[str, InferenceTrace]:
 
     The model column must be ``baseline`` or a transition pair name.
     """
-    per_video = read_rows(path, TRACE_HEADER, _trace_row)
     return {
-        vid: InferenceTrace(vid, tuple(TraceRecord(i, *row) for i, row in enumerate(rows)))
-        for vid, rows in per_video.items()
+        vid: InferenceTrace(vid, tuple(TraceRecord(i, *row) for i, row in enumerate(zip(*columns))))
+        for vid, columns in read_rows(path, TRACE_HEADER, _trace_columns).items()
     }

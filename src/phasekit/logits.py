@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,9 @@ class LogitSequence:
     def num_frames(self) -> int:
         return int(self.logits.shape[0])
 
+    def __len__(self) -> int:
+        return self.num_frames
+
 
 @dataclass(frozen=True)
 class TransitionLogitBank:
@@ -177,19 +181,21 @@ def save_logits(sequences, path) -> None:
             raise ValueError("all sequences in one file must share the class count")
     lines = [_logit_header(k)]
     for seq in sequences:
-        labels = seq.labels
-        for i in range(seq.num_frames):
-            lab = 0 if labels is None else int(labels[i])
-            row = ",".join(repr(float(v)) for v in seq.logits[i])
-            lines.append(f"{seq.video_id},{i},{lab},{row}")
+        labels = [0] * seq.num_frames if seq.labels is None else seq.labels.tolist()
+        lines.extend(
+            f"{seq.video_id},{i},{lab},{','.join(map(repr, row))}"
+            for i, (lab, row) in enumerate(zip(labels, seq.logits.tolist()))
+        )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _logit_row(fields) -> tuple[int, list[float]]:
-    z = [float(v) for v in fields[1:]]
-    if not all(map(math.isfinite, z)):
+def _logit_columns(cells) -> tuple[list[int], np.ndarray]:
+    n = len(cells[0])
+    # column by column: a single row is parsed in cell order, naming its first bad cell
+    z = np.fromiter(map(float, chain.from_iterable(cells[1:])), np.float64, n * (len(cells) - 1))
+    if not np.isfinite(z).all():
         raise ValueError("non-finite logit")
-    return int(fields[0]), z
+    return list(map(int, cells[0])), z.reshape(-1, n).T
 
 
 def load_logits(path) -> dict[str, LogitSequence]:
@@ -199,15 +205,14 @@ def load_logits(path) -> dict[str, LogitSequence]:
     all-zero label column for a video loads as labels=None.
     """
     out: dict[str, LogitSequence] = {}
-    for vid, rows in read_rows(path, LOGIT_HEADER, _logit_row, open_ended=True).items():
-        labs, zs = zip(*rows)
+    for vid, (labs, z) in read_rows(path, LOGIT_HEADER, _logit_columns, open_ended=True).items():
         if not any(labs):
             lab_arr = None
         elif not all(labs):
             raise ValueError(f"{path}: video {vid!r} mixes labeled and unlabeled (0) rows")
         else:
             lab_arr = np.array(labs, dtype=np.int64)
-        out[vid] = LogitSequence(vid, np.array(zs, dtype=np.float64), labels=lab_arr)
+        out[vid] = LogitSequence(vid, z, labels=lab_arr)
     return out
 
 

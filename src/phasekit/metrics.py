@@ -82,11 +82,16 @@ def per_phase_stats(pred, gt) -> dict[int, PhaseStats]:
     return out
 
 
-def require_ground_truth(preds: dict[str, PhaseTimeline], gts: dict[str, PhaseTimeline]) -> None:
-    """Raise ValueError naming every predicted video without a ground-truth timeline."""
+def require_ground_truth(preds: dict, gts: dict[str, PhaseTimeline]) -> None:
+    """Raise ValueError naming every predicted video (a timeline or a logit
+    sequence) without a ground-truth timeline, or else every one whose frame
+    count differs from its ground truth's."""
     missing = sorted(set(preds) - set(gts))
     if missing:
         raise ValueError(f"missing ground truth for videos: {', '.join(missing)}")
+    wrong = [f"{v}: {len(preds[v])} frames, ground truth {len(gts[v])}" for v in sorted(preds) if len(preds[v]) != len(gts[v])]
+    if wrong:
+        raise ValueError(f"frame counts differ from ground truth: {'; '.join(wrong)}")
 
 
 def evaluate_predictions(preds: dict[str, PhaseTimeline], gts: dict[str, PhaseTimeline]) -> EvalResult:
@@ -102,8 +107,6 @@ def evaluate_predictions(preds: dict[str, PhaseTimeline], gts: dict[str, PhaseTi
     order = sorted(preds)
     p_all = np.concatenate([preds[v].labels for v in order])
     g_all = np.concatenate([gts[v].labels for v in order])
-    if p_all.shape != g_all.shape:
-        raise ValueError("prediction/ground-truth frame counts disagree")
     per_video = {v: accuracy(preds[v], gts[v]) for v in order}
     restricted = {
         pair: restricted_pair_accuracy(p_all, g_all, pair) for pair in all_transition_pairs()

@@ -4,6 +4,7 @@ and the neighboring-pair layout that the transition models are indexed by."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ PHASE_MIN = 1
 PHASE_MAX = 7
 
 TIMELINE_HEADER = "video_id,frame_idx,phase"
+# Lines read_rows converts at a time; only one block's cell strings are held.
+READ_BLOCK_LINES = 2048
 
 
 class PhaseLabel(int):
@@ -128,72 +131,99 @@ def save_timelines(timelines, path) -> None:
     """
     if isinstance(timelines, PhaseTimeline):
         timelines = [timelines]
-    path = Path(path)
     lines = [TIMELINE_HEADER]
     for t in timelines:
-        for i, p in enumerate(t.labels):
-            lines.append(f"{t.video_id},{i},{int(p)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines.extend(f"{t.video_id},{i},{p}" for i, p in enumerate(t.labels.tolist()))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_rows(path, header: str, convert, *, open_ended: bool = False) -> dict[str, list]:
+def read_rows(path, header: str, convert, *, open_ended: bool = False) -> dict[str, tuple]:
     """Parse a comma-separated file keyed by ``video_id,frame_idx`` into
-    {video_id: [convert(columns after frame_idx), ...]}.
+    {video_id: (column, ...)}, one list or array per column after frame_idx.
 
     Blank lines and lines beginning with ``#`` are skipped. The first other
     line must equal ``header``; with ``open_ended`` it must instead start with
     ``header``'s columns and add two or more (a logit file's K >= 2 scores).
-    Every row must have the header's column count, frame_idx must run 0, 1,
-    2, ... within each video, and ``convert`` rejects a row by raising
-    ValueError. Every error is a ValueError beginning ``path:line:``.
+    Every row must have the header's column count, and frame_idx must run 0,
+    1, 2, ... within each video. ``convert`` takes the columns after frame_idx
+    of READ_BLOCK_LINES lines (lists of cell strings), returns one list or
+    array per column, and rejects a bad cell by raising ValueError. Every
+    error is a ValueError beginning ``path:line:`` at the first bad row.
     """
     path = Path(path)
     names = header.split(",")
-    columns = None
     per_video: dict[str, list] = {}
+    counts: dict[str, int] = {}
     with path.open(encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if columns is None:
-                if open_ended:
-                    ok = fields[:len(names)] == names and len(fields) >= len(names) + 2
-                else:
-                    ok = fields == names
-                if not ok:
-                    shown = header + ",..." if open_ended else header
-                    raise ValueError(f"{path}:{lineno}: expected header {shown!r}, got {line!r}")
-                columns = len(fields)
-                continue
-            if len(fields) != columns:
-                raise ValueError(f"{path}:{lineno}: expected {columns} columns, got {len(fields)}")
-            rows = per_video.setdefault(fields[0], [])
+            if line and not line.startswith("#"):
+                break
+        else:
+            raise ValueError(f"{path}: missing header line")
+        fields = line.split(",")
+        ok = fields[:len(names)] == names and len(fields) >= len(names) + 2 if open_ended else fields == names
+        if not ok:
+            shown = header + ",..." if open_ended else header
+            raise ValueError(f"{path}:{lineno}: expected header {shown!r}, got {line!r}")
+        columns = len(fields)
+        # file iteration, unlike str.splitlines, breaks lines only at \n, \r and \r\n
+        while block := list(islice(fh, READ_BLOCK_LINES)):
+            lines = [line for line in map(str.strip, block) if line and line[0] != "#"]
             try:
-                idx = int(fields[1])
-                if idx != len(rows):
-                    raise ValueError(
-                        f"frame_idx {idx} out of order for video {fields[0]!r} (expected {len(rows)})"
-                    )
-                rows.append(convert(fields[2:]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if columns is None:
-        raise ValueError(f"{path}: missing header line")
+                _add_rows(lines, columns, convert, per_video, counts)
+            except ValueError:  # find the first bad row and name its line
+                for n, raw in enumerate(block, start=lineno + 1):
+                    if (line := raw.strip()) and line[0] != "#":
+                        try:
+                            _add_rows([line], columns, convert, per_video, counts)
+                        except ValueError as exc:
+                            raise ValueError(f"{path}:{n}: {exc}") from None
+            lineno += len(block)
     if not per_video:
         raise ValueError(f"{path}: no frames")
-    return per_video
+    return {vid: tuple(map(_joined, zip(*chunks))) for vid, chunks in per_video.items()}
 
 
-def _phase(fields) -> int:
-    phase = int(fields[0])
-    if not PHASE_MIN <= phase <= PHASE_MAX:
-        raise ValueError(f"phase {phase} outside [{PHASE_MIN}, {PHASE_MAX}]")
-    return phase
+def _add_rows(lines, columns: int, convert, per_video: dict, counts: dict) -> None:
+    """Split stripped data ``lines`` once, convert them column by column and
+    append each video's run of rows; a bad row adds nothing and raises."""
+    if not lines:
+        return
+    widths = set(map(str.count, lines, repeat(","))) - {columns - 1}
+    if widths:
+        raise ValueError(f"expected {columns} columns, got {widths.pop() + 1}")
+    cells = ",".join(lines).split(",")
+    vids, frames, *data = (cells[j::columns] for j in range(columns))
+    idx = list(map(int, frames))
+    runs, seen, expected = [], {}, []
+    for vid, group in groupby(vids):
+        size = len(list(group))
+        have = seen.get(vid, counts.get(vid, 0))
+        seen[vid] = have + size
+        expected += range(have, have + size)
+        runs.append((vid, len(expected) - size, len(expected)))
+    if idx != expected:
+        i = next(i for i, (got, want) in enumerate(zip(idx, expected)) if got != want)
+        raise ValueError(f"frame_idx {idx[i]} out of order for video {vids[i]!r} (expected {expected[i]})")
+    data = convert(data)
+    for vid, s, e in runs:
+        per_video.setdefault(vid, []).append([col[s:e] for col in data])
+    counts.update(seen)
+
+
+def _joined(parts):
+    return np.concatenate(parts) if isinstance(parts[0], np.ndarray) else list(chain.from_iterable(parts))
+
+
+def _phases(cells) -> tuple[list[int]]:
+    phases = list(map(int, cells[0]))
+    for phase in (min(phases), max(phases)):
+        if not PHASE_MIN <= phase <= PHASE_MAX:
+            raise ValueError(f"phase {phase} outside [{PHASE_MIN}, {PHASE_MAX}]")
+    return (phases,)
 
 
 def load_timelines(path) -> dict[str, PhaseTimeline]:
     """Parse a timeline file into {video_id: PhaseTimeline} (see read_rows)."""
-    per_video = read_rows(path, TIMELINE_HEADER, _phase)
-    return {vid: PhaseTimeline(vid, rows) for vid, rows in per_video.items()}
+    return {vid: PhaseTimeline(vid, p) for vid, (p,) in read_rows(path, TIMELINE_HEADER, _phases).items()}

@@ -199,6 +199,27 @@ class TestInfer:
         assert rc == 2
         assert "missing ground truth for videos: video01" in capsys.readouterr().err
 
+    def test_sweep_names_video_with_short_ground_truth(self, small_dataset, tmp_path, capsys):
+        val, test = small_dataset
+        partial = tmp_path / "val"
+        shutil.copytree(val, partial)
+        _truncate_video(partial / "gt.csv", "video01", 100)
+        frames = load_logits(val / "baseline.csv")["video01"].num_frames
+        rc = main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
+                   "--bank", str(test / "bank"), "--sweep", "--val", str(partial),
+                   "--out", str(tmp_path / "pred.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"frame counts differ from ground truth: video01: {frames} frames, ground truth 100" in err
+        assert not (tmp_path / "pred.csv").exists()
+
+
+def _truncate_video(gt, vid, keep):
+    """Keep only the first ``keep`` rows of ``vid`` in the timeline file ``gt``."""
+    lines = gt.read_text().splitlines()
+    kept = [line for line in lines if not line.startswith(f"{vid},") or int(line.split(",")[1]) < keep]
+    gt.write_text("\n".join(kept) + "\n")
+
 
 class TestEvaluate:
     def test_outputs(self, small_dataset, tmp_path, capsys):
@@ -235,6 +256,37 @@ class TestEvaluate:
                    "--trace", str(trace), "--out", str(tmp_path / "eval")])
         assert rc == 2
         assert f"{trace}:6:" in capsys.readouterr().err
+
+    def test_short_ground_truth_named_and_writes_nothing(self, small_dataset, tmp_path, capsys):
+        _, test = small_dataset
+        pred = tmp_path / "pred.csv"
+        main(["infer", "--strategy", "transition", "--bank", str(test / "bank"), "--out", str(pred)])
+        gt = tmp_path / "gt.csv"
+        shutil.copy(test / "gt.csv", gt)
+        _truncate_video(gt, "video00", 100)
+        frames = len(load_timelines(pred)["video00"])
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--pred", str(pred), "--gt", str(gt), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"frame counts differ from ground truth: video00: {frames} frames, ground truth 100" in err
+        assert not out.exists()
+
+    def test_missing_prediction_file_writes_nothing(self, small_dataset, tmp_path, capsys):
+        _, test = small_dataset
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--pred", str(tmp_path / "absent.csv"), "--gt", str(test / "gt.csv"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "absent.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_missing_results_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "render"
+        rc = main(["report", "--results", str(tmp_path / "absent.json"), "--out", str(out)])
+        assert rc == 2
+        assert "absent.json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_rerenders(self, small_dataset, tmp_path):
         _, test = small_dataset

@@ -1,0 +1,165 @@
+"""The three CSV formats: exact writer output, and the block reader checked
+against the row-by-row reference reader on valid and corrupted files."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_load_logits, oracle_load_timelines, oracle_load_traces
+from phasekit import workflow
+from phasekit.inference import InferenceTrace, TraceRecord, load_traces, save_traces
+from phasekit.logits import LogitSequence, load_logits, save_logits
+from phasekit.workflow import PhaseTimeline, load_timelines, save_timelines
+
+MODELS = ["baseline", "trans_1_2", "trans_3_4", "trans_6_7"]
+BAD_CELLS = ["x", "", "1.5.", "--1", "1e", "inf", "-inf", "nan", "1e400", "99999999999999999999",
+             "0", "8", "٣", "1_0", " 2 ", "0x1", "2.0", "1\x0c5", "\x0c3", "trans_9_9"]
+
+
+class TestWriters:
+    def test_save_logits_text(self, tmp_path):
+        labeled = LogitSequence("a", [[0.1, 1e-05], [1e16, -0.0]], labels=[1, 2])
+        unlabeled = LogitSequence("b", [[5e-324, 0.1]])
+        path = tmp_path / "z.csv"
+        save_logits([labeled, unlabeled], path)
+        assert path.read_bytes() == (
+            b"video_id,frame_idx,label,z1,z2\n"
+            b"a,0,1,0.1,1e-05\n"
+            b"a,1,2,1e+16,-0.0\n"
+            b"b,0,0,5e-324,0.1\n"
+        )
+
+    def test_save_timelines_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_timelines([PhaseTimeline("a", [1, 1, 2]), PhaseTimeline("b", [7])], path)
+        assert path.read_bytes() == b"video_id,frame_idx,phase\na,0,1\na,1,1\na,2,2\nb,0,7\n"
+
+    def test_save_traces_text(self, tmp_path):
+        transition = InferenceTrace("a", (TraceRecord(0, "trans_1_2", 1, None, 2),
+                                          TraceRecord(1, "trans_2_3", 2, None, 2)))
+        confidence = InferenceTrace("b", (TraceRecord(0, "baseline", 1, 0.75, 3),
+                                          TraceRecord(1, "trans_3_4", 3, 0.1, 4)))
+        path = tmp_path / "tr.csv"
+        save_traces([transition, confidence], path)
+        assert path.read_bytes() == (
+            b"video_id,frame_idx,model,state,confidence,prediction\n"
+            b"a,0,trans_1_2,1,,2\n"
+            b"a,1,trans_2_3,2,,2\n"
+            b"b,0,baseline,1,0.75,3\n"
+            b"b,1,trans_3_4,3,0.1,4\n"
+        )
+
+
+def test_error_names_line_beyond_several_blocks(tmp_path):
+    path = tmp_path / "gt.csv"
+    rows = [f"v,{i},{1 + i % 7}" for i in range(4998)]
+    path.write_text("\n".join(["video_id,frame_idx,phase", *rows, "v,4998,9"]) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_timelines(path)
+    assert str(err.value) == f"{path}:5000: phase 9 outside [1, 7]"
+
+
+# ---------------------------------------------------------------- differential
+
+def _float_cell():
+    return st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def _table(draw, kind):
+    """(header, rows): the rows of a valid file, each a list of cell strings,
+    with videos interleaved."""
+    order = draw(st.lists(st.sampled_from(["a", "b", "v10"]), min_size=1, max_size=14))
+    if kind == "timeline":
+        header = workflow.TIMELINE_HEADER
+        rest = st.tuples(st.integers(1, 7).map(str))
+    elif kind == "logits":
+        k = draw(st.integers(2, 4))
+        header = "video_id,frame_idx,label," + ",".join(f"z{i}" for i in range(1, k + 1))
+        labeled = draw(st.booleans())
+        label = st.integers(1, 7).map(str) if labeled else st.just("0")
+        rest = st.tuples(label, *[_float_cell()] * k)
+    else:
+        header = "video_id,frame_idx,model,state,confidence,prediction"
+        conf = st.floats(0, 1).map(repr) if draw(st.booleans()) else st.just("")
+        rest = st.tuples(st.sampled_from(MODELS), st.integers(1, 7).map(str), conf, st.integers(1, 7).map(str))
+    seen: dict[str, int] = {}
+    rows = []
+    for vid in order:
+        rows.append([vid, str(seen.get(vid, 0)), *draw(rest)])
+        seen[vid] = seen.get(vid, 0) + 1
+    return header, rows
+
+
+def _corrupt(draw, rows):
+    """Damage one cell or row of ``rows`` in place, or leave them valid."""
+    how = draw(st.sampled_from(["none", "drop", "extra", "cell", "frame", "formfeed"]))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    col = draw(st.integers(2, len(row) - 1))
+    if how == "drop":
+        row.pop()
+    elif how == "extra":
+        row.append("1")
+    elif how == "cell":
+        row[col] = draw(st.sampled_from(BAD_CELLS))
+    elif how == "frame":
+        row[1] = str(int(row[1]) + draw(st.sampled_from([-1, 1, 2])))
+    elif how == "formfeed":
+        at = draw(st.integers(0, len(row[col])))
+        row[col] = row[col][:at] + "\x0c" + row[col][at:]
+
+
+@st.composite
+def _file_text(draw, kind):
+    header, rows = draw(_table(kind))
+    _corrupt(draw, rows)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    filler = st.sampled_from(["", "   ", "# note", "#a,0,1", "\t"])
+    lines = [*draw(st.lists(filler, max_size=2)), header]
+    for row in rows:
+        lines.extend(draw(st.lists(filler, max_size=1)))
+        pad = draw(st.sampled_from(["", " ", "\t", "\x0c"]))
+        lines.append(pad + ",".join(row) + draw(st.sampled_from(["", " ", "\t"])))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def _outcome(load, path):
+    try:
+        return "ok", load(path)
+    except Exception as exc:  # the exception type and message must both agree
+        return type(exc).__name__, str(exc)
+
+
+def _normalized(kind, loaded):
+    if kind == "timeline":
+        return {v: t.labels.tolist() for v, t in loaded.items()}
+    if kind == "logits":
+        return {v: (s.logits.shape, s.logits.tobytes(), None if s.labels is None else s.labels.tolist())
+                for v, s in loaded.items()}
+    return loaded
+
+
+LOADERS = {
+    "timeline": (load_timelines, oracle_load_timelines),
+    "logits": (load_logits, oracle_load_logits),
+    "trace": (load_traces, oracle_load_traces),
+}
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_block_reader_matches_row_reader(kind, data, tmp_path_factory):
+    load, oracle = LOADERS[kind]
+    path = tmp_path_factory.mktemp(kind) / "f.csv"
+    path.write_bytes(data.draw(_file_text(kind)).encode("utf-8"))
+    expected = _outcome(oracle, path)
+    for block in (1, 3, workflow.READ_BLOCK_LINES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workflow, "READ_BLOCK_LINES", block)
+            got = _outcome(load, path)
+        assert got[0] == expected[0], (block, got, expected)
+        if got[0] == "ok":
+            assert _normalized(kind, got[1]) == _normalized(kind, expected[1]), block
+        else:
+            assert got[1] == expected[1], block
