@@ -18,7 +18,7 @@ from . import calibration, inference, metrics, report, simulate
 from .logits import LogitSequence, TransitionLogitBank, load_bank, load_logits
 from .selfcheck import run_selftest
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
-from .workflow import NUM_PHASES, TransitionPair, all_transition_pairs, load_timelines, save_timelines
+from .workflow import NUM_PHASES, TransitionPair, all_transition_pairs, check_utf8, load_timelines, save_timelines
 
 # Keys never written to config echoes: paths vary between runs without
 # affecting artifact content, and byte-identical reruns are a contract.
@@ -60,14 +60,11 @@ def _format_value(value) -> str:
 
 
 def write_config_echo(directory, values: dict) -> None:
-    """Echo the resolved run configuration as sorted ``key = value`` lines."""
+    """Echo the resolved run configuration (built on _echo_values) as sorted
+    ``key = value`` lines."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"{k} = {_format_value(v)}"
-        for k, v in sorted(values.items())
-        if k not in _PATH_KEYS and v is not None
-    ]
+    lines = [f"{k} = {_format_value(v)}" for k, v in sorted(values.items())]
     (directory / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -75,47 +72,39 @@ def _echo_values(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _PATH_KEYS and v is not None}
 
 
-def load_config_file(path) -> dict[str, str]:
-    """Parse a plain-text config file of ``key = value`` lines."""
-    out = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+def _parse_with_config(parser, subparser, argv: list[str], path) -> argparse.Namespace:
+    """Parse ``argv`` again with the flags its ``key = value`` config file
+    names placed first, so explicit flags win: ``frames_mean = 280`` names
+    ``--frames-mean=280`` and ``monotone = off`` names ``--no-monotone``.
+    Each line is first parsed on its own, so an error names it."""
+    check_utf8(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = list(fh)
+    command, rest, flags = argv[0], argv[1:], []
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def apply_config_file(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser) -> None:
-    """Fill parsed args from the config file; explicit flags keep priority."""
-    if not getattr(args, "config", None):
-        return
-    values = load_config_file(args.config)
-    actions = {}
-    for action in parser._actions:
-        if action.dest in ("help", "func"):
-            continue
-        actions[action.dest] = action
-    for key, raw in values.items():
-        dest = key.replace("-", "_")
-        if dest not in actions:
-            raise ValueError(f"unknown config key {key!r} in {args.config}")
-        action = actions[dest]
-        given = any(
-            a == opt or a.startswith(opt + "=") for a in argv for opt in action.option_strings
-        )
-        if given:
-            continue
-        if isinstance(action, argparse.BooleanOptionalAction) or action.type is None and isinstance(action.default, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            value = action.type(raw)
-        else:
-            value = raw
-        setattr(args, dest, value)
+        name = key.replace("_", "-")
+        flag, default = f"--{name}={value}", subparser.get_default(name.replace("-", "_"))
+        if isinstance(default, bool):
+            on = value.lower() in ("1", "true", "yes", "on")
+            if not on and value.lower() not in ("0", "false", "no", "off"):
+                raise ValueError(f"{path}:{lineno}: {key} takes 1/true/yes/on or 0/false/no/off, got {value!r}")
+            if on == default:
+                continue
+            flag = f"--{name}" if on else f"--no-{name}"
+        try:
+            _, unknown = parser.parse_known_args([command, flag, *rest])
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if unknown:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        flags.append(flag)
+    return parser.parse_args([command, *flags, *rest])
 
 
 def _pair_acc(text: str) -> tuple[float, ...]:
@@ -158,6 +147,19 @@ def _simulation_echo(args, workflow: WorkflowSpec) -> dict:
     return echo
 
 
+def _smoothing_window(args) -> int:
+    if args.attention_smooth < 0:
+        raise ValueError(f"--attention-smooth must be >= 0 (0 = off), got {args.attention_smooth}")
+    return args.attention_smooth
+
+
+def _video_prefix(text: str) -> str:
+    """A video id prefix whose ids the file readers read back unchanged."""
+    if text != text.strip() or text.startswith("#") or any(c in text for c in ",\n\r"):
+        raise argparse.ArgumentTypeError(f"{text!r} has a comma, line break, leading '#' or surrounding whitespace")
+    return text
+
+
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     workflow = _workflow_spec(args)
@@ -167,7 +169,7 @@ def cmd_simulate(args) -> int:
         workflow,
         _noise_spec(args),
         id_prefix=args.prefix,
-        smoothing_window=args.attention_smooth,
+        smoothing_window=_smoothing_window(args),
     )
     write_config_echo(out, _simulation_echo(args, workflow))
     print(f"wrote {args.videos} simulated videos to {out}")
@@ -349,7 +351,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     results = report.load_results_json(args.results)
-    text = render_report_text(results)
+    try:
+        text = render_report_text(results)
+    except ValueError as exc:
+        raise ValueError(f"{args.results}: {exc}") from None
     preds = gts = {}
     if "svg" in args.format:
         if not (args.pred and args.gt):
@@ -368,7 +373,14 @@ def cmd_report(args) -> int:
 
 
 def render_report_text(results: dict) -> str:
-    """Re-render the text tables from a flat results dict."""
+    """Re-render the text tables from a flat results dict. A table whose
+    family lacks a key, or holds null where a number is needed, raises
+    ValueError."""
+    def need(key, nullable=True):
+        if key not in results or results[key] is None and not nullable:
+            raise ValueError(f"no value for {key!r}")
+        return results[key]
+
     blocks = []
     strategies = sorted(
         {k.split(".")[1] for k in results if k.startswith("strategy.") and k.endswith(".accuracy.pooled")},
@@ -379,7 +391,7 @@ def render_report_text(results: dict) -> str:
             (
                 STRATEGY_LABELS.get(s, s),
                 results[f"strategy.{s}.accuracy.pooled"],
-                results[f"strategy.{s}.accuracy.video_mean"],
+                need(f"strategy.{s}.accuracy.video_mean"),
             )
             for s in strategies
         ]
@@ -393,11 +405,8 @@ def render_report_text(results: dict) -> str:
         blocks.append(report.render_pair_table(baseline_acc, pair_accs))
     if "calibration.nll_before" in results:
         cal = calibration.CalibrationReport(
-            nll_before=results["calibration.nll_before"],
-            nll_after=results["calibration.nll_after"],
-            ece_before=results["calibration.ece_before"],
-            ece_after=results["calibration.ece_after"],
-            fitted=calibration.Temperature(results["calibration.temperature"]),
+            **{k: need(f"calibration.{k}", False) for k in ("nll_before", "nll_after", "ece_before", "ece_after")},
+            fitted=calibration.Temperature(need("calibration.temperature", False)),
         )
         blocks.append(report.render_calibration_table(cal))
     if not blocks:
@@ -424,6 +433,7 @@ def cmd_pipeline(args) -> int:
         for flag, count in (("--val-videos", args.val_videos), ("--test-videos", args.test_videos)):
             if count < 1:
                 raise ValueError(f"{flag} must be >= 1, got {count}")
+        window = _smoothing_window(args)
     with _stage("calibrate"):
         if args.bins < 1:
             raise ValueError(f"--bins must be >= 1, got {args.bins}")
@@ -439,7 +449,7 @@ def cmd_pipeline(args) -> int:
         for split, count in (("val", args.val_videos), ("test", args.test_videos)):
             videos[split] = simulate.generate_dataset(
                 out / split, count, workflow, noise[split],
-                id_prefix=split, smoothing_window=args.attention_smooth,
+                id_prefix=split, smoothing_window=window,
             )
             write_config_echo(out / split, echo)
         base_val = {v.baseline.video_id: v.baseline for v in videos["val"]}
@@ -534,104 +544,91 @@ def _add_simulation_flags(p: argparse.ArgumentParser, frames_default: float) -> 
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # abbreviation is off so config-file precedence can detect explicit flags
+    # a config key must name its flag in full; a bad flag raises ArgumentError for main to report
     parser = argparse.ArgumentParser(
         prog="phasekit",
         description="Surgical phase inference toolkit: calibrated-confidence switching "
                     "between a 7-class baseline and six 2-class transition models.",
         allow_abbrev=False,
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {}
+    shared = {
+        "--buffer": dict(type=int, default=100, help="majority buffer size"),
+        "--threshold": dict(type=float, default=0.5, help="confidence threshold for accepting the baseline"),
+        "--bins": dict(type=int, default=15, help="ECE bin count"),
+        "--format": dict(type=_formats, default=("text", "json", "svg")),
+        "--config": dict(help="plain-text key = value config file"),
+    }
 
-    p = sub.add_parser("simulate", allow_abbrev=False, help="generate a synthetic dataset directory")
+    def command(name, func, help, *flags):
+        p = parsers[name] = sub.add_parser(name, help=help, allow_abbrev=False, exit_on_error=False)
+        p.set_defaults(func=func)
+        for flag in (*flags, "--config"):
+            p.add_argument(flag, **shared[flag])
+        return p
+
+    p = command("simulate", cmd_simulate, "generate a synthetic dataset directory")
     p.add_argument("--videos", type=int, default=8)
-    p.add_argument("--prefix", default="video", help="video id prefix")
+    p.add_argument("--prefix", type=_video_prefix, default="video", help="video id prefix")
     _add_simulation_flags(p, frames_default=1800.0)
     p.add_argument("--out", required=True, help="dataset directory to write")
-    p.add_argument("--config", help="plain-text key = value config file")
-    p.set_defaults(func=cmd_simulate)
-    parsers["simulate"] = p
 
-    p = sub.add_parser("calibrate", allow_abbrev=False, help="fit temperature on validation, report on test")
+    p = command("calibrate", cmd_calibrate, "fit temperature on validation, report on test", "--bins")
     p.add_argument("--val", required=True, help="validation dataset directory")
     p.add_argument("--test", required=True, help="test dataset directory")
-    p.add_argument("--bins", type=int, default=15, help="ECE bin count")
     p.add_argument("--include-bank", action="store_true",
                    help="also fit per-pair temperatures for the transition bank")
     p.add_argument("--out", required=True, help="output directory or report .json path")
-    p.add_argument("--config", help="plain-text key = value config file")
-    p.set_defaults(func=cmd_calibrate)
-    parsers["calibrate"] = p
 
-    p = sub.add_parser("infer", allow_abbrev=False, help="run an inference strategy over logit files")
+    p = command("infer", cmd_infer, "run an inference strategy over logit files", "--buffer", "--threshold")
     p.add_argument("--strategy", choices=("transition", "confidence"), required=True)
     p.add_argument("--base", help="baseline K=7 logit file (confidence strategy)")
     p.add_argument("--bank", required=True, help="transition bank directory")
-    p.add_argument("--buffer", type=int, default=100, help="majority buffer size")
-    p.add_argument("--threshold", type=float, default=0.5, help="confidence threshold for accepting the baseline")
     p.add_argument("--temperature", default="1.0", help="softmax temperature, or 'auto' to fit on --val")
     p.add_argument("--val", help="labeled validation dataset directory (for auto/sweep)")
     p.add_argument("--sweep", action="store_true",
                    help="pick the threshold by accuracy over a 0.1..0.9 grid on --val")
     p.add_argument("--trace", help="write the per-frame decision trace here")
     p.add_argument("--out", required=True, help="predicted timeline file")
-    p.add_argument("--config", help="plain-text key = value config file")
-    p.set_defaults(func=cmd_infer)
-    parsers["infer"] = p
 
-    p = sub.add_parser("evaluate", allow_abbrev=False, help="score predictions against ground truth")
+    p = command("evaluate", cmd_evaluate, "score predictions against ground truth", "--format")
     p.add_argument("--pred", required=True, help="predicted timeline file")
     p.add_argument("--gt", required=True, help="ground-truth timeline file")
     p.add_argument("--trace", help="decision trace for cascade detection")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", type=_formats, default=("text", "json", "svg"))
-    p.add_argument("--config", help="plain-text key = value config file")
-    p.set_defaults(func=cmd_evaluate)
-    parsers["evaluate"] = p
 
-    p = sub.add_parser("report", allow_abbrev=False, help="re-render text tables from a results JSON")
+    p = command("report", cmd_report, "re-render text tables from a results JSON", "--format")
     p.add_argument("--results", required=True, help="results.json from evaluate or calibrate")
     p.add_argument("--pred", help="predicted timelines (needed for svg)")
     p.add_argument("--gt", help="ground-truth timelines (needed for svg)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", type=_formats, default=("text",))
-    p.add_argument("--config", help="plain-text key = value config file")
-    p.set_defaults(func=cmd_report)
-    parsers["report"] = p
+    p.set_defaults(format=("text",))
 
-    p = sub.add_parser("pipeline", allow_abbrev=False, help="run the full synthetic pipeline end to end")
+    p = command("pipeline", cmd_pipeline, "run the full synthetic pipeline end to end",
+                "--buffer", "--threshold", "--bins", "--format")
     p.add_argument("--val-videos", type=int, default=2)
     p.add_argument("--test-videos", type=int, default=3)
     _add_simulation_flags(p, frames_default=1200.0)
-    p.add_argument("--buffer", type=int, default=100)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--bins", type=int, default=15)
-    p.add_argument("--format", type=_formats, default=("text", "json", "svg"))
     p.add_argument("--out", required=True, help="artifact directory")
-    p.add_argument("--config", help="plain-text key = value config file")
-    p.set_defaults(func=cmd_pipeline)
-    parsers["pipeline"] = p
 
-    p = sub.add_parser("selftest", help="run built-in numeric verification")
-    p.set_defaults(func=cmd_selftest)
-    parsers["selftest"] = p
-
+    sub.add_parser("selftest", help="run built-in numeric verification").set_defaults(func=cmd_selftest)
     return parser, parsers
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, parsers = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            apply_config_file(args, argv, parsers[args.command])
+            args = _parse_with_config(parser, parsers[args.command], argv, args.config)
         return args.func(args)
     except StageError as exc:
         print(f"error in stage {exc.stage}: {exc.cause}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, KeyError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

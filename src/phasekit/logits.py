@@ -195,14 +195,20 @@ def _logit_columns(cells) -> tuple[list[int], np.ndarray]:
     z = np.fromiter(map(float, chain.from_iterable(cells[1:])), np.float64, n * (len(cells) - 1))
     if not np.isfinite(z).all():
         raise ValueError("non-finite logit")
-    return list(map(int, cells[0])), z.reshape(-1, n).T
+    labels = list(map(int, cells[0]))
+    hi = max(PHASE_MAX, len(cells) - 1)
+    for label in (min(labels), max(labels)):
+        if not 0 <= label <= hi:
+            raise ValueError(f"label {label} outside [0, {hi}]")
+    return labels, z.reshape(-1, n).T
 
 
 def load_logits(path) -> dict[str, LogitSequence]:
     """Parse a logit file into {video_id: LogitSequence} (see read_rows).
 
-    Non-numeric or non-finite entries raise ValueError naming the line. An
-    all-zero label column for a video loads as labels=None.
+    Non-numeric or non-finite entries, and labels outside [0, max(7, K)],
+    raise ValueError naming the line. An all-zero label column for a video
+    loads as labels=None.
     """
     out: dict[str, LogitSequence] = {}
     for vid, (labs, z) in read_rows(path, LOGIT_HEADER, _logit_columns, open_ended=True).items():

@@ -139,7 +139,25 @@ def write_results_json(results: dict, path) -> None:
 
 
 def load_results_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a flat results object whose values are null or finite numbers;
+    any other content raises ValueError naming ``path``."""
+    try:
+        results = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
+        raise ValueError(f"{path}: not a JSON results file: {exc}") from None
+    if not isinstance(results, dict):
+        raise ValueError(f"{path}: expected a JSON object of results, got {type(results).__name__}")
+    for key, value in results.items():
+        if value is not None and not _finite_number(value):
+            raise ValueError(f"{path}: {key!r} must be null or a finite number, got {value!r}")
+    return results
+
+
+def _finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)  # a bool is not a number here
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def write_reliability_csv(bins: ReliabilityBins, path) -> None:

@@ -137,6 +137,18 @@ def save_timelines(timelines, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def check_utf8(path) -> None:
+    """Raise a ValueError naming ``path:line`` of the file's first byte that
+    is not UTF-8, with lines counted where file iteration breaks them."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+        raise ValueError(f"{path}:{line}: {exc}") from None
+
+
 def read_rows(path, header: str, convert, *, open_ended: bool = False) -> dict[str, tuple]:
     """Parse a comma-separated file keyed by ``video_id,frame_idx`` into
     {video_id: (column, ...)}, one list or array per column after frame_idx.
@@ -154,32 +166,36 @@ def read_rows(path, header: str, convert, *, open_ended: bool = False) -> dict[s
     names = header.split(",")
     per_video: dict[str, list] = {}
     counts: dict[str, int] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                break
-        else:
-            raise ValueError(f"{path}: missing header line")
-        fields = line.split(",")
-        ok = fields[:len(names)] == names and len(fields) >= len(names) + 2 if open_ended else fields == names
-        if not ok:
-            shown = header + ",..." if open_ended else header
-            raise ValueError(f"{path}:{lineno}: expected header {shown!r}, got {line!r}")
-        columns = len(fields)
-        # file iteration, unlike str.splitlines, breaks lines only at \n, \r and \r\n
-        while block := list(islice(fh, READ_BLOCK_LINES)):
-            lines = [line for line in map(str.strip, block) if line and line[0] != "#"]
-            try:
-                _add_rows(lines, columns, convert, per_video, counts)
-            except ValueError:  # find the first bad row and name its line
-                for n, raw in enumerate(block, start=lineno + 1):
-                    if (line := raw.strip()) and line[0] != "#":
-                        try:
-                            _add_rows([line], columns, convert, per_video, counts)
-                        except ValueError as exc:
-                            raise ValueError(f"{path}:{n}: {exc}") from None
-            lineno += len(block)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    break
+            else:
+                raise ValueError(f"{path}: missing header line")
+            fields = line.split(",")
+            ok = fields[:len(names)] == names and len(fields) >= len(names) + 2 if open_ended else fields == names
+            if not ok:
+                shown = header + ",..." if open_ended else header
+                raise ValueError(f"{path}:{lineno}: expected header {shown!r}, got {line!r}")
+            columns = len(fields)
+            # file iteration, unlike str.splitlines, breaks lines only at \n, \r and \r\n
+            while block := list(islice(fh, READ_BLOCK_LINES)):
+                lines = [line for line in map(str.strip, block) if line and line[0] != "#"]
+                try:
+                    _add_rows(lines, columns, convert, per_video, counts)
+                except ValueError:  # find the first bad row and name its line
+                    for n, raw in enumerate(block, start=lineno + 1):
+                        if (line := raw.strip()) and line[0] != "#":
+                            try:
+                                _add_rows([line], columns, convert, per_video, counts)
+                            except ValueError as exc:
+                                raise ValueError(f"{path}:{n}: {exc}") from None
+                lineno += len(block)
+    except UnicodeDecodeError:
+        check_utf8(path)
+        raise
     if not per_video:
         raise ValueError(f"{path}: no frames")
     return {vid: tuple(map(_joined, zip(*chunks))) for vid, chunks in per_video.items()}

@@ -168,7 +168,10 @@ def _oracle_logit_row(fields) -> tuple[int, list[float]]:
     z = [float(v) for v in fields[1:]]
     if not all(map(math.isfinite, z)):
         raise ValueError("non-finite logit")
-    return int(fields[0]), z
+    label, hi = int(fields[0]), max(PHASE_MAX, len(z))
+    if not 0 <= label <= hi:
+        raise ValueError(f"label {label} outside [0, {hi}]")
+    return label, z
 
 
 def oracle_load_logits(path) -> dict[str, LogitSequence]:

@@ -1,9 +1,12 @@
 import filecmp
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasekit import cli
 from phasekit.calibration import fit_temperature
@@ -37,6 +40,21 @@ class TestSimulate:
         echo = (val / "config.txt").read_text()
         assert "seed = 7" in echo
         assert "out" not in echo.splitlines()[0]
+
+    @pytest.mark.parametrize("prefix", ["a,b", "#v", "a\nb", "a\rb", " v", "v\t"])
+    def test_unreadable_prefix_rejected_and_writes_nothing(self, tmp_path, capsys, prefix):
+        out = tmp_path / "data"
+        rc = main(["simulate", "--videos", "1", "--frames-mean", "140", "--prefix", prefix, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: argument --prefix: ")
+        assert not out.exists()
+
+    def test_negative_attention_smooth_rejected_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        rc = main(["simulate", "--videos", "1", "--frames-mean", "140", "--attention-smooth", "-3", "--out", str(out)])
+        assert rc == 2
+        assert "--attention-smooth must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_is_loadable_and_consistent(self, small_dataset):
         val, _ = small_dataset
@@ -288,6 +306,23 @@ class TestEvaluate:
         assert "absent.json" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [
+        '{"calibration.nll_before": "0.5", "calibration.nll_after": 0.4, "calibration.ece_before": 0.1, '
+        '"calibration.ece_after": 0.05, "calibration.temperature": 2.0}',
+        "[1, 2]",
+        '{"accuracy.pooled": 0.5',
+        '{"strategy.x.accuracy.pooled": 0.5}',
+        '{"calibration.nll_before": null}',
+    ], ids=["string", "list", "malformed", "missing_sibling", "null_calibration"])
+    def test_report_bad_results_named_and_writes_nothing(self, tmp_path, capsys, content):
+        results = tmp_path / "results.json"
+        results.write_text(content)
+        out = tmp_path / "render"
+        rc = main(["report", "--results", str(results), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {results}: ")
+        assert not out.exists()
+
     def test_report_rerenders(self, small_dataset, tmp_path):
         _, test = small_dataset
         pred = tmp_path / "pred.csv"
@@ -312,6 +347,32 @@ class TestEvaluate:
         assert "missing ground truth for videos: zz" in capsys.readouterr().err
 
 
+SIMULATE_SETTINGS = {
+    "videos": st.sampled_from(["1", "2"]),
+    "prefix": st.sampled_from(["video", "v", "case_"]),
+    "frames-mean": st.sampled_from(["140", "175.5", "2.1e2"]),
+    "dwell-min": st.sampled_from(["2", "5"]),
+    "monotone": st.booleans(),
+    "base-acc": st.sampled_from(["0.7", "0.9"]),
+    "pair-acc": st.sampled_from(["0.9", "0.95,0.9,0.9,0.95,0.9,0.85"]),
+    "overconfidence": st.sampled_from(["1.0", "2.5"]),
+    "jitter": st.sampled_from(["0", "7"]),
+    "attention-smooth": st.sampled_from(["0", "3"]),
+    "seed": st.integers(0, 2**31).map(str),
+}
+INFER_SETTINGS = {
+    "buffer": st.sampled_from(["1", "20"]),
+    "threshold": st.sampled_from(["0", "0.5", "0.95"]),
+    "temperature": st.sampled_from(["1.0", "2.5", "auto"]),
+    "sweep": st.booleans(),
+}
+BOOLEAN_WORDS = {True: ["1", "true", "yes", "on"], False: ["0", "false", "no", "off"]}
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestConfigFile:
     def test_file_overrides_defaults_and_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -325,12 +386,24 @@ class TestConfigFile:
         assert "seed = 5" in echo  # flag wins
         assert "frames_mean = 280.0" in echo
 
+    @pytest.mark.parametrize("line, flags, echoed", [
+        ("monotone = No", ["--monotone"], "monotone = true"),
+        ("monotone = OFF", [], "monotone = false"),
+        ("monotone = Yes", ["--no-monotone"], "monotone = false"),
+    ])
+    def test_flag_overrides_boolean_line(self, tmp_path, line, flags, echoed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"videos = 1\nframes_mean = 140\n{line}\n")
+        out = tmp_path / "data"
+        assert main(["simulate", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        assert echoed in (out / "config.txt").read_text().splitlines()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("banana = 1\n")
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")])
         assert rc == 2
-        assert "banana" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key 'banana'\n"
 
     def test_bad_value_in_file_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -338,7 +411,80 @@ class TestConfigFile:
         rc = main(["evaluate", "--pred", "x", "--gt", "y", "--out", str(tmp_path / "e"),
                    "--config", str(cfg)])
         assert rc == 2
-        assert "bogus" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {cfg}:1: argument --format: unknown formats: bogus\n"
+
+    @pytest.mark.parametrize("content, message", [
+        (b"videos = 1\n# note\n\nmonotone = flase\n",
+         "{cfg}:4: monotone takes 1/true/yes/on or 0/false/no/off, got 'flase'"),
+        (b"videos = 1\r\nframes_mean = abc\n", "{cfg}:2: argument --frames-mean: invalid float value: 'abc'"),
+        (b"videos = 1\nprefix = #v\n", "{cfg}:2: argument --prefix: '#v' has a comma, line break, "
+                                        "leading '#' or surrounding whitespace"),
+        (b"sweep = yes\n", "{cfg}:1: unknown config key 'sweep'"),
+        (b"videos = 1\nseed 5\n", "{cfg}:2: expected 'key = value'"),
+        (b"videos = 1\nseed = \xff\n", "{cfg}:2: 'utf-8' codec can't decode byte 0xff in position 18: "
+                                        "invalid start byte"),
+    ], ids=["boolean", "float", "prefix", "unknown_key", "no_equals", "not_utf8"])
+    def test_bad_line_named_and_writes_nothing(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(content)
+        out = tmp_path / "data"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+        assert not out.exists()
+
+    def test_bad_value_rejected_even_when_a_flag_overrides_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = x\n")
+        rc = main(["simulate", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert f"{cfg}:1: argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_bad_flag_value_is_an_error_line(self, tmp_path, capsys):
+        rc = main(["simulate", "--seed", "abc", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: argument --seed: invalid int value: 'abc'\n"
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_config_file_and_flags_give_identical_runs(self, small_dataset, data):
+        """Any subset of simulate and infer settings, given as config lines
+        (either key spelling, any case of a boolean word) or as flags, gives
+        the same config.txt echo and the same output bytes."""
+        val, test = small_dataset
+
+        def draw(settings, switch_off):
+            chosen = data.draw(st.lists(st.sampled_from(sorted(settings)), unique=True))
+            lines, flags = [], []
+            for key in chosen:
+                value = data.draw(settings[key])
+                spelling = data.draw(st.sampled_from([key, key.replace("-", "_")]))
+                if isinstance(value, bool):
+                    word = data.draw(st.sampled_from(BOOLEAN_WORDS[value]).flatmap(
+                        lambda w: st.sampled_from([w, w.upper(), w.title()])))
+                    lines.append(f"{spelling} = {word}")
+                    flags += [f"--{key}"] if value else switch_off(key)
+                else:
+                    lines.append(f"{spelling}={value}" if data.draw(st.booleans()) else f"  {spelling} =  {value} ")
+                    flags += [f"--{key}", value]
+            return "\n".join(lines) + "\n", flags
+
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            text, flags = draw(SIMULATE_SETTINGS, lambda key: [f"--no-{key}"])
+            (root / "sim.cfg").write_text(text)
+            assert main(["simulate", *flags, "--out", str(root / "flags" / "sim")]) == 0
+            assert main(["simulate", "--config", str(root / "sim.cfg"), "--out", str(root / "file" / "sim")]) == 0
+
+            strategy = data.draw(st.sampled_from(["transition", "confidence"]))
+            text, flags = draw(INFER_SETTINGS, lambda key: [])
+            (root / "infer.cfg").write_text(text)
+            paths = ["--strategy", strategy, "--base", str(test / "baseline.csv"), "--bank", str(test / "bank"),
+                     "--val", str(val)]
+            for how, extra in (("flags", flags), ("file", ["--config", str(root / "infer.cfg")])):
+                assert main(["infer", *paths, *extra, "--trace", str(root / how / "inf" / "trace.csv"),
+                             "--out", str(root / how / "inf" / "pred.csv")]) == 0
+            assert _tree(root / "flags") == _tree(root / "file")
 
 
 class TestPipeline:
@@ -376,6 +522,13 @@ class TestPipeline:
         rc = main(["pipeline", "--out", str(out), flag, "0"])
         assert rc == 2
         assert f"error in stage {stage}: {flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_attention_smooth_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["pipeline", "--out", str(out), "--attention-smooth", "-3"])
+        assert rc == 2
+        assert "error in stage simulate: --attention-smooth must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_matches_its_subcommands(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_load_logits, oracle_load_timelines, oracle_load_traces
 from phasekit import workflow
-from phasekit.inference import InferenceTrace, TraceRecord, load_traces, save_traces
+from phasekit.inference import TRACE_HEADER, InferenceTrace, TraceRecord, load_traces, save_traces
 from phasekit.logits import LogitSequence, load_logits, save_logits
 from phasekit.workflow import PhaseTimeline, load_timelines, save_timelines
 
@@ -57,6 +57,31 @@ def test_error_names_line_beyond_several_blocks(tmp_path):
     with pytest.raises(ValueError) as err:
         load_timelines(path)
     assert str(err.value) == f"{path}:5000: phase 9 outside [1, 7]"
+
+
+def test_label_beyond_int64_names_line(tmp_path):
+    path = tmp_path / "baseline.csv"
+    path.write_text("video_id,frame_idx,label,z1,z2\nv,0,1,0.5,0.1\nv,1,99999999999999999999,0.5,0.1\n")
+    with pytest.raises(ValueError) as err:
+        load_logits(path)
+    assert str(err.value) == f"{path}:3: label 99999999999999999999 outside [0, 7]"
+
+
+@pytest.mark.parametrize("load, header, row", [
+    pytest.param(load_timelines, workflow.TIMELINE_HEADER, "v,{},1", id="timeline"),
+    pytest.param(load_logits, "video_id,frame_idx,label,z1,z2", "v,{},1,0.5,-0.5", id="logits"),
+    pytest.param(load_traces, TRACE_HEADER, "v,{},baseline,1,0.5,1", id="trace"),
+])
+@pytest.mark.parametrize("bad_line", [3, 5000])
+def test_byte_not_utf8_names_file_and_line(tmp_path, load, header, row, bad_line):
+    """Lines end in \r\n and \r, and line 5,000 lies past the first read block."""
+    path = tmp_path / "f.csv"
+    rows = [row.format(i).encode() for i in range(bad_line - 1)]
+    rows[-1] = rows[-1][:-1] + b"\xff"
+    path.write_bytes(b"\r\n".join([header.encode(), *rows[:-1]]) + b"\r" + rows[-1] + b"\n")
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}:{bad_line}: 'utf-8' codec can't decode byte 0xff")
 
 
 # ---------------------------------------------------------------- differential

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,17 @@ class TestResultsJson:
         assert raw.index('"a.key"') < raw.index('"b.key"')
         assert load_results_json(path) == {"b.key": 2.5, "a.key": None}
         assert json.loads(raw)["a.key"] is None
+
+    @pytest.mark.parametrize("content", [
+        b'{"a": "0.5"}', b'{"a": true}', b'{"a": [1]}', b'{"a": {"b": 1}}', b'{"a": NaN}', b'{"a": 1e400}',
+        b'{"a": 1' + b'0' * 400 + b'}', b'{"a": 1' + b'0' * 5000 + b'}', b'[1, 2]', b'"x"', b'{"a": 1',
+        b'', b'{"a": "\xff"}',
+    ])
+    def test_rejects_all_but_a_flat_object_of_finite_numbers(self, tmp_path, content):
+        path = tmp_path / "results.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
+            load_results_json(path)
 
     def test_eval_results_keys(self):
         preds = {"a": PhaseTimeline("a", [1, 2])}
