@@ -20,8 +20,6 @@ from .calibration import (
 from .inference import (
     InferenceConfig,
     InferenceTrace,
-    MajorityBuffer,
-    TraceRecord,
     baseline_argmax,
     confidence_inference,
     transition_inference,

@@ -133,10 +133,15 @@ def _nll_arrays(z: np.ndarray, y: np.ndarray, t: float) -> float:
 def nll(logits, labels=None, temperature=1.0) -> float:
     """Mean negative log-probability of the true class at the given temperature.
 
-    Invariant to per-row constant shifts of the logits.
+    Invariant to per-row constant shifts of the logits. Raises ValueError
+    when the scaled logits overflow and the result is not finite.
     """
     z, y = as_arrays(logits, labels)
-    return _nll_arrays(z, y, positive_temperature(temperature))
+    t = positive_temperature(temperature)
+    value = _nll_arrays(z, y, t)
+    if not math.isfinite(value):
+        raise ValueError(f"NLL is not finite at temperature {t!r}: the scaled logits overflow")
+    return value
 
 
 def reliability_bins(logits, labels=None, temperature=1.0, num_bins: int = DEFAULT_NUM_BINS) -> ReliabilityBins:

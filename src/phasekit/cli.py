@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, inference, metrics, report, simulate
-from .logits import LogitSequence, TransitionLogitBank, load_bank, load_logits
+from .logits import LogitSequence, TransitionLogitBank, load_bank, load_logits, positive_temperature
 from .selfcheck import run_selftest
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
 from .workflow import NUM_PHASES, TransitionPair, all_transition_pairs, check_utf8, load_timelines, save_timelines
@@ -111,15 +111,29 @@ def _pair_acc(text: str) -> tuple[float, ...]:
     parts = [float(v) for v in text.split(",")]
     if len(parts) == 1:
         return tuple(parts * (NUM_PHASES - 1))
+    if len(parts) != NUM_PHASES - 1:
+        raise argparse.ArgumentTypeError(f"takes 1 or {NUM_PHASES - 1} comma-separated values, got {len(parts)}")
     return tuple(parts)
 
 
 def _formats(text: str) -> tuple[str, ...]:
     fmts = tuple(f.strip() for f in text.split(",") if f.strip())
+    if not fmts:
+        raise argparse.ArgumentTypeError(f"names no format in {text!r}; choose from text, json, svg")
     unknown = set(fmts) - {"text", "json", "svg"}
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown formats: {', '.join(sorted(unknown))}")
     return fmts
+
+
+def _temperature(text: str) -> float | str:
+    """``auto``, or a positive finite temperature."""
+    if text == "auto":
+        return text
+    try:
+        return positive_temperature(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number or 'auto', got {text!r}") from None
 
 
 def _workflow_spec(args) -> WorkflowSpec:
@@ -237,16 +251,13 @@ def _bank_temperatures(bank) -> dict:
 # ---------------------------------------------------------------- infer
 
 def _resolve_temperature(args, val_base) -> float:
-    if args.temperature == "auto":
-        if val_base is None:
-            raise ValueError("--temperature auto requires --val <dir> to fit on")
-        fitted = calibration.fit_temperature([val_base[v] for v in sorted(val_base)])
-        print(f"fitted temperature on validation split: {fitted.value!r}")
-        return fitted.value
-    try:
-        return float(args.temperature)
-    except ValueError:
-        raise ValueError(f"--temperature must be a number or 'auto', got {args.temperature!r}") from None
+    if args.temperature != "auto":
+        return args.temperature
+    if val_base is None:
+        raise ValueError("--temperature auto requires --val <dir> to fit on")
+    fitted = calibration.fit_temperature([val_base[v] for v in sorted(val_base)])
+    print(f"fitted temperature on validation split: {fitted.value!r}")
+    return fitted.value
 
 
 def _infer(strategy: str, baselines: dict[str, LogitSequence], bank, cfg) -> tuple[dict, dict]:
@@ -586,7 +597,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--strategy", choices=("transition", "confidence"), required=True)
     p.add_argument("--base", help="baseline K=7 logit file (confidence strategy)")
     p.add_argument("--bank", required=True, help="transition bank directory")
-    p.add_argument("--temperature", default="1.0", help="softmax temperature, or 'auto' to fit on --val")
+    p.add_argument("--temperature", type=_temperature, default="1.0",
+                   help="softmax temperature, or 'auto' to fit on --val")
     p.add_argument("--val", help="labeled validation dataset directory (for auto/sweep)")
     p.add_argument("--sweep", action="store_true",
                    help="pick the threshold by accuracy over a 0.1..0.9 grid on --val")

@@ -1,5 +1,5 @@
-"""The two inference strategies, implemented as deterministic per-video state
-machines over a baseline logit stream and a transition-model bank.
+"""The two inference strategies, deterministic per-video state machines over
+a baseline logit stream and a transition-model bank, computed array at a time.
 
 Transition-based: a FIFO buffer of the last N predictions selects, by
 majority, which 2-class model predicts the current frame.
@@ -12,70 +12,30 @@ threshold routes to the transition model.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .logits import LogitSequence, TransitionLogitBank, argmax_confidence_rows, positive_temperature
-from .workflow import (
-    NUM_PHASES,
-    PhaseLabel,
-    PhaseTimeline,
-    TransitionPair,
-    all_transition_pairs,
-    pair_for_phase,
-    read_rows,
-)
+from .workflow import NUM_PHASES, PhaseTimeline, all_transition_pairs, phase_cells, read_rows
 
 BASELINE_MODEL = "baseline"
-_MODEL_NAMES = frozenset([BASELINE_MODEL, *(pair.name for pair in all_transition_pairs())])
+# A trace's model code indexes this: 0 is the baseline, k is pair (k, k + 1).
+MODEL_NAMES = (BASELINE_MODEL, *(pair.name for pair in all_transition_pairs()))
+_MODEL_CODES = {name: code for code, name in enumerate(MODEL_NAMES)}
+_PHASES = np.arange(1, NUM_PHASES + 1)
+# The model code of pair_for_phase(p) at index p - 1: (p, p + 1), and (6, 7) for p = 7.
+_PAIR_CODE = np.minimum(_PHASES, NUM_PHASES - 1)
 
 TRACE_HEADER = "video_id,frame_idx,model,state,confidence,prediction"
 
 # Confidence thresholds tried by sweep_threshold, ascending.
 SWEEP_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
-
-class MajorityBuffer:
-    """Fixed-size FIFO of phase labels; push evicts the oldest entry.
-
-    The buffer always holds exactly ``capacity`` entries (initialized to the
-    fill label), so the majority is defined from the first frame.
-    """
-
-    def __init__(self, capacity: int, fill: int = 1):
-        if capacity < 1:
-            raise ValueError("buffer capacity must be >= 1")
-        fill = PhaseLabel(fill)
-        self._fifo = deque([int(fill)] * capacity, maxlen=capacity)
-        self._counts = np.zeros(NUM_PHASES + 1, dtype=np.int64)
-        self._counts[fill] = capacity
-
-    @classmethod
-    def from_contents(cls, labels) -> "MajorityBuffer":
-        labels = [int(PhaseLabel(l)) for l in labels]
-        buf = cls(len(labels), fill=labels[0])
-        for l in labels:
-            buf.push(l)
-        return buf
-
-    @property
-    def contents(self) -> tuple[int, ...]:
-        return tuple(self._fifo)
-
-    def push(self, label: int) -> None:
-        label = int(PhaseLabel(label))
-        oldest = self._fifo[0]
-        self._fifo.append(label)
-        self._counts[oldest] -= 1
-        self._counts[label] += 1
-
-    def majority(self) -> int:
-        """Most frequent label; ties resolve to the smallest phase index."""
-        return int(np.argmax(self._counts[1:])) + 1
+# Frames the transition strategy extends its current majority over per step.
+_LOOKAHEAD = 512
 
 
 @dataclass(frozen=True)
@@ -94,44 +54,68 @@ class InferenceConfig:
         object.__setattr__(self, "temperature", positive_temperature(self.temperature))
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One frame's decision: which model ran, with what state and confidence.
+_Record = namedtuple("Record", "frame_idx model state confidence prediction")
 
-    ``model`` is "baseline" or a pair name like "trans_2_3". ``state`` is the
-    buffer majority (transition strategy) or p_last (confidence strategy) that
-    selected the model. ``confidence`` is the baseline max-softmax value for
-    the confidence strategy and None for the transition strategy.
+
+@dataclass(frozen=True, eq=False)
+class InferenceTrace:
+    """One video's per-frame decisions as parallel read-only columns.
+
+    ``model`` is 0 where the baseline ran and k where pair (k, k + 1) ran.
+    ``state`` is the buffer majority (transition strategy) or p_last
+    (confidence strategy) that selected the model. ``confidence`` is the
+    baseline max-softmax value where ``has_confidence`` is set (every frame
+    of the confidence strategy), and 0.0 elsewhere. ``prediction`` is the
+    emitted phase.
     """
 
-    frame_idx: int
-    model: str
-    state: int
-    confidence: float | None
-    prediction: int
-
-    def consulted_pair(self) -> TransitionPair | None:
-        if self.model == BASELINE_MODEL:
-            return None
-        return TransitionPair.from_name(self.model)
-
-
-@dataclass(frozen=True)
-class InferenceTrace:
     video_id: str
-    records: tuple[TraceRecord, ...]
+    model: np.ndarray
+    state: np.ndarray
+    confidence: np.ndarray
+    has_confidence: np.ndarray
+    prediction: np.ndarray
+
+    def __post_init__(self):
+        present = np.array(self.has_confidence, dtype=bool)
+        columns = {
+            "model": np.array(self.model, dtype=np.int64),
+            "state": np.array(self.state, dtype=np.int64),
+            "confidence": np.where(present, np.asarray(self.confidence, dtype=np.float64), 0.0),
+            "has_confidence": present,
+            "prediction": np.array(self.prediction, dtype=np.int64),
+        }
+        if present.ndim != 1 or any(col.shape != present.shape for col in columns.values()):
+            raise ValueError(f"trace columns for {self.video_id!r} must be 1-D and of equal length")
+        for name, col in columns.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.model)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InferenceTrace):
+            return NotImplemented
+        return self.video_id == other.video_id and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)[1:]
+        )
+
+    @property
+    def records(self) -> tuple:
+        """The frames as ``(frame_idx, model, state, confidence, prediction)``
+        namedtuples, built on each access: ``model`` is a name such as
+        ``trans_2_3`` and ``confidence`` is None where absent."""
+        conf = [c if has else None for c, has in zip(self.confidence.tolist(), self.has_confidence.tolist())]
+        names = [MODEL_NAMES[code] for code in self.model.tolist()]
+        return tuple(map(_Record, range(len(self)), names, self.state.tolist(), conf, self.prediction.tolist()))
 
 
-def _pair_predictions(bank: TransitionLogitBank, video_id: str) -> dict[TransitionPair, np.ndarray]:
-    """Per-pair binary argmax mapped to phase labels; ties go to the low phase."""
-    out = {}
-    for pair, seq in bank.sequences[video_id].items():
-        z = seq.logits
-        out[pair] = np.where(z[:, 0] >= z[:, 1], pair.low, pair.high).astype(np.int64)
-    return out
+def _pair_predictions(bank: TransitionLogitBank, video_id: str) -> np.ndarray:
+    """(6, n) phase labels whose row k - 1 is pair (k, k + 1)'s binary argmax;
+    ties go to the low phase."""
+    z = np.stack([bank.sequences[video_id][pair].logits for pair in all_transition_pairs()])
+    return _PHASES[:-1, None] + (z[:, :, 0] < z[:, :, 1])
 
 
 def transition_inference(
@@ -142,25 +126,75 @@ def transition_inference(
     """Run the buffer-majority strategy for one video.
 
     The buffer starts filled with phase 1. Each frame consults the pair for
-    the current majority (before appending), emits that binary model's
-    prediction, and pushes it; every emission therefore lies in
-    {majority, majority + 1} (or {6, 7} once the majority is 7).
+    the current majority (before appending; ties go to the smaller phase),
+    emits that binary model's prediction, and pushes it; every emission
+    therefore lies in {majority, majority + 1} (or {6, 7} once the majority
+    is 7).
+
+    While the majority stays m every emission is pair m's, so each step
+    assumes m over up to _LOOKAHEAD frames, takes every buffer's counts from
+    one cumulative one-hot sum, and commits the frames before the first
+    whose majority differs, which it then starts from. The majority may fall
+    as well as rise.
     """
     if video_id not in bank.sequences:
         raise ValueError(f"bank does not cover video {video_id!r}")
     pair_preds = _pair_predictions(bank, video_id)
-    n = bank.frame_count(video_id)
-    buf = MajorityBuffer(cfg.buffer_size, fill=1)
-    out = np.empty(n, dtype=np.int64)
-    records = []
-    for t in range(n):
-        m = buf.majority()
-        pair = pair_for_phase(m)
-        pred = int(pair_preds[pair][t])
-        records.append(TraceRecord(t, pair.name, m, None, pred))
-        buf.push(pred)
-        out[t] = pred
-    return PhaseTimeline(video_id, out), InferenceTrace(video_id, tuple(records))
+    n = pair_preds.shape[1]
+    # frame t's buffer holds t < n emissions and at least size - t fill ones,
+    # so any size >= 2n keeps the majority at 1 throughout, as 2n does
+    size = min(cfg.buffer_size, 2 * n)
+    # every label ever pushed: the phase-1 fill, then frame t's emission at size + t;
+    # frame t's buffer is pushed[t:size + t]
+    pushed = np.ones(size + n, dtype=np.int64)
+    state = np.empty(n, dtype=np.int64)
+    t, m = 0, 1
+    while t < n:
+        ahead = min(_LOOKAHEAD, n - t)
+        pushed[size + t:size + t + ahead] = pair_preds[_PAIR_CODE[m - 1] - 1, t:t + ahead]
+        counts = np.zeros((size + ahead + 1, NUM_PHASES), dtype=np.int64)
+        np.cumsum(pushed[t:size + t + ahead, None] == _PHASES, axis=0, out=counts[1:])
+        # majority[i]: frame t + i's majority, given majority m through frame t + i - 1
+        majority = (counts[size:] - counts[:ahead + 1]).argmax(axis=1) + 1
+        moved = np.flatnonzero(majority[1:] != m)
+        step = int(moved[0]) + 1 if moved.size else ahead
+        state[t:t + step] = m
+        t, m = t + step, int(majority[step])
+    out = pushed[size:]
+    trace = InferenceTrace(video_id, _PAIR_CODE[state - 1], state, np.zeros(n), np.zeros(n, dtype=bool), out)
+    return PhaseTimeline(video_id, out), trace
+
+
+def _check_baseline(base: LogitSequence, bank: TransitionLogitBank) -> None:
+    if base.num_classes != NUM_PHASES:
+        raise ValueError(f"baseline logits must have K={NUM_PHASES}, got K={base.num_classes}")
+    if base.video_id not in bank.sequences:
+        raise ValueError(f"bank does not cover video {base.video_id!r}")
+    if bank.frame_count(base.video_id) != base.num_frames:
+        raise ValueError(
+            f"bank frame count {bank.frame_count(base.video_id)} does not match "
+            f"baseline frame count {base.num_frames} for video {base.video_id!r}"
+        )
+
+
+def _switched_predictions(preds, confs, pair_preds, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The confidence strategy's emissions and its baseline-accepted mask.
+
+    Routing does not depend on p_last, so frame t is a map on the phases: a
+    constant where the baseline is accepted, p -> pair_for_phase(p)'s
+    prediction elsewhere. A Hillis-Steele scan composes the maps in
+    ceil(log2 n) gathers, and the emissions are the composed maps at p = 1.
+    """
+    accepted = confs > threshold
+    # 0-based: maps[t, p - 1] ends as frame t's emission when frame 0 starts from p_last = p
+    maps = np.where(accepted[:, None], preds[:, None], pair_preds[_PAIR_CODE - 1].T) - 1
+    rows = np.arange(0, maps.size, NUM_PHASES)[:, None]
+    shift = 1
+    while shift < len(maps):
+        # maps[t] after maps[t - shift]: a gather from the flat table
+        maps[shift:] = maps.ravel()[maps[:-shift] + rows[shift:]]
+        shift *= 2
+    return maps[:, 0] + 1, accepted
 
 
 def confidence_inference(
@@ -174,34 +208,13 @@ def confidence_inference(
     cfg.temperature) strictly exceeds cfg.conf_threshold; otherwise the pair
     indexed by the last emitted prediction substitutes. p_last starts at 1.
     """
-    if base.num_classes != NUM_PHASES:
-        raise ValueError(f"baseline logits must have K={NUM_PHASES}, got K={base.num_classes}")
-    if base.video_id not in bank.sequences:
-        raise ValueError(f"bank does not cover video {base.video_id!r}")
-    if bank.frame_count(base.video_id) != base.num_frames:
-        raise ValueError(
-            f"bank frame count {bank.frame_count(base.video_id)} does not match "
-            f"baseline frame count {base.num_frames} for video {base.video_id!r}"
-        )
+    _check_baseline(base, bank)
     preds, confs = argmax_confidence_rows(base.logits, cfg.temperature)
-    pair_preds = _pair_predictions(bank, base.video_id)
-    n = base.num_frames
-    out = np.empty(n, dtype=np.int64)
-    records = []
-    p_last = 1
-    for t in range(n):
-        c = float(confs[t])
-        if c > cfg.conf_threshold:
-            pred = int(preds[t])
-            model = BASELINE_MODEL
-        else:
-            pair = pair_for_phase(p_last)
-            pred = int(pair_preds[pair][t])
-            model = pair.name
-        records.append(TraceRecord(t, model, p_last, c, pred))
-        p_last = pred
-        out[t] = pred
-    return PhaseTimeline(base.video_id, out), InferenceTrace(base.video_id, tuple(records))
+    out, accepted = _switched_predictions(preds, confs, _pair_predictions(bank, base.video_id), cfg.conf_threshold)
+    p_last = np.concatenate([[1], out[:-1]])
+    model = np.where(accepted, 0, _PAIR_CODE[p_last - 1])
+    trace = InferenceTrace(base.video_id, model, p_last, confs, np.ones(len(out), dtype=bool), out)
+    return PhaseTimeline(base.video_id, out), trace
 
 
 def baseline_argmax(base: LogitSequence) -> PhaseTimeline:
@@ -221,17 +234,22 @@ def sweep_threshold(
     Runs the confidence strategy at every SWEEP_GRID threshold on each video
     in ``baselines`` and pools its integer hit count against ``references``
     over all of their frames. Returns (best_threshold, [(threshold,
-    accuracy), ...]); ties resolve to the smallest threshold.
+    accuracy), ...]); ties resolve to the smallest threshold. Confidences
+    and pair predictions are computed once per video for all thresholds.
     """
+    videos = []
+    for vid in sorted(baselines):
+        _check_baseline(baselines[vid], bank)
+        preds, confs = argmax_confidence_rows(baselines[vid].logits, cfg.temperature)
+        videos.append((preds, confs, _pair_predictions(bank, vid), references[vid].labels))
     n_frames = sum(base.num_frames for base in baselines.values())
     rows = []
     best, best_hits = None, -1
     for t_conf in SWEEP_GRID:
-        run_cfg = replace(cfg, conf_threshold=t_conf)
         hits = 0
-        for vid in sorted(baselines):
-            timeline, _ = confidence_inference(baselines[vid], bank, run_cfg)
-            hits += int(np.count_nonzero(timeline.labels == references[vid].labels))
+        for preds, confs, pair_preds, reference in videos:
+            out, _ = _switched_predictions(preds, confs, pair_preds, t_conf)
+            hits += int(np.count_nonzero(out == reference))
         rows.append((t_conf, hits / n_frames))
         if hits > best_hits:
             best, best_hits = t_conf, hits
@@ -247,30 +265,37 @@ def save_traces(traces, path) -> None:
         traces = [traces]
     lines = [TRACE_HEADER]
     for trace in traces:
-        for r in trace.records:
-            conf = "" if r.confidence is None else repr(float(r.confidence))
-            lines.append(f"{trace.video_id},{r.frame_idx},{r.model},{r.state},{conf},{r.prediction}")
+        vid = trace.video_id
+        names = [MODEL_NAMES[code] for code in trace.model.tolist()]
+        conf = [repr(c) if has else "" for c, has in zip(trace.confidence.tolist(), trace.has_confidence.tolist())]
+        lines.extend(
+            f"{vid},{i},{m},{s},{c},{p}"
+            for i, m, s, c, p in zip(range(len(trace)), names, trace.state.tolist(), conf, trace.prediction.tolist())
+        )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _trace_columns(cells) -> tuple[list[str], list[int], list[float | None], list[int]]:
+def _trace_columns(cells) -> tuple[np.ndarray, ...]:
     models, states, confs, preds = cells
-    unknown = set(models) - _MODEL_NAMES
+    unknown = set(models) - _MODEL_CODES.keys()
     if unknown:
         raise ValueError(f"model must be {BASELINE_MODEL!r} or a transition pair name, got {min(unknown)!r}")
-    confidences = [None if c == "" else float(c) for c in confs]
-    # filter(None, ...) drops None and 0.0; NaN and inf are truthy
-    if not all(map(math.isfinite, filter(None, confidences))):
+    confidence = np.array([float(c) if c else 0.0 for c in confs])
+    if not np.isfinite(confidence).all():
         raise ValueError("non-finite confidence")
-    return models, list(map(int, states)), confidences, list(map(int, preds))
+    return (
+        np.array([_MODEL_CODES[m] for m in models], dtype=np.int64),
+        np.array(phase_cells(states, "state"), dtype=np.int64),
+        confidence,
+        np.array([c != "" for c in confs]),
+        np.array(phase_cells(preds, "prediction"), dtype=np.int64),
+    )
 
 
 def load_traces(path) -> dict[str, InferenceTrace]:
     """Parse a trace file into {video_id: InferenceTrace} (see read_rows).
 
-    The model column must be ``baseline`` or a transition pair name.
+    The model column must be ``baseline`` or a transition pair name, and the
+    state and prediction columns phases in [1, 7].
     """
-    return {
-        vid: InferenceTrace(vid, tuple(TraceRecord(i, *row) for i, row in enumerate(zip(*columns))))
-        for vid, columns in read_rows(path, TRACE_HEADER, _trace_columns).items()
-    }
+    return {vid: InferenceTrace(vid, *columns) for vid, columns in read_rows(path, TRACE_HEADER, _trace_columns).items()}

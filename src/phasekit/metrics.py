@@ -135,7 +135,7 @@ def bank_restricted_accuracies(
         raise ValueError("bank and ground truth share no videos")
     preds_by_video = {v: _pair_predictions(bank, v) for v in videos}
     for pair in all_transition_pairs():
-        p_all = np.concatenate([preds_by_video[v][pair] for v in videos])
+        p_all = np.concatenate([preds_by_video[v][pair.low - 1] for v in videos])
         g_all = np.concatenate([gts[v].labels for v in videos])
         out[pair] = restricted_pair_accuracy(p_all, g_all, pair)
     return out
@@ -175,18 +175,10 @@ def detect_cascades(trace: InferenceTrace, gt: PhaseTimeline) -> CascadeReport:
     """
     if len(trace) != len(gt):
         raise ValueError(f"trace length {len(trace)} does not match timeline length {len(gt)}")
-    labels = gt.labels
-    runs = []
-    start = None
-    state = None
-    for r in trace.records:
-        pair = r.consulted_pair()
-        qualifies = pair is not None and not pair.contains(int(labels[r.frame_idx]))
-        if qualifies and start is None:
-            start, state = r.frame_idx, r.state
-        elif not qualifies and start is not None:
-            runs.append(CascadeRun(start, r.frame_idx, state))
-            start = None
-    if start is not None:
-        runs.append(CascadeRun(start, len(gt), state))
-    return CascadeReport(tuple(runs))
+    pair_low, labels = trace.model, gt.labels
+    qualifies = (pair_low > 0) & (labels != pair_low) & (labels != pair_low + 1)
+    # run starts and ends alternate among the frames where qualifying flips
+    edges = np.flatnonzero(np.diff(qualifies, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    states = trace.state[starts]
+    return CascadeReport(tuple(map(CascadeRun, starts.tolist(), ends.tolist(), states.tolist())))

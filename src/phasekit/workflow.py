@@ -232,12 +232,18 @@ def _joined(parts):
     return np.concatenate(parts) if isinstance(parts[0], np.ndarray) else list(chain.from_iterable(parts))
 
 
-def _phases(cells) -> tuple[list[int]]:
-    phases = list(map(int, cells[0]))
+def phase_cells(cells, name: str = "phase") -> list[int]:
+    """A column of cell strings as ints, each in [1, 7]; a bad cell raises a
+    ValueError that calls the column ``name``."""
+    phases = list(map(int, cells))
     for phase in (min(phases), max(phases)):
         if not PHASE_MIN <= phase <= PHASE_MAX:
-            raise ValueError(f"phase {phase} outside [{PHASE_MIN}, {PHASE_MAX}]")
-    return (phases,)
+            raise ValueError(f"{name} {phase} outside [{PHASE_MIN}, {PHASE_MAX}]")
+    return phases
+
+
+def _phases(cells) -> tuple[list[int]]:
+    return (phase_cells(cells[0]),)
 
 
 def load_timelines(path) -> dict[str, PhaseTimeline]:

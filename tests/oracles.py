@@ -4,13 +4,16 @@ Everything here deliberately avoids the code paths under test: NLL goes
 through scipy's logsumexp, the temperature oracle is an exhaustive geometric
 grid, majority voting uses collections.Counter, and the simulator's margin
 solve uses adaptive quadrature inside brentq. The file loaders read one row
-at a time through the row-by-row reader the block reader replaced.
+at a time through the row-by-row reader the block reader replaced. The
+inference strategies, the threshold sweep, cascade detection and the trace
+writer run one frame at a time over records, as the array versions replaced
+them; a record is a (frame_idx, model, state, confidence, prediction) tuple.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +22,18 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from phasekit.inference import _MODEL_NAMES, BASELINE_MODEL, TRACE_HEADER, InferenceTrace, TraceRecord
-from phasekit.logits import LOGIT_HEADER, LogitSequence
-from phasekit.workflow import PHASE_MAX, PHASE_MIN, TIMELINE_HEADER, PhaseTimeline
+from phasekit.inference import BASELINE_MODEL, MODEL_NAMES, SWEEP_GRID, TRACE_HEADER
+from phasekit.logits import LOGIT_HEADER, LogitSequence, argmax_confidence_rows
+from phasekit.workflow import (
+    NUM_PHASES,
+    PHASE_MAX,
+    PHASE_MIN,
+    TIMELINE_HEADER,
+    PhaseLabel,
+    PhaseTimeline,
+    TransitionPair,
+    pair_for_phase,
+)
 
 
 def oracle_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
@@ -188,19 +200,150 @@ def oracle_load_logits(path) -> dict[str, LogitSequence]:
     return out
 
 
+def _oracle_phase_cell(cell: str, name: str) -> int:
+    value = int(cell)
+    if not PHASE_MIN <= value <= PHASE_MAX:
+        raise ValueError(f"{name} {value} outside [{PHASE_MIN}, {PHASE_MAX}]")
+    return value
+
+
 def _oracle_trace_row(fields) -> tuple[str, int, float | None, int]:
     model, state, conf, pred = fields
-    if model not in _MODEL_NAMES:
+    if model not in MODEL_NAMES:
         raise ValueError(f"model must be {BASELINE_MODEL!r} or a transition pair name, got {model!r}")
     confidence = None if conf == "" else float(conf)
     if confidence is not None and not math.isfinite(confidence):
         raise ValueError("non-finite confidence")
-    return model, int(state), confidence, int(pred)
+    state = _oracle_phase_cell(state, "state")
+    return model, state, confidence, _oracle_phase_cell(pred, "prediction")
 
 
-def oracle_load_traces(path) -> dict[str, InferenceTrace]:
+def oracle_load_traces(path) -> dict[str, tuple]:
+    """{video_id: records} of a trace file."""
     per_video = oracle_read_rows(path, TRACE_HEADER, _oracle_trace_row)
+    return {vid: tuple((i, *row) for i, row in enumerate(rows)) for vid, rows in per_video.items()}
+
+
+def oracle_save_traces(traces: dict[str, list], path) -> None:
+    """Write {video_id: records} as a trace file, one record at a time."""
+    lines = [TRACE_HEADER]
+    for vid, records in traces.items():
+        for frame_idx, model, state, confidence, prediction in records:
+            conf = "" if confidence is None else repr(float(confidence))
+            lines.append(f"{vid},{frame_idx},{model},{state},{conf},{prediction}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class MajorityBuffer:
+    """Fixed-size FIFO of phase labels; push evicts the oldest entry.
+
+    The buffer always holds exactly ``capacity`` entries (initialized to the
+    fill label), so the majority is defined from the first frame.
+    """
+
+    def __init__(self, capacity: int, fill: int = 1):
+        if capacity < 1:
+            raise ValueError("buffer capacity must be >= 1")
+        fill = PhaseLabel(fill)
+        self._fifo = deque([int(fill)] * capacity, maxlen=capacity)
+        self._counts = np.zeros(NUM_PHASES + 1, dtype=np.int64)
+        self._counts[fill] = capacity
+
+    @classmethod
+    def from_contents(cls, labels) -> "MajorityBuffer":
+        labels = [int(PhaseLabel(l)) for l in labels]
+        buf = cls(len(labels), fill=labels[0])
+        for l in labels:
+            buf.push(l)
+        return buf
+
+    @property
+    def contents(self) -> tuple[int, ...]:
+        return tuple(self._fifo)
+
+    def push(self, label: int) -> None:
+        label = int(PhaseLabel(label))
+        oldest = self._fifo[0]
+        self._fifo.append(label)
+        self._counts[oldest] -= 1
+        self._counts[label] += 1
+
+    def majority(self) -> int:
+        """Most frequent label; ties resolve to the smallest phase index."""
+        return int(np.argmax(self._counts[1:])) + 1
+
+
+def oracle_pair_predictions(bank, video_id: str) -> dict[TransitionPair, np.ndarray]:
+    """Each pair's binary argmax per frame as phase labels; ties go to the low phase."""
     return {
-        vid: InferenceTrace(vid, tuple(TraceRecord(i, *row) for i, row in enumerate(rows)))
-        for vid, rows in per_video.items()
+        pair: np.array([pair.low if z0 >= z1 else pair.high for z0, z1 in seq.logits.tolist()])
+        for pair, seq in bank.sequences[video_id].items()
     }
+
+
+def oracle_transition_inference(bank, video_id: str, buffer_size: int) -> tuple[list[int], list[tuple]]:
+    """(emitted phases, records) of the buffer-majority strategy."""
+    pair_preds = oracle_pair_predictions(bank, video_id)
+    buf = MajorityBuffer(buffer_size, fill=1)
+    out, records = [], []
+    for t in range(len(next(iter(pair_preds.values())))):
+        m = buf.majority()
+        pair = pair_for_phase(m)
+        pred = int(pair_preds[pair][t])
+        records.append((t, pair.name, m, None, pred))
+        buf.push(pred)
+        out.append(pred)
+    return out, records
+
+
+def oracle_confidence_inference(base, bank, threshold: float, temperature: float) -> tuple[list[int], list[tuple]]:
+    """(emitted phases, records) of the confidence switching strategy."""
+    preds, confs = argmax_confidence_rows(base.logits, temperature)
+    pair_preds = oracle_pair_predictions(bank, base.video_id)
+    out, records = [], []
+    p_last = 1
+    for t in range(base.num_frames):
+        c = float(confs[t])
+        if c > threshold:
+            pred, model = int(preds[t]), BASELINE_MODEL
+        else:
+            pair = pair_for_phase(p_last)
+            pred, model = int(pair_preds[pair][t]), pair.name
+        records.append((t, model, p_last, c, pred))
+        p_last = pred
+        out.append(pred)
+    return out, records
+
+
+def oracle_sweep_threshold(baselines, bank, references, temperature: float) -> tuple[float, list]:
+    """(best threshold, [(threshold, pooled accuracy), ...]) over SWEEP_GRID."""
+    n_frames = sum(base.num_frames for base in baselines.values())
+    rows = []
+    best, best_hits = None, -1
+    for t_conf in SWEEP_GRID:
+        hits = 0
+        for vid in sorted(baselines):
+            out, _ = oracle_confidence_inference(baselines[vid], bank, t_conf, temperature)
+            hits += sum(p == g for p, g in zip(out, references[vid].labels.tolist()))
+        rows.append((t_conf, hits / n_frames))
+        if hits > best_hits:
+            best, best_hits = t_conf, hits
+    return best, rows
+
+
+def oracle_detect_cascades(records, gt_labels) -> list[tuple[int, int, int]]:
+    """(start, end, state) of each maximal run of frames whose consulted pair
+    excludes the true phase; baseline frames break runs."""
+    runs = []
+    start = state = None
+    for frame_idx, model, m, _, _ in records:
+        pair = None if model == BASELINE_MODEL else TransitionPair.from_name(model)
+        qualifies = pair is not None and not pair.contains(int(gt_labels[frame_idx]))
+        if qualifies and start is None:
+            start, state = frame_idx, m
+        elif not qualifies and start is not None:
+            runs.append((start, frame_idx, state))
+            start = None
+    if start is not None:
+        runs.append((start, len(gt_labels), state))
+    return runs

@@ -74,6 +74,15 @@ class TestNll:
         with pytest.raises(ValueError, match="label count"):
             nll(np.zeros((3, 7)), np.array([1, 2]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("row, label", [
+        ([1e308, -1e308, 0, 0, 0, 0, 0], 1),  # inf - inf: nan
+        ([1e308, 0, 0, 0, 0, 0, 0], 2),  # the true class is infinitely unlikely
+    ])
+    def test_overflow_names_temperature(self, row, label):
+        with pytest.raises(ValueError, match=r"NLL is not finite at temperature 0\.001"):
+            nll(np.array([row]), np.array([label]), 1e-3)
+
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             nll(np.zeros((2, 7)), np.array([1, 8]))

@@ -49,6 +49,16 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: argument --prefix: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0.9,0.9", "0.9,0.9,0.9,0.9,0.9,0.9,0.9"])
+    def test_pair_acc_of_wrong_length_rejected_and_writes_nothing(self, tmp_path, capsys, value):
+        out = tmp_path / "data"
+        rc = main(["simulate", "--videos", "1", "--frames-mean", "140", "--pair-acc", value, "--out", str(out)])
+        assert rc == 2
+        count = value.count(",") + 1
+        assert capsys.readouterr().err == (
+            f"error: argument --pair-acc: takes 1 or 6 comma-separated values, got {count}\n")
+        assert not out.exists()
+
     def test_negative_attention_smooth_rejected_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "data"
         rc = main(["simulate", "--videos", "1", "--frames-mean", "140", "--attention-smooth", "-3", "--out", str(out)])
@@ -149,6 +159,17 @@ class TestInfer:
         assert "fitted temperature" in capsys.readouterr().out
         echo = (tmp_path / "config.txt").read_text()
         assert "resolved_temperature" in echo
+
+    @pytest.mark.parametrize("strategy", ["transition", "confidence"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", ""])
+    def test_bad_temperature_rejected_and_writes_nothing(self, small_dataset, tmp_path, capsys, strategy, value):
+        _, test = small_dataset
+        rc = main(["infer", "--strategy", strategy, "--base", str(test / "baseline.csv"),
+                   "--bank", str(test / "bank"), "--temperature", value, "--out", str(tmp_path / "inf" / "pred.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: argument --temperature: must be a positive finite number or 'auto', got {value!r}\n")
+        assert not (tmp_path / "inf").exists()
 
     def test_threshold_zero_matches_baseline_argmax(self, small_dataset, tmp_path):
         _, test = small_dataset
@@ -290,6 +311,17 @@ class TestEvaluate:
         assert f"frame counts differ from ground truth: video00: {frames} frames, ground truth 100" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [",", " , ,", ""])
+    def test_empty_format_list_rejected_and_writes_nothing(self, small_dataset, tmp_path, capsys, value):
+        _, test = small_dataset
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--pred", str(test / "gt.csv"), "--gt", str(test / "gt.csv"),
+                   "--format", value, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: argument --format: names no format in {value!r}; choose from text, json, svg\n")
+        assert not out.exists()
+
     def test_missing_prediction_file_writes_nothing(self, small_dataset, tmp_path, capsys):
         _, test = small_dataset
         out = tmp_path / "eval"
@@ -421,14 +453,32 @@ class TestConfigFile:
                                         "leading '#' or surrounding whitespace"),
         (b"sweep = yes\n", "{cfg}:1: unknown config key 'sweep'"),
         (b"videos = 1\nseed 5\n", "{cfg}:2: expected 'key = value'"),
+        (b"videos = 1\npair_acc = 0.9,0.9\n",
+         "{cfg}:2: argument --pair-acc: takes 1 or 6 comma-separated values, got 2"),
         (b"videos = 1\nseed = \xff\n", "{cfg}:2: 'utf-8' codec can't decode byte 0xff in position 18: "
                                         "invalid start byte"),
-    ], ids=["boolean", "float", "prefix", "unknown_key", "no_equals", "not_utf8"])
+    ], ids=["boolean", "float", "prefix", "unknown_key", "no_equals", "pair_acc", "not_utf8"])
     def test_bad_line_named_and_writes_nothing(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(content)
         out = tmp_path / "data"
         rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, content, message", [
+        (["infer", "--strategy", "confidence", "--base", "b.csv", "--bank", "bank", "--out", "{out}/pred.csv"],
+         "threshold = 0.4\ntemperature = abc\n",
+         "{cfg}:2: argument --temperature: must be a positive finite number or 'auto', got 'abc'"),
+        (["evaluate", "--pred", "p.csv", "--gt", "g.csv", "--out", "{out}"],
+         "format = ,\n", "{cfg}:1: argument --format: names no format in ','; choose from text, json, svg"),
+    ], ids=["temperature", "format"])
+    def test_bad_infer_and_evaluate_line_named_and_writes_nothing(self, tmp_path, capsys, argv, content, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(content)
+        out = tmp_path / "out"
+        rc = main([arg.format(out=out) for arg in argv] + ["--config", str(cfg)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
         assert not out.exists()

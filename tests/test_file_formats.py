@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_load_logits, oracle_load_timelines, oracle_load_traces
 from phasekit import workflow
-from phasekit.inference import TRACE_HEADER, InferenceTrace, TraceRecord, load_traces, save_traces
+from phasekit.inference import TRACE_HEADER, InferenceTrace, load_traces, save_traces
 from phasekit.logits import LogitSequence, load_logits, save_logits
 from phasekit.workflow import PhaseTimeline, load_timelines, save_timelines
 
@@ -35,10 +35,10 @@ class TestWriters:
         assert path.read_bytes() == b"video_id,frame_idx,phase\na,0,1\na,1,1\na,2,2\nb,0,7\n"
 
     def test_save_traces_text(self, tmp_path):
-        transition = InferenceTrace("a", (TraceRecord(0, "trans_1_2", 1, None, 2),
-                                          TraceRecord(1, "trans_2_3", 2, None, 2)))
-        confidence = InferenceTrace("b", (TraceRecord(0, "baseline", 1, 0.75, 3),
-                                          TraceRecord(1, "trans_3_4", 3, 0.1, 4)))
+        transition = InferenceTrace("a", model=[1, 2], state=[1, 2], confidence=[0.0, 0.0],
+                                    has_confidence=[False, False], prediction=[2, 2])
+        confidence = InferenceTrace("b", model=[0, 3], state=[1, 3], confidence=[0.75, 0.1],
+                                    has_confidence=[True, True], prediction=[3, 4])
         path = tmp_path / "tr.csv"
         save_traces([transition, confidence], path)
         assert path.read_bytes() == (
@@ -161,7 +161,7 @@ def _normalized(kind, loaded):
     if kind == "logits":
         return {v: (s.logits.shape, s.logits.tobytes(), None if s.labels is None else s.labels.tolist())
                 for v, s in loaded.items()}
-    return loaded
+    return {v: tuple(map(tuple, getattr(t, "records", t))) for v, t in loaded.items()}
 
 
 LOADERS = {

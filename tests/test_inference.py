@@ -2,15 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bank_from_argmax, proximity_bank
-from oracles import oracle_majority
+from oracles import (
+    MajorityBuffer,
+    oracle_confidence_inference,
+    oracle_detect_cascades,
+    oracle_majority,
+    oracle_save_traces,
+    oracle_sweep_threshold,
+    oracle_transition_inference,
+)
 from phasekit.inference import (
     SWEEP_GRID,
     InferenceConfig,
-    MajorityBuffer,
     baseline_argmax,
     confidence_inference,
     load_traces,
@@ -18,8 +25,10 @@ from phasekit.inference import (
     sweep_threshold,
     transition_inference,
 )
-from phasekit.logits import LogitSequence, TransitionLogitBank
-from phasekit.workflow import PhaseTimeline, pair_for_phase
+from phasekit.logits import LogitSequence, TransitionLogitBank, argmax_confidence_rows
+from phasekit.metrics import detect_cascades
+from phasekit.simulate import NoiseSpec, WorkflowSpec, simulate_video
+from phasekit.workflow import PhaseTimeline, all_transition_pairs, pair_for_phase
 
 
 def conf_logit(target_conf: float, phase: int) -> list[float]:
@@ -270,9 +279,111 @@ class TestTraceIO:
         "v,0,trans_9_9,1,,1",
         "v,0,oracle,1,,1",
         "v,0,baseline,1,nan,1",
+        "v,0,trans_1_2,8,,1",  # state outside [1, 7]
+        "v,0,baseline,1,0.5,0",  # prediction outside [1, 7]
+        "v,0,baseline,1,0.5,99999999999999999999",
     ])
     def test_bad_row_names_line(self, tmp_path, row):
         path = tmp_path / "trace.csv"
         path.write_text(f"video_id,frame_idx,model,state,confidence,prediction\n{row}\n")
         with pytest.raises(ValueError, match=":2:"):
             load_traces(path)
+
+
+# ---------------------------------------------------------------- differential
+
+BUFFER_SIZES = (1, 2, 5, 30, 100, 300)
+# Rows whose max-softmax is exactly 0.5 (two tied classes; exp(-800 / T)
+# vanishes against 2) and exactly 1.0.
+HALF_ROW = [0.0, 0.0] + [-800.0] * 5
+SURE_ROW = [0.0] * 6 + [800.0]
+
+
+@st.composite
+def _video(draw, video_id="v"):
+    """(ground truth, baseline, bank) for one video.
+
+    ``monotone`` and ``noisy`` (non-monotone, pair accuracy 0.6) are
+    simulated; ``random`` keeps the simulated baseline but draws every binary
+    argmax at random, with ties, so the buffer majority rises and falls
+    often. Some baseline rows are replaced by HALF_ROW and SURE_ROW.
+    """
+    kind = draw(st.sampled_from(["monotone", "noisy", "random"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    frames_mean = draw(st.sampled_from([7, 20, 150, 700, 1300]))
+    workflow = WorkflowSpec(dwell_mean=frames_mean / 7, dwell_min=1, monotone=kind == "monotone")
+    noise = NoiseSpec(pairwise_accuracy_target=0.6 if kind == "noisy" else 0.9, rng_seed=seed)
+    video = simulate_video(workflow, noise, video_id)
+    rng = np.random.default_rng(seed)
+    n = len(video.ground_truth)
+    bank = video.bank
+    if kind == "random":
+        high = draw(st.floats(0.05, 0.95))
+        by_pair = {}
+        for pair in all_transition_pairs():
+            z = rng.choice([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], size=n, p=[0.9 * (1 - high), 0.9 * high, 0.1])
+            by_pair[pair] = LogitSequence(video_id, z)
+        bank = TransitionLogitBank({video_id: by_pair})
+    z = np.array(video.baseline.logits)
+    special = rng.random(n)
+    z[special < 0.05] = HALF_ROW
+    z[special > 0.97] = SURE_ROW
+    return video.ground_truth, LogitSequence(video_id, z, labels=video.ground_truth.labels), bank
+
+
+def _assert_matches_oracle(timeline, trace, oracle, gt, tmp):
+    out, records = oracle
+    assert timeline.labels.tolist() == out
+    assert trace.records == tuple(records)
+    runs = detect_cascades(trace, gt).runs
+    assert [(r.start, r.end, r.state) for r in runs] == oracle_detect_cascades(records, gt.labels)
+    save_traces([trace], tmp / "new.csv")
+    oracle_save_traces({trace.video_id: records}, tmp / "old.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+    assert load_traces(tmp / "new.csv")[trace.video_id] == trace
+
+
+@settings(max_examples=40, deadline=None)
+@given(video=_video())
+def test_transition_matches_per_frame_oracle(video, tmp_path_factory):
+    gt, _, bank = video
+    tmp = tmp_path_factory.mktemp("transition")
+    for size in BUFFER_SIZES:
+        timeline, trace = transition_inference(bank, "v", InferenceConfig(buffer_size=size))
+        _assert_matches_oracle(timeline, trace, oracle_transition_inference(bank, "v", size), gt, tmp)
+
+
+@settings(max_examples=10, deadline=None)
+@given(video=_video())
+def test_buffer_beyond_twice_the_video_matches_per_frame_oracle(video):
+    """The strategy caps the buffer it builds at twice the frame count."""
+    gt, _, bank = video
+    timeline, trace = transition_inference(bank, "v", InferenceConfig(buffer_size=10**9))
+    out, records = oracle_transition_inference(bank, "v", 2 * len(gt) + 1)
+    assert timeline.labels.tolist() == out
+    assert trace.records == tuple(records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(video=_video(), temperature=st.floats(0.3, 4.0), threshold=st.floats(0.0, 1.0), data=st.data())
+def test_confidence_matches_per_frame_oracle(video, temperature, threshold, data, tmp_path_factory):
+    gt, base, bank = video
+    tmp = tmp_path_factory.mktemp("confidence")
+    _, confs = argmax_confidence_rows(base.logits, temperature)
+    # one frame's confidence exactly equals the threshold
+    tied = float(confs[data.draw(st.integers(0, len(confs) - 1))])
+    for t_conf in (0.0, 1.0, 0.5, threshold, tied):
+        timeline, trace = confidence_inference(base, bank, InferenceConfig(conf_threshold=t_conf, temperature=temperature))
+        oracle = oracle_confidence_inference(base, bank, t_conf, temperature)
+        _assert_matches_oracle(timeline, trace, oracle, gt, tmp)
+
+
+@settings(max_examples=25, deadline=None)
+@given(videos=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True).flatmap(
+    lambda ids: st.tuples(*(_video(f"v{i}") for i in ids))), temperature=st.floats(0.3, 4.0))
+def test_sweep_matches_per_frame_oracle(videos, temperature):
+    baselines = {base.video_id: base for _, base, _ in videos}
+    references = {gt.video_id: gt for gt, _, _ in videos}
+    bank = TransitionLogitBank.merge([bank for _, _, bank in videos])
+    got = sweep_threshold(baselines, bank, references, InferenceConfig(temperature=temperature))
+    assert got == oracle_sweep_threshold(baselines, bank, references, temperature)

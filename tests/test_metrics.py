@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import proximity_bank
-from phasekit.inference import InferenceConfig, InferenceTrace, TraceRecord, transition_inference
+from phasekit.inference import MODEL_NAMES, InferenceConfig, InferenceTrace, transition_inference
 from phasekit.metrics import (
     CascadeRun,
     accuracy,
@@ -20,11 +20,11 @@ labels_st = st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size
 
 
 def trace_for(models_and_states, video_id="v"):
-    records = tuple(
-        TraceRecord(i, model, state, None, state)
-        for i, (model, state) in enumerate(models_and_states)
-    )
-    return InferenceTrace(video_id, records)
+    """A trace without confidences whose frame i ran ``models_and_states[i]``
+    and predicted its state."""
+    models, states = zip(*models_and_states)
+    n = len(states)
+    return InferenceTrace(video_id, [MODEL_NAMES.index(m) for m in models], states, [0.0] * n, [False] * n, states)
 
 
 class TestAccuracy:

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasekit
-from oracles import oracle_margin
+from oracles import oracle_margin, oracle_pair_predictions
 from phasekit.calibration import fit_temperature
-from phasekit.inference import _pair_predictions
 from phasekit.logits import load_bank, load_logits
 from phasekit.simulate import (
     DEFAULT_PAIR_ACCURACY,
@@ -163,7 +162,7 @@ class TestTransitionBank:
         gt, _ = big_scenario(frames=1400)
         noise = NoiseSpec(pairwise_accuracy_target=1.0, boundary_jitter=0, rng_seed=2)
         bank = generate_transition_bank(gt, noise)
-        preds = _pair_predictions(bank, "sim")
+        preds = oracle_pair_predictions(bank, "sim")
         for pair in all_transition_pairs():
             mask = (gt.labels == pair.low) | (gt.labels == pair.high)
             assert np.all(preds[pair][mask] == gt.labels[mask])
@@ -171,7 +170,7 @@ class TestTransitionBank:
     def test_pair_accuracies_near_targets(self):
         gt, noise = big_scenario(seed=13)
         bank = generate_transition_bank(gt, noise)
-        preds = _pair_predictions(bank, "sim")
+        preds = oracle_pair_predictions(bank, "sim")
         for pair, target in zip(all_transition_pairs(), DEFAULT_PAIR_ACCURACY):
             mask = (gt.labels == pair.low) | (gt.labels == pair.high)
             acc = float((preds[pair][mask] == gt.labels[mask]).mean())
@@ -181,7 +180,7 @@ class TestTransitionBank:
         gt, _ = big_scenario(frames=1400)
         noise = NoiseSpec(rng_seed=3)
         bank = generate_transition_bank(gt, noise)
-        preds = _pair_predictions(bank, "sim")
+        preds = oracle_pair_predictions(bank, "sim")
         for pair in all_transition_pairs():
             below = gt.labels < pair.low
             above = gt.labels > pair.high
