@@ -18,19 +18,11 @@ from . import calibration, inference, metrics, report, simulate
 from .logits import LogitSequence, TransitionLogitBank, load_bank, load_logits, positive_temperature
 from .selfcheck import run_selftest
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
-from .workflow import NUM_PHASES, TransitionPair, all_transition_pairs, check_utf8, load_timelines, save_timelines
+from .workflow import NUM_PHASES, all_transition_pairs, check_utf8, load_timelines, save_timelines
 
 # Keys never written to config echoes: paths vary between runs without
 # affecting artifact content, and byte-identical reruns are a contract.
 _PATH_KEYS = {"out", "val", "test", "base", "bank", "pred", "gt", "trace", "results", "config", "func"}
-
-STRATEGY_LABELS = {
-    "baseline": "baseline (argmax)",
-    "transition": "transition-based",
-    "confidence_uncalibrated": "confidence-based w/o calibration",
-    "confidence_calibrated": "confidence-based w/ calibration",
-}
-STRATEGY_ORDER = tuple(STRATEGY_LABELS)
 
 
 class StageError(RuntimeError):
@@ -126,6 +118,28 @@ def _formats(text: str) -> tuple[str, ...]:
     return fmts
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+    return parse
+
+
+def _threshold(text: str) -> float:
+    """A finite confidence threshold in [0, 1]."""
+    try:
+        if 0.0 <= float(text) <= 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+
+
 def _temperature(text: str) -> float | str:
     """``auto``, or a positive finite temperature."""
     if text == "auto":
@@ -137,9 +151,13 @@ def _temperature(text: str) -> float | str:
 
 
 def _workflow_spec(args) -> WorkflowSpec:
-    dwell_mean = args.frames_mean / NUM_PHASES
-    dwell_min = args.dwell_min if args.dwell_min is not None else max(1, round(dwell_mean / 4))
-    return WorkflowSpec(dwell_mean=dwell_mean, dwell_min=dwell_min, monotone=args.monotone)
+    # the spec checks the mean before the default minimum is derived from it
+    spec = WorkflowSpec(
+        dwell_mean=args.frames_mean / NUM_PHASES, dwell_min=args.dwell_min or 1, monotone=args.monotone
+    )
+    if args.dwell_min is None:
+        spec = replace(spec, dwell_min=max(1, round(spec.dwell_mean / 4)))
+    return spec
 
 
 def _noise_spec(args, seed=None) -> NoiseSpec:
@@ -161,12 +179,6 @@ def _simulation_echo(args, workflow: WorkflowSpec) -> dict:
     return echo
 
 
-def _smoothing_window(args) -> int:
-    if args.attention_smooth < 0:
-        raise ValueError(f"--attention-smooth must be >= 0 (0 = off), got {args.attention_smooth}")
-    return args.attention_smooth
-
-
 def _video_prefix(text: str) -> str:
     """A video id prefix whose ids the file readers read back unchanged."""
     if text != text.strip() or text.startswith("#") or any(c in text for c in ",\n\r"):
@@ -183,7 +195,7 @@ def cmd_simulate(args) -> int:
         workflow,
         _noise_spec(args),
         id_prefix=args.prefix,
-        smoothing_window=_smoothing_window(args),
+        smoothing_window=args.attention_smooth,
     )
     write_config_echo(out, _simulation_echo(args, workflow))
     print(f"wrote {args.videos} simulated videos to {out}")
@@ -192,24 +204,23 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- calibrate
 
-def _write_calibration(
-    out_dir, report_path, val: dict, test: dict, bins: int, extra_results: dict
-) -> calibration.CalibrationReport:
+def _write_calibration(out_dir, report_path, val: dict, test: dict, bins: int, extra_results: dict) -> dict:
     """Fit T on the ``val`` baselines ({video_id: LogitSequence}) and write the
-    report (plus ``extra_results``), its text table and the ``test`` split's
-    reliability bins before and after. Nothing is written unless the report
-    can be computed."""
+    results (plus ``extra_results``), their text rendering and the ``test``
+    split's reliability bins before and after. Nothing is written unless the
+    report can be computed. Returns the results."""
     # video id order fixes the concatenation order, and so the float results
     val_seqs, test_seqs = ([split[v] for v in sorted(split)] for split in (val, test))
     cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=bins)
+    results = {**report.calibration_results(cal), **extra_results}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_results_json({**report.calibration_results(cal), **extra_results}, report_path)
-    (out_dir / "report.txt").write_text(report.render_calibration_table(cal), encoding="utf-8")
+    report.write_results_json(results, report_path)
+    (out_dir / "report.txt").write_text(report.render_report_text(results), encoding="utf-8")
     for name, temperature in (("before", 1.0), ("after", cal.fitted.value)):
         reliability = calibration.reliability_bins(test_seqs, temperature=temperature, num_bins=bins)
         report.write_reliability_csv(reliability, out_dir / f"reliability_{name}.csv")
-    return cal
+    return results
 
 
 def cmd_calibrate(args) -> int:
@@ -221,9 +232,9 @@ def cmd_calibrate(args) -> int:
     val = load_logits(Path(args.val) / "baseline.csv")
     test = load_logits(Path(args.test) / "baseline.csv")
     extra = _bank_temperatures(load_bank(Path(args.val) / "bank")) if args.include_bank else {}
-    cal = _write_calibration(out_dir, report_path, val, test, args.bins, extra)
+    results = _write_calibration(out_dir, report_path, val, test, args.bins, extra)
     write_config_echo(out_dir, _echo_values(args))
-    print(report.render_calibration_table(cal), end="")
+    print(report.render_report_text(results), end="")
     return 0
 
 
@@ -322,33 +333,21 @@ def cmd_evaluate(args) -> int:
     gts = load_timelines(args.gt)
     result = metrics.evaluate_predictions(preds, gts)
     results = report.eval_results(result)
-
-    cascade_by_video = {}
     if args.trace:
         traces = inference.load_traces(args.trace)
+        try:
+            metrics.require_ground_truth(traces, gts)
+        except ValueError as exc:
+            raise ValueError(f"{args.trace}: {exc}") from None
         for vid in sorted(traces):
-            if vid not in gts:
-                raise ValueError(f"trace covers video {vid!r} with no ground truth")
-            cascade_by_video[vid] = metrics.detect_cascades(traces[vid], gts[vid])
-            results.update(report.cascade_results(cascade_by_video[vid], prefix=f"video.{vid}"))
+            results.update(report.cascade_results(metrics.detect_cascades(traces[vid], gts[vid]), f"video.{vid}"))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if "json" in args.format:
         report.write_results_json(results, out / "results.json")
     if "text" in args.format:
-        text = report.render_table(
-            ["Metric", "Value"],
-            [
-                ["accuracy (pooled %)", report.pct(result.overall_accuracy)],
-                ["accuracy (per-video mean %)", report.pct(result.video_mean_accuracy)],
-            ],
-            title="Evaluation",
-        )
-        text += "\n" + report.render_pair_table(result.overall_accuracy, result.restricted_pair_accuracy)
-        for vid, cas in cascade_by_video.items():
-            text += f"\ncascades for {vid}:\n" + report.render_cascades(cas)
-        (out / "evaluation.txt").write_text(text, encoding="utf-8")
+        (out / "evaluation.txt").write_text(report.render_report_text(results), encoding="utf-8")
     if "svg" in args.format:
         for vid in sorted(preds):
             report.write_ribbon_svg(gts[vid], preds[vid], out / f"ribbon_{vid}.svg")
@@ -363,66 +362,15 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     results = report.load_results_json(args.results)
     try:
-        text = render_report_text(results)
+        text = report.render_report_text(results)
     except ValueError as exc:
         raise ValueError(f"{args.results}: {exc}") from None
-    preds = gts = {}
-    if "svg" in args.format:
-        if not (args.pred and args.gt):
-            raise ValueError("--format svg requires --pred and --gt timelines")
-        preds = load_timelines(args.pred)
-        gts = load_timelines(args.gt)
-        metrics.require_ground_truth(preds, gts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(text, encoding="utf-8")
-    for vid in sorted(preds):
-        report.write_ribbon_svg(gts[vid], preds[vid], out / f"ribbon_{vid}.svg")
     write_config_echo(out, _echo_values(args))
     print(text, end="")
     return 0
-
-
-def render_report_text(results: dict) -> str:
-    """Re-render the text tables from a flat results dict. A table whose
-    family lacks a key, or holds null where a number is needed, raises
-    ValueError."""
-    def need(key, nullable=True):
-        if key not in results or results[key] is None and not nullable:
-            raise ValueError(f"no value for {key!r}")
-        return results[key]
-
-    blocks = []
-    strategies = sorted(
-        {k.split(".")[1] for k in results if k.startswith("strategy.") and k.endswith(".accuracy.pooled")},
-        key=lambda s: (STRATEGY_ORDER.index(s) if s in STRATEGY_ORDER else len(STRATEGY_ORDER), s),
-    )
-    if strategies:
-        rows = [
-            (
-                STRATEGY_LABELS.get(s, s),
-                results[f"strategy.{s}.accuracy.pooled"],
-                need(f"strategy.{s}.accuracy.video_mean"),
-            )
-            for s in strategies
-        ]
-        blocks.append(report.render_strategy_table(rows))
-    pair_keys = {k for k in results if k.startswith("pair.trans_")}
-    if pair_keys:
-        pair_accs = {}
-        for key in pair_keys:
-            pair_accs[TransitionPair.from_name(key.split(".")[1])] = results[key]
-        baseline_acc = results.get("strategy.baseline.accuracy.pooled", results.get("accuracy.pooled"))
-        blocks.append(report.render_pair_table(baseline_acc, pair_accs))
-    if "calibration.nll_before" in results:
-        cal = calibration.CalibrationReport(
-            **{k: need(f"calibration.{k}", False) for k in ("nll_before", "nll_after", "ece_before", "ece_after")},
-            fitted=calibration.Temperature(need("calibration.temperature", False)),
-        )
-        blocks.append(report.render_calibration_table(cal))
-    if not blocks:
-        blocks.append("no renderable result families found\n")
-    return "\n".join(blocks)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -441,13 +389,6 @@ def cmd_pipeline(args) -> int:
             split: _noise_spec(args, derive_video_seed(args.seed, key))
             for split, key in (("val", 101), ("test", 202))
         }
-        for flag, count in (("--val-videos", args.val_videos), ("--test-videos", args.test_videos)):
-            if count < 1:
-                raise ValueError(f"{flag} must be >= 1, got {count}")
-        window = _smoothing_window(args)
-    with _stage("calibrate"):
-        if args.bins < 1:
-            raise ValueError(f"--bins must be >= 1, got {args.bins}")
     with _stage("infer"):
         uncal_cfg = inference.InferenceConfig(args.buffer, args.threshold)
     out = Path(args.out)
@@ -460,7 +401,7 @@ def cmd_pipeline(args) -> int:
         for split, count in (("val", args.val_videos), ("test", args.test_videos)):
             videos[split] = simulate.generate_dataset(
                 out / split, count, workflow, noise[split],
-                id_prefix=split, smoothing_window=window,
+                id_prefix=split, smoothing_window=args.attention_smooth,
             )
             write_config_echo(out / split, echo)
         base_val = {v.baseline.video_id: v.baseline for v in videos["val"]}
@@ -470,13 +411,13 @@ def cmd_pipeline(args) -> int:
 
     with _stage("calibrate"):
         cal_dir = out / "calibration"
-        cal = _write_calibration(cal_dir, cal_dir / "report.json", base_val, base_test, args.bins, {})
+        results = _write_calibration(cal_dir, cal_dir / "report.json", base_val, base_test, args.bins, {})
         write_config_echo(cal_dir, echo)
 
     with _stage("infer"):
         inf_dir = out / "inference"
         inf_dir.mkdir(exist_ok=True)
-        cal_cfg = replace(uncal_cfg, temperature=cal.fitted.value)
+        cal_cfg = replace(uncal_cfg, temperature=results["calibration.temperature"])
         strategies = {"baseline": {vid: inference.baseline_argmax(base_test[vid]) for vid in sorted(base_test)}}
         traces = {}
         for name, strategy, cfg in (
@@ -494,12 +435,9 @@ def cmd_pipeline(args) -> int:
     with _stage("evaluate"):
         eval_dir = out / "evaluation"
         eval_dir.mkdir(exist_ok=True)
-        results = dict(report.calibration_results(cal))
-        table_rows = []
-        for name in STRATEGY_ORDER:
+        for name in report.STRATEGY_ORDER:
             ev = metrics.evaluate_predictions(strategies[name], gts)
             results.update(report.eval_results(ev, prefix=f"strategy.{name}"))
-            table_rows.append((STRATEGY_LABELS[name], ev.overall_accuracy, ev.video_mean_accuracy))
         for name, by_vid in traces.items():
             count = frames = 0
             for vid, trace in by_vid.items():
@@ -513,10 +451,9 @@ def cmd_pipeline(args) -> int:
         if "json" in args.format:
             report.write_results_json(results, eval_dir / "results.json")
         if "text" in args.format:
-            (eval_dir / "strategies.txt").write_text(
-                report.render_strategy_table(table_rows), encoding="utf-8"
-            )
-            (eval_dir / "report.txt").write_text(render_report_text(results), encoding="utf-8")
+            strategy_family = {k: v for k, v in results.items() if k.startswith("strategy.")}
+            (eval_dir / "strategies.txt").write_text(report.render_report_text(strategy_family), encoding="utf-8")
+            (eval_dir / "report.txt").write_text(report.render_report_text(results), encoding="utf-8")
         if "svg" in args.format:
             for name in ("transition", "confidence_calibrated"):
                 for vid in sorted(strategies[name]):
@@ -525,7 +462,7 @@ def cmd_pipeline(args) -> int:
                     )
         write_config_echo(eval_dir, echo)
 
-    print(render_report_text(results), end="")
+    print(report.render_report_text(results), end="")
     return 0
 
 
@@ -538,7 +475,7 @@ def cmd_selftest(args) -> int:
 def _add_simulation_flags(p: argparse.ArgumentParser, frames_default: float) -> None:
     p.add_argument("--frames-mean", type=float, default=frames_default,
                    help="mean video length in frames (split evenly over the 7 phases)")
-    p.add_argument("--dwell-min", type=int, default=None,
+    p.add_argument("--dwell-min", type=_int_at_least(1), default=None,
                    help="minimum frames per phase (default: mean dwell / 4)")
     p.add_argument("--monotone", action=argparse.BooleanOptionalAction, default=True,
                    help="phases 1..7 strictly in order")
@@ -547,9 +484,9 @@ def _add_simulation_flags(p: argparse.ArgumentParser, frames_default: float) -> 
                    help="six comma-separated per-pair accuracy targets")
     p.add_argument("--overconfidence", type=float, default=2.5,
                    help="true miscalibration factor multiplied into the logits")
-    p.add_argument("--jitter", type=int, default=10,
+    p.add_argument("--jitter", type=_int_at_least(0), default=10,
                    help="frames around each phase change with concentrated errors")
-    p.add_argument("--attention-smooth", type=int, default=0,
+    p.add_argument("--attention-smooth", type=_int_at_least(0), default=0,
                    help="smooth logits through the attention kernel over this window (0 = off)")
     p.add_argument("--seed", type=int, default=42)
 
@@ -566,9 +503,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {}
     shared = {
-        "--buffer": dict(type=int, default=100, help="majority buffer size"),
-        "--threshold": dict(type=float, default=0.5, help="confidence threshold for accepting the baseline"),
-        "--bins": dict(type=int, default=15, help="ECE bin count"),
+        "--buffer": dict(type=_int_at_least(1), default=100, help="majority buffer size"),
+        "--threshold": dict(type=_threshold, default=0.5, help="confidence threshold for accepting the baseline"),
+        "--bins": dict(type=_int_at_least(1), default=15, help="ECE bin count"),
         "--format": dict(type=_formats, default=("text", "json", "svg")),
         "--config": dict(help="plain-text key = value config file"),
     }
@@ -581,7 +518,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         return p
 
     p = command("simulate", cmd_simulate, "generate a synthetic dataset directory")
-    p.add_argument("--videos", type=int, default=8)
+    p.add_argument("--videos", type=_int_at_least(1), default=8)
     p.add_argument("--prefix", type=_video_prefix, default="video", help="video id prefix")
     _add_simulation_flags(p, frames_default=1800.0)
     p.add_argument("--out", required=True, help="dataset directory to write")
@@ -611,17 +548,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--trace", help="decision trace for cascade detection")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = command("report", cmd_report, "re-render text tables from a results JSON", "--format")
-    p.add_argument("--results", required=True, help="results.json from evaluate or calibrate")
-    p.add_argument("--pred", help="predicted timelines (needed for svg)")
-    p.add_argument("--gt", help="ground-truth timelines (needed for svg)")
+    p = command("report", cmd_report, "re-render every text table from a results JSON")
+    p.add_argument("--results", required=True, help="results JSON from evaluate, calibrate or pipeline")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(format=("text",))
 
     p = command("pipeline", cmd_pipeline, "run the full synthetic pipeline end to end",
                 "--buffer", "--threshold", "--bins", "--format")
-    p.add_argument("--val-videos", type=int, default=2)
-    p.add_argument("--test-videos", type=int, default=3)
+    p.add_argument("--val-videos", type=_int_at_least(1), default=2)
+    p.add_argument("--test-videos", type=_int_at_least(1), default=3)
     _add_simulation_flags(p, frames_default=1200.0)
     p.add_argument("--out", required=True, help="artifact directory")
 

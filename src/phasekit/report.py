@@ -1,17 +1,21 @@
 """Report rendering: aligned text tables, flat JSON key-value results, the
-reliability-bin CSV, and the SVG timeline ribbon."""
+reliability-bin CSV, and the SVG timeline ribbon.
+
+Every text artifact is ``render_report_text`` of the results dict saved
+beside it, so ``phasekit report`` re-renders it byte for byte."""
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationReport, ReliabilityBins
-from .metrics import CascadeReport, EvalResult
-from .workflow import PhaseTimeline, all_transition_pairs
+from .calibration import CalibrationReport, ReliabilityBins, Temperature
+from .metrics import CascadeReport, CascadeRun, EvalResult
+from .workflow import PhaseTimeline, TransitionPair, all_transition_pairs
 
 # One color band per phase, 1..7.
 PHASE_COLORS = (
@@ -25,6 +29,14 @@ PHASE_COLORS = (
 )
 
 UNDEFINED = "n/a"
+
+STRATEGY_LABELS = {
+    "baseline": "baseline (argmax)",
+    "transition": "transition-based",
+    "confidence_uncalibrated": "confidence-based w/o calibration",
+    "confidence_calibrated": "confidence-based w/ calibration",
+}
+STRATEGY_ORDER = tuple(STRATEGY_LABELS)
 
 
 def pct(value: float | None) -> str:
@@ -88,11 +100,60 @@ def render_calibration_table(report: CalibrationReport) -> str:
     return table + f"fitted temperature = {report.fitted.value!r}\n"
 
 
-def render_cascades(report: CascadeReport) -> str:
-    if not report.runs:
-        return "No cascade runs detected.\n"
-    body = [[str(r.start), str(r.end), str(r.state), str(len(r))] for r in report.runs]
-    return render_table(["start", "end", "state", "frames"], body, title="Cascade runs (end exclusive)")
+def render_report_text(results: dict) -> str:
+    """Render every table family a flat results dict holds, in this order:
+    strategies (``strategy.<name>.accuracy.*``), evaluation (``accuracy.*``),
+    pairs (``pair.<pair>.accuracy``), calibration (``calibration.*``) and
+    cascades by id (``video.<id>.cascade.count`` and ``.cascade.<i>.start``,
+    ``.end``, ``.state``; ids may contain dots). A family that lacks a key,
+    or holds null or a non-integer where a number or a frame is needed,
+    raises ValueError."""
+    def need(key, nullable=True):
+        if key not in results or results[key] is None and not nullable:
+            raise ValueError(f"no value for {key!r}")
+        return results[key]
+
+    def need_count(key):
+        if type(need(key, False)) is not int or results[key] < 0:
+            raise ValueError(f"{key!r} must be a non-negative integer, got {results[key]!r}")
+        return results[key]
+
+    blocks = []
+    strategies = sorted(
+        {k.split(".")[1] for k in results if k.startswith("strategy.") and k.endswith(".accuracy.pooled")},
+        key=lambda s: (STRATEGY_ORDER.index(s) if s in STRATEGY_ORDER else len(STRATEGY_ORDER), s),
+    )
+    if strategies:
+        blocks.append(render_strategy_table([
+            (STRATEGY_LABELS.get(s, s), results[f"strategy.{s}.accuracy.pooled"],
+             need(f"strategy.{s}.accuracy.video_mean"))
+            for s in strategies
+        ]))
+    if "accuracy.pooled" in results:
+        rows = [["accuracy (pooled %)", pct(results["accuracy.pooled"])],
+                ["accuracy (per-video mean %)", pct(need("accuracy.video_mean"))]]
+        blocks.append(render_table(["Metric", "Value"], rows, title="Evaluation"))
+    pair_keys = {k for k in results if k.startswith("pair.trans_")}
+    if pair_keys:
+        pair_accs = {TransitionPair.from_name(k.split(".")[1]): results[k] for k in pair_keys}
+        baseline_acc = results.get("strategy.baseline.accuracy.pooled", results.get("accuracy.pooled"))
+        blocks.append(render_pair_table(baseline_acc, pair_accs))
+    if "calibration.nll_before" in results:
+        cal = CalibrationReport(
+            **{k: need(f"calibration.{k}", False) for k in ("nll_before", "nll_after", "ece_before", "ece_after")},
+            fitted=Temperature(need("calibration.temperature", False)),
+        )
+        blocks.append(render_calibration_table(cal))
+    for vid in sorted(m[1] for m in map(re.compile(r"video\.(.+)\.cascade\.count").fullmatch, results) if m):
+        key = f"video.{vid}.cascade"
+        runs = [CascadeRun(*(need_count(f"{key}.{i}.{f}") for f in ("start", "end", "state")))
+                for i in range(need_count(f"{key}.count"))]
+        body = [[str(r.start), str(r.end), str(r.state), str(len(r))] for r in runs]
+        table = render_table(["start", "end", "state", "frames"], body, title="Cascade runs (end exclusive)")
+        blocks.append(f"cascades for {vid}:\n" + (table if runs else "No cascade runs detected.\n"))
+    if not blocks:
+        blocks.append("no renderable result families found\n")
+    return "\n".join(blocks)
 
 
 def calibration_results(report: CalibrationReport) -> dict:

@@ -66,6 +66,8 @@ class WorkflowSpec:
     def __post_init__(self):
         object.__setattr__(self, "dwell_mean", float(self.dwell_mean))
         object.__setattr__(self, "dwell_min", int(self.dwell_min))
+        if not math.isfinite(self.dwell_mean):
+            raise ValueError(f"dwell_mean must be finite, got {self.dwell_mean}")
         if self.dwell_min < 1:
             raise ValueError("dwell_min must be >= 1")
         if self.dwell_mean < self.dwell_min:
@@ -97,10 +99,12 @@ class NoiseSpec:
             if not (0.5 < p <= 1.0):
                 raise ValueError(f"pairwise target {i} must lie in (0.5, 1], got {p}")
         object.__setattr__(self, "pairwise_accuracy_target", pairs)
-        if self.overconfidence < 1.0:
-            raise ValueError("overconfidence must be >= 1")
+        if not (math.isfinite(self.overconfidence) and self.overconfidence >= 1.0):
+            raise ValueError(f"overconfidence must be finite and >= 1, got {self.overconfidence}")
         if self.boundary_jitter < 0:
             raise ValueError("boundary_jitter must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def _margin_for_accuracy(target: float, num_classes: int) -> float:
@@ -321,16 +325,17 @@ def generate_dataset(
     """Simulate ``num_videos`` videos and write them as a dataset directory.
 
     Layout: ``gt.csv`` (timelines), ``baseline.csv`` (K=7 logits), and
-    ``bank/trans_<i>_<i+1>.csv``. Returns the written videos, in file order.
+    ``bank/trans_<i>_<i+1>.csv``. Nothing is written unless every video
+    simulates. Returns the written videos, in file order.
     """
     if num_videos < 1:
         raise ValueError("num_videos must be >= 1")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     videos = [
         simulate_video(workflow, noise, f"{id_prefix}{i:02d}", index=i, smoothing_window=smoothing_window)
         for i in range(num_videos)
     ]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_timelines([v.ground_truth for v in videos], out_dir / "gt.csv")
     save_logits([v.baseline for v in videos], out_dir / "baseline.csv")
     save_bank(TransitionLogitBank.merge([v.bank for v in videos]), out_dir / "bank")

@@ -63,9 +63,6 @@ class TransitionPair:
             raise ValueError(f"not a transition pair name: {name!r}") from None
         return cls(low, high)
 
-    def contains(self, phase: int) -> bool:
-        return phase == self.low or phase == self.high
-
 
 def all_transition_pairs() -> tuple[TransitionPair, ...]:
     """The six neighboring pairs (1,2) ... (6,7), in order."""

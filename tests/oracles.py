@@ -338,7 +338,7 @@ def oracle_detect_cascades(records, gt_labels) -> list[tuple[int, int, int]]:
     start = state = None
     for frame_idx, model, m, _, _ in records:
         pair = None if model == BASELINE_MODEL else TransitionPair.from_name(model)
-        qualifies = pair is not None and not pair.contains(int(gt_labels[frame_idx]))
+        qualifies = pair is not None and int(gt_labels[frame_idx]) not in (pair.low, pair.high)
         if qualifies and start is None:
             start, state = frame_idx, m
         elif not qualifies and start is not None:

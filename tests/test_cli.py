@@ -1,4 +1,5 @@
 import filecmp
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -63,7 +64,21 @@ class TestSimulate:
         out = tmp_path / "data"
         rc = main(["simulate", "--videos", "1", "--frames-mean", "140", "--attention-smooth", "-3", "--out", str(out)])
         assert rc == 2
-        assert "--attention-smooth must be >= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: argument --attention-smooth: must be an integer >= 0, got '-3'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("simulate", "--frames-mean", "inf", "error: dwell_mean must be finite, got inf"),
+        ("simulate", "--seed", "-1", "error: rng_seed must be >= 0, got -1"),
+        ("simulate", "--overconfidence", "inf", "error: overconfidence must be finite and >= 1, got inf"),
+        ("pipeline", "--overconfidence", "nan",
+         "error in stage simulate: overconfidence must be finite and >= 1, got nan"),
+    ], ids=["frames_mean_inf", "negative_seed", "overconfidence_inf", "pipeline_overconfidence_nan"])
+    def test_bad_simulation_value_rejected_and_writes_nothing(self, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "data"
+        rc = main([command, "--frames-mean", "140", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
     def test_output_is_loadable_and_consistent(self, small_dataset):
@@ -105,7 +120,7 @@ class TestCalibrate:
         out = tmp_path / "cal"
         rc = main(["calibrate", "--val", str(val), "--test", str(test), "--bins", "0", "--out", str(out)])
         assert rc == 2
-        assert "num_bins" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: argument --bins: must be an integer >= 1, got '0'\n"
         assert not out.exists()
 
     def test_unlabeled_validation_named_and_writes_nothing(self, small_dataset, tmp_path, capsys):
@@ -311,6 +326,28 @@ class TestEvaluate:
         assert f"frame counts differ from ground truth: video00: {frames} frames, ground truth 100" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda trace: _truncate_video(trace, "video01", 100),
+         "frame counts differ from ground truth: video01: 100 frames, ground truth {frames}"),
+        (lambda trace: trace.write_text(trace.read_text().replace("video01,", "zz,")),
+         "missing ground truth for videos: zz"),
+    ], ids=["short", "unknown_video"])
+    def test_trace_without_matching_ground_truth_named_and_writes_nothing(
+        self, small_dataset, tmp_path, capsys, edit, message
+    ):
+        _, test = small_dataset
+        pred, trace = tmp_path / "pred.csv", tmp_path / "trace.csv"
+        main(["infer", "--strategy", "transition", "--bank", str(test / "bank"),
+              "--trace", str(trace), "--out", str(pred)])
+        edit(trace)
+        frames = len(load_timelines(test / "gt.csv")["video01"])
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--pred", str(pred), "--gt", str(test / "gt.csv"),
+                   "--trace", str(trace), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {trace}: {message.format(frames=frames)}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [",", " , ,", ""])
     def test_empty_format_list_rejected_and_writes_nothing(self, small_dataset, tmp_path, capsys, value):
         _, test = small_dataset
@@ -345,7 +382,11 @@ class TestEvaluate:
         '{"accuracy.pooled": 0.5',
         '{"strategy.x.accuracy.pooled": 0.5}',
         '{"calibration.nll_before": null}',
-    ], ids=["string", "list", "malformed", "missing_sibling", "null_calibration"])
+        '{"video.case.00.cascade.count": 1, "video.case.00.cascade.0.start": 3, "video.case.00.cascade.0.state": 2}',
+        '{"video.v.cascade.count": 1, "video.v.cascade.0.start": 3.5, "video.v.cascade.0.end": 9, '
+        '"video.v.cascade.0.state": 2}',
+    ], ids=["string", "list", "malformed", "missing_sibling", "null_calibration", "cascade_missing_end",
+            "cascade_fractional_start"])
     def test_report_bad_results_named_and_writes_nothing(self, tmp_path, capsys, content):
         results = tmp_path / "results.json"
         results.write_text(content)
@@ -367,16 +408,60 @@ class TestEvaluate:
         assert rc == 0
         assert "2-class model accuracy" in (out / "report.txt").read_text()
 
-    def test_report_svg_names_video_without_ground_truth(self, small_dataset, tmp_path, capsys):
-        _, test = small_dataset
+    @pytest.mark.parametrize("flags", [["--format", "svg"], ["--pred", "x"]])
+    def test_report_removed_flags_rejected_and_write_nothing(self, tmp_path, flags):
         results = tmp_path / "results.json"
         results.write_text("{}")
-        pred = tmp_path / "pred.csv"
-        pred.write_text("video_id,frame_idx,phase\nzz,0,1\n")
-        rc = main(["report", "--results", str(results), "--pred", str(pred), "--gt", str(test / "gt.csv"),
-                   "--format", "svg", "--out", str(tmp_path / "render")])
-        assert rc == 2
-        assert "missing ground truth for videos: zz" in capsys.readouterr().err
+        out = tmp_path / "render"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--results", str(results), *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
+class TestReport:
+    @pytest.mark.parametrize("case", [
+        "evaluate", "evaluate_trace", "evaluate_trace_dotted_ids", "pipeline", "calibrate",
+    ])
+    def test_rerenders_the_text_beside_its_results_byte_for_byte(self, small_dataset, tmp_path, capsys, case):
+        val, test = small_dataset
+        if case == "evaluate_trace_dotted_ids":
+            test = tmp_path / "dotted"
+            assert main(["simulate", "--videos", "2", "--prefix", "case.", "--frames-mean", "350",
+                         "--seed", "8", "--out", str(test)]) == 0
+        if case.startswith("evaluate"):
+            pred, trace, run = tmp_path / "pred.csv", tmp_path / "trace.csv", tmp_path / "eval"
+            assert main(["infer", "--strategy", "transition", "--bank", str(test / "bank"),
+                         "--trace", str(trace), "--out", str(pred)]) == 0
+            trace_flags = ["--trace", str(trace)] if "trace" in case else []
+            assert main(["evaluate", "--pred", str(pred), "--gt", str(test / "gt.csv"), *trace_flags,
+                         "--out", str(run)]) == 0
+            results, text = run / "results.json", run / "evaluation.txt"
+        elif case == "pipeline":
+            run = tmp_path / "run"
+            assert main(["pipeline", "--out", str(run), "--frames-mean", "420",
+                         "--val-videos", "1", "--test-videos", "2", "--seed", "3"]) == 0
+            results, text = run / "evaluation" / "results.json", run / "evaluation" / "report.txt"
+        else:
+            run = tmp_path / "cal"
+            assert main(["calibrate", "--val", str(val), "--test", str(test), "--include-bank",
+                         "--out", str(run)]) == 0
+            results, text = run / "report.json", run / "report.txt"
+        if "trace" in case:
+            assert "Cascade runs" in text.read_text()
+        if case == "evaluate_trace_dotted_ids":
+            assert "cascades for case.01:" in text.read_text()
+        capsys.readouterr()
+        out = tmp_path / "render"
+        assert main(["report", "--results", str(results), "--out", str(out)]) == 0
+        assert (out / "report.txt").read_bytes() == text.read_bytes()
+        assert capsys.readouterr().out == text.read_text()
+
+    def test_help_lists_only_results_out_and_config(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["report", "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--results", "--out", "--config"}
 
 
 SIMULATE_SETTINGS = {
@@ -483,6 +568,32 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "videos", "0"),
+        ("pipeline", "val_videos", "0"),
+        ("pipeline", "test-videos", "0"),
+        ("pipeline", "bins", "0"),
+        ("pipeline", "buffer", "0"),
+        ("pipeline", "buffer", "2.5"),
+        ("pipeline", "dwell_min", "0"),
+        ("pipeline", "jitter", "-1"),
+        ("pipeline", "attention_smooth", "x"),
+        ("pipeline", "threshold", "2"),
+        ("pipeline", "threshold", "nan"),
+        ("pipeline", "threshold", "-inf"),
+    ])
+    def test_bad_count_or_threshold_line_named_and_writes_nothing(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        flag = "--" + key.replace("_", "-")
+        rule = {"threshold": "a number in [0, 1]", "jitter": "an integer >= 0", "attention_smooth": "an integer >= 0"}
+        expected = f"argument {flag}: must be {rule.get(key, 'an integer >= 1')}, got {value!r}"
+        assert capsys.readouterr().err == f"error: {cfg}:1: {expected}\n"
+        assert not out.exists()
+
     def test_bad_value_rejected_even_when_a_flag_overrides_it(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = x\n")
@@ -561,24 +672,28 @@ class TestPipeline:
         out = tmp_path / "run"
         rc = main(["pipeline", "--out", str(out), flag, value])
         assert rc == 2
-        assert "infer" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: argument {flag}: must be ")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, stage", [
         ("--val-videos", "simulate"), ("--test-videos", "simulate"), ("--bins", "calibrate"),
     ])
     def test_bad_count_writes_nothing(self, tmp_path, capsys, flag, stage):
+        """A count the ``stage`` stage reads is rejected when the flags are
+        parsed, before any stage runs."""
         out = tmp_path / "run"
         rc = main(["pipeline", "--out", str(out), flag, "0"])
         assert rc == 2
-        assert f"error in stage {stage}: {flag} must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: argument {flag}: must be an integer >= 1, got '0'\n"
+        assert f"stage {stage}" not in err
         assert not out.exists()
 
     def test_negative_attention_smooth_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["pipeline", "--out", str(out), "--attention-smooth", "-3"])
         assert rc == 2
-        assert "error in stage simulate: --attention-smooth must be >= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: argument --attention-smooth: must be an integer >= 0, got '-3'\n"
         assert not out.exists()
 
     def test_matches_its_subcommands(self, tmp_path):

@@ -152,10 +152,8 @@ class TestDetectCascades:
             frames = set(range(run.start, run.end))
             assert not frames & covered
             covered |= frames
-        qualifying = {
-            i for i in range(n)
-            if not pair_for_phase(states[i]).contains(gt_labels[i])
-        }
+        pairs = [pair_for_phase(s) for s in states[:n]]
+        qualifying = {i for i, pair in enumerate(pairs) if gt_labels[i] not in (pair.low, pair.high)}
         assert covered == qualifying
 
     def test_length_mismatch_rejected(self):

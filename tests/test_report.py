@@ -15,6 +15,7 @@ from phasekit.report import (
     pct,
     render_calibration_table,
     render_pair_table,
+    render_report_text,
     render_strategy_table,
     render_table,
     ribbon_svg,
@@ -71,6 +72,56 @@ class TestTables:
         lines = out.splitlines()
         assert any(l.startswith("baseline") and "0.576" in l and "0.215" in l for l in lines)
         assert any(l.startswith("calibrated") and "0.402" in l and "0.031" in l for l in lines)
+
+
+class TestRenderReportText:
+    RESULTS = {
+        "video.b.cascade.count": 0,
+        "video.a.x.cascade.count": 1,
+        "video.a.x.cascade.0.start": 3,
+        "video.a.x.cascade.0.end": 9,
+        "video.a.x.cascade.0.state": 2,
+        "calibration.nll_before": 0.576,
+        "calibration.nll_after": 0.402,
+        "calibration.ece_before": 0.215,
+        "calibration.ece_after": 0.031,
+        "calibration.temperature": 2.5,
+        "pair.trans_1_2.accuracy": 0.9,
+        "accuracy.pooled": 0.8,
+        "accuracy.video_mean": None,
+        "strategy.baseline.accuracy.pooled": 0.85,
+        "strategy.baseline.accuracy.video_mean": 0.84,
+    }
+
+    def test_blocks_in_family_order_and_cascades_in_id_order(self):
+        text = render_report_text(self.RESULTS)
+        heads = [block.splitlines()[0] for block in text.split("\n\n")]
+        assert heads == [
+            "Inference strategy comparison", "Evaluation", "2-class model accuracy on in-pair frames",
+            "Confidence calibration", "cascades for a.x:", "cascades for b:",
+        ]
+        lines = text.splitlines()
+        assert any(line.startswith("accuracy (per-video mean %)") and line.endswith(" n/a") for line in lines)
+        assert ["3", "9", "2", "6"] in [line.split() for line in lines]
+        assert text.endswith("cascades for b:\nNo cascade runs detected.\n")
+
+    def test_each_family_renders_as_its_table_helper(self):
+        pairs = {pair: None for pair in all_transition_pairs()}
+        pairs[all_transition_pairs()[0]] = 0.9
+        cal = CalibrationReport(0.576, 0.402, 0.215, 0.031, Temperature(2.5))
+        blocks = render_report_text(self.RESULTS).split("\n\n")
+        assert blocks[0] + "\n" == render_strategy_table([("baseline (argmax)", 0.85, 0.84)])
+        assert blocks[2] + "\n" == render_pair_table(0.85, pairs)
+        assert blocks[3] + "\n" == render_calibration_table(cal)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("video.a.x.cascade.0.end", None, "no value for 'video.a.x.cascade.0.end'"),
+        ("video.a.x.cascade.0.start", 3.0, "'video.a.x.cascade.0.start' must be a non-negative integer, got 3.0"),
+        ("video.a.x.cascade.count", -1, "'video.a.x.cascade.count' must be a non-negative integer, got -1"),
+    ])
+    def test_bad_cascade_family_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            render_report_text({**self.RESULTS, key: value})
 
 
 class TestResultsJson:

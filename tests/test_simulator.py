@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import phasekit
 from oracles import oracle_margin, oracle_pair_predictions
+from phasekit import simulate
 from phasekit.calibration import fit_temperature
 from phasekit.logits import load_bank, load_logits
 from phasekit.simulate import (
@@ -23,6 +24,7 @@ from phasekit.simulate import (
     generate_dataset,
     generate_ground_truth,
     generate_transition_bank,
+    simulate_video,
 )
 from phasekit.workflow import all_transition_pairs, load_timelines
 
@@ -44,6 +46,11 @@ class TestSpecs:
         with pytest.raises(ValueError):
             WorkflowSpec(dwell_mean=3, dwell_min=10)
 
+    @pytest.mark.parametrize("mean", [float("inf"), float("nan")])
+    def test_workflow_rejects_non_finite_mean(self, mean):
+        with pytest.raises(ValueError, match="dwell_mean must be finite"):
+            WorkflowSpec(dwell_mean=mean, dwell_min=1)
+
     @pytest.mark.parametrize("kwargs", [
         {"base_accuracy_target": 0.1},
         {"base_accuracy_target": 1.01},
@@ -51,6 +58,9 @@ class TestSpecs:
         {"pairwise_accuracy_target": (0.9,) * 5},
         {"overconfidence": 0.5},
         {"boundary_jitter": -1},
+        {"overconfidence": float("nan")},
+        {"overconfidence": float("inf")},
+        {"rng_seed": -1},
     ])
     def test_noise_spec_ranges(self, kwargs):
         with pytest.raises(ValueError):
@@ -231,6 +241,17 @@ class TestDataset:
         for vid in ids:
             assert len(gts[vid]) == bases[vid].num_frames == bank.frame_count(vid)
             assert np.array_equal(bases[vid].labels, gts[vid].labels)
+
+    def test_failed_video_writes_nothing(self, tmp_path, monkeypatch):
+        def fail_second(workflow, noise, video_id, index=0, smoothing_window=0):
+            if index == 1:
+                raise ValueError("simulation failed")
+            return simulate_video(workflow, noise, video_id, index, smoothing_window)
+
+        monkeypatch.setattr(simulate, "simulate_video", fail_second)
+        with pytest.raises(ValueError, match="simulation failed"):
+            generate_dataset(tmp_path / "d", 2, WorkflowSpec(dwell_mean=30, dwell_min=5), NoiseSpec())
+        assert not (tmp_path / "d").exists()
 
     def test_videos_are_distinct_but_reproducible(self, tmp_path):
         spec = WorkflowSpec(dwell_mean=40, dwell_min=5)
