@@ -488,17 +488,25 @@ def _add_simulation_flags(p: argparse.ArgumentParser, frames_default: float) -> 
                    help="frames around each phase change with concentrated errors")
     p.add_argument("--attention-smooth", type=_int_at_least(0), default=0,
                    help="smooth logits through the attention kernel over this window (0 = off)")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ArgumentError for main to report in one line, where argparse
+    would print the usage block and exit: a bad value, an unknown flag or a
+    missing required flag. Subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # a config key must name its flag in full; a bad flag raises ArgumentError for main to report
-    parser = argparse.ArgumentParser(
+    # a config key must name its flag in full
+    parser = _Parser(
         prog="phasekit",
         description="Surgical phase inference toolkit: calibrated-confidence switching "
                     "between a 7-class baseline and six 2-class transition models.",
         allow_abbrev=False,
-        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {}
@@ -511,7 +519,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     }
 
     def command(name, func, help, *flags):
-        p = parsers[name] = sub.add_parser(name, help=help, allow_abbrev=False, exit_on_error=False)
+        p = parsers[name] = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         for flag in (*flags, "--config"):
             p.add_argument(flag, **shared[flag])

@@ -25,10 +25,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.hermite_e import hermegauss
 
 from .attention import scaled_dot_attention
-from .logits import LogitSequence, TransitionLogitBank, save_bank, save_logits
+from .logits import LogitSequence, TransitionLogitBank, save_bank, save_logits, softmax
 from .workflow import (
     NUM_PHASES,
     PhaseTimeline,
@@ -269,14 +270,26 @@ def attention_smooth(seq: LogitSequence, window: int) -> LogitSequence:
     the window's logits (keys and values). This temporally smooths the stream;
     it is a diagnostic mode and intentionally breaks the exact-calibration
     property of the raw generator.
+
+    There are two paths, and both are bit-identical to one
+    ``scaled_dot_attention`` call per frame. The first ``window - 1`` frames
+    have short windows and make exactly that call. All later frames have
+    full windows and are computed together over a copy-free sliding window
+    view: scores and outputs are stacked matmuls, and the row softmax is the
+    kernel's own ``softmax``.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     z = seq.logits
+    n, k = z.shape
     out = np.empty_like(z)
-    for t in range(z.shape[0]):
-        lo = max(0, t - window + 1)
-        out[t] = scaled_dot_attention(z[t:t + 1], z[lo:t + 1], z[lo:t + 1])[0]
+    for t in range(min(n, window - 1)):
+        out[t] = scaled_dot_attention(z[t:t + 1], z[:t + 1], z[:t + 1])[0]
+    if n >= window:
+        win = sliding_window_view(z, window, axis=0)  # (n - window + 1, K, window)
+        scores = (z[window - 1:, None, :] @ win)[:, 0, :] / math.sqrt(k)
+        weights = softmax(scores)
+        out[window - 1:] = (weights[:, None, :] @ win.transpose(0, 2, 1))[:, 0, :]
     return LogitSequence(seq.video_id, out, labels=seq.labels)
 
 

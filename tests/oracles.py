@@ -8,6 +8,8 @@ at a time through the row-by-row reader the block reader replaced. The
 inference strategies, the threshold sweep, cascade detection and the trace
 writer run one frame at a time over records, as the array versions replaced
 them; a record is a (frame_idx, model, state, confidence, prediction) tuple.
+Attention smoothing makes one kernel call per frame over its trailing window,
+as the stacked-matmul version replaced it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from phasekit.attention import scaled_dot_attention
 from phasekit.inference import BASELINE_MODEL, MODEL_NAMES, SWEEP_GRID, TRACE_HEADER
 from phasekit.logits import LOGIT_HEADER, LogitSequence, argmax_confidence_rows
 from phasekit.workflow import (
@@ -347,3 +350,16 @@ def oracle_detect_cascades(records, gt_labels) -> list[tuple[int, int, int]]:
     if start is not None:
         runs.append((start, len(gt_labels), state))
     return runs
+
+
+def attention_smooth_loop(seq: LogitSequence, window: int) -> LogitSequence:
+    """One ``scaled_dot_attention`` call per frame: the frame's logits attend
+    to the logit rows of its trailing window."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    z = seq.logits
+    out = np.empty_like(z)
+    for t in range(z.shape[0]):
+        lo = max(0, t - window + 1)
+        out[t] = scaled_dot_attention(z[t:t + 1], z[lo:t + 1], z[lo:t + 1])[0]
+    return LogitSequence(seq.video_id, out, labels=seq.labels)

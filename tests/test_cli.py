@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import attention_smooth_loop
 from phasekit import cli
 from phasekit.calibration import fit_temperature
 from phasekit.cli import main
@@ -69,11 +70,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command, flag, value, message", [
         ("simulate", "--frames-mean", "inf", "error: dwell_mean must be finite, got inf"),
-        ("simulate", "--seed", "-1", "error: rng_seed must be >= 0, got -1"),
+        ("simulate", "--seed", "-1", "error: argument --seed: must be an integer >= 0, got '-1'"),
         ("simulate", "--overconfidence", "inf", "error: overconfidence must be finite and >= 1, got inf"),
         ("pipeline", "--overconfidence", "nan",
          "error in stage simulate: overconfidence must be finite and >= 1, got nan"),
-    ], ids=["frames_mean_inf", "negative_seed", "overconfidence_inf", "pipeline_overconfidence_nan"])
+        ("pipeline", "--seed", "-1", "error: argument --seed: must be an integer >= 0, got '-1'"),
+    ], ids=["frames_mean_inf", "negative_seed", "overconfidence_inf", "pipeline_overconfidence_nan",
+            "pipeline_negative_seed"])
     def test_bad_simulation_value_rejected_and_writes_nothing(self, tmp_path, capsys, command, flag, value, message):
         out = tmp_path / "data"
         rc = main([command, "--frames-mean", "140", flag, value, "--out", str(out)])
@@ -409,13 +412,13 @@ class TestEvaluate:
         assert "2-class model accuracy" in (out / "report.txt").read_text()
 
     @pytest.mark.parametrize("flags", [["--format", "svg"], ["--pred", "x"]])
-    def test_report_removed_flags_rejected_and_write_nothing(self, tmp_path, flags):
+    def test_report_removed_flags_rejected_and_write_nothing(self, tmp_path, capsys, flags):
         results = tmp_path / "results.json"
         results.write_text("{}")
         out = tmp_path / "render"
-        with pytest.raises(SystemExit) as exc:
-            main(["report", "--results", str(results), *flags, "--out", str(out)])
-        assert exc.value.code == 2
+        rc = main(["report", "--results", str(results), *flags, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(flags)}\n"
         assert not out.exists()
 
 
@@ -458,8 +461,9 @@ class TestReport:
         assert capsys.readouterr().out == text.read_text()
 
     def test_help_lists_only_results_out_and_config(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["report", "--help"])
+        assert exc.value.code == 0
         flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
         assert flags == {"--help", "--results", "--out", "--config"}
 
@@ -581,6 +585,7 @@ class TestConfigFile:
         ("pipeline", "threshold", "2"),
         ("pipeline", "threshold", "nan"),
         ("pipeline", "threshold", "-inf"),
+        ("pipeline", "seed", "-1"),
     ])
     def test_bad_count_or_threshold_line_named_and_writes_nothing(self, tmp_path, capsys, command, key, value):
         cfg = tmp_path / "run.cfg"
@@ -589,7 +594,8 @@ class TestConfigFile:
         rc = main([command, "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         flag = "--" + key.replace("_", "-")
-        rule = {"threshold": "a number in [0, 1]", "jitter": "an integer >= 0", "attention_smooth": "an integer >= 0"}
+        rule = {"threshold": "a number in [0, 1]", "jitter": "an integer >= 0", "attention_smooth": "an integer >= 0",
+                "seed": "an integer >= 0"}
         expected = f"argument {flag}: must be {rule.get(key, 'an integer >= 1')}, got {value!r}"
         assert capsys.readouterr().err == f"error: {cfg}:1: {expected}\n"
         assert not out.exists()
@@ -599,12 +605,12 @@ class TestConfigFile:
         cfg.write_text("seed = x\n")
         rc = main(["simulate", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "d")])
         assert rc == 2
-        assert f"{cfg}:1: argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+        assert f"{cfg}:1: argument --seed: must be an integer >= 0, got 'x'" in capsys.readouterr().err
 
     def test_bad_flag_value_is_an_error_line(self, tmp_path, capsys):
         rc = main(["simulate", "--seed", "abc", "--out", str(tmp_path / "d")])
         assert rc == 2
-        assert capsys.readouterr().err == "error: argument --seed: invalid int value: 'abc'\n"
+        assert capsys.readouterr().err == "error: argument --seed: must be an integer >= 0, got 'abc'\n"
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -696,6 +702,23 @@ class TestPipeline:
         assert capsys.readouterr().err == "error: argument --attention-smooth: must be an integer >= 0, got '-3'\n"
         assert not out.exists()
 
+    def test_attention_smooth_tree_matches_per_frame_kernel(self, tmp_path, monkeypatch):
+        """Smoothing all full windows at once writes the bytes that one
+        kernel call per frame writes."""
+        argv = ["pipeline", "--no-monotone", "--attention-smooth", "30", "--frames-mean", "420",
+                "--val-videos", "1", "--test-videos", "2", "--seed", "5"]
+        assert main([*argv, "--out", str(tmp_path / "array")]) == 0
+        videos = []
+
+        def loop(seq, window):
+            videos.append(seq.video_id)
+            return attention_smooth_loop(seq, window)
+
+        monkeypatch.setattr("phasekit.simulate.attention_smooth", loop)
+        assert main([*argv, "--out", str(tmp_path / "loop")]) == 0
+        assert videos == ["val00", "test00", "test01"]
+        assert _tree(tmp_path / "array") == _tree(tmp_path / "loop")
+
     def test_matches_its_subcommands(self, tmp_path):
         """The pipeline's in-memory stages write what the subcommands write
         when run on the dataset the pipeline saved."""
@@ -726,6 +749,21 @@ class TestPipeline:
         uncalibrated = results["strategy.confidence_uncalibrated.accuracy.pooled"]
         assert calibrated >= baseline
         assert uncalibrated < calibrated
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+        (["calibrate", "--val", "x"], "the following arguments are required: --test"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown_flag", "missing_required", "no_command"])
+    def test_one_error_line_and_exit_2_from_main(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)] if argv else []) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSelftest:

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasekit
-from oracles import oracle_margin, oracle_pair_predictions
+from oracles import attention_smooth_loop, oracle_margin, oracle_pair_predictions
 from phasekit import simulate
 from phasekit.calibration import fit_temperature
-from phasekit.logits import load_bank, load_logits
+from phasekit.logits import LogitSequence, load_bank, load_logits
 from phasekit.simulate import (
     DEFAULT_PAIR_ACCURACY,
     NoiseSpec,
@@ -226,6 +226,34 @@ class TestAttentionSmooth:
         seq = generate_baseline_logits(gt, noise)
         with pytest.raises(ValueError):
             attention_smooth(seq, window=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_per_frame_loop(self, data):
+        n = data.draw(st.integers(1, 400), label="n")
+        k = data.draw(st.integers(2, 8), label="K")
+        # window 1, a window inside the video, exactly n, and beyond n
+        window = data.draw(st.one_of(st.just(1), st.integers(2, 60), st.just(n), st.integers(n + 1, n + 20)),
+                           label="window")
+        scale = data.draw(st.sampled_from([0.1, 1.0, 20.0, 300.0]) | st.floats(0.1, 300.0), label="scale")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        seq = LogitSequence("v", np.random.default_rng(seed).standard_normal((n, k)) * scale)
+        assert np.array_equal(attention_smooth(seq, window).logits, attention_smooth_loop(seq, window).logits)
+
+    def test_kernel_calls_only_for_short_windows(self, monkeypatch):
+        calls = []
+        kernel = simulate.scaled_dot_attention
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "scaled_dot_attention", counted)
+        z = np.random.default_rng(3).standard_normal((200, 7))
+        for window, expected in ((1, 0), (30, 29), (200, 199), (500, 200)):
+            calls.clear()
+            attention_smooth(LogitSequence("v", z), window)
+            assert len(calls) == expected
 
 
 class TestDataset:
