@@ -9,7 +9,6 @@ desk-scale verification.
 from .attention import AttentionWeights, HeadConfig, multi_head_attention, scaled_dot_attention
 from .calibration import (
     CalibrationReport,
-    ReliabilityBins,
     Temperature,
     calibrate_report,
     ece,
@@ -36,7 +35,6 @@ from .logits import (
 from .metrics import (
     CascadeReport,
     CascadeRun,
-    EvalResult,
     accuracy,
     detect_cascades,
     evaluate_predictions,
@@ -52,7 +50,6 @@ from .simulate import (
 )
 from .workflow import (
     NUM_PHASES,
-    PhaseLabel,
     PhaseTimeline,
     TransitionPair,
     all_transition_pairs,

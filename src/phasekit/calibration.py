@@ -41,36 +41,6 @@ class Temperature:
 
 
 @dataclass(frozen=True)
-class ReliabilityBins:
-    """Equal-width confidence bins over [0, 1] with per-bin statistics.
-
-    ``counts`` sums to the number of predictions; ``mean_confidence`` and
-    ``accuracy`` are NaN for empty bins. A confidence exactly on a bin edge
-    belongs to the higher bin, except 1.0 which belongs to the top bin.
-    """
-
-    num_bins: int
-    counts: np.ndarray
-    mean_confidence: np.ndarray
-    accuracy: np.ndarray
-
-    def __post_init__(self):
-        if self.num_bins < 1:
-            raise ValueError("num_bins must be >= 1")
-        for name in ("counts", "mean_confidence", "accuracy"):
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != (self.num_bins,):
-                raise ValueError(f"{name} must have shape ({self.num_bins},)")
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def edges(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.num_bins + 1)
-
-
-@dataclass(frozen=True)
 class CalibrationReport:
     """Held-out NLL/ECE before (T=1) and after applying the fitted temperature."""
 
@@ -144,8 +114,17 @@ def nll(logits, labels=None, temperature=1.0) -> float:
     return value
 
 
-def reliability_bins(logits, labels=None, temperature=1.0, num_bins: int = DEFAULT_NUM_BINS) -> ReliabilityBins:
-    """Bin predictions by top-label confidence and collect per-bin accuracy."""
+def reliability_bins(
+    logits, labels=None, temperature=1.0, num_bins: int = DEFAULT_NUM_BINS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin predictions by top-label confidence into ``num_bins`` equal-width
+    bins over [0, 1]: ``(counts, mean_confidence, accuracy)``, one entry per
+    bin.
+
+    ``counts`` sums to the number of predictions; ``mean_confidence`` and
+    ``accuracy`` are NaN for empty bins. A confidence exactly on a bin edge
+    belongs to the higher bin, except 1.0 which belongs to the top bin.
+    """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
     z, y = as_arrays(logits, labels)
@@ -158,19 +137,16 @@ def reliability_bins(logits, labels=None, temperature=1.0, num_bins: int = DEFAU
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), np.nan)
         acc = np.where(counts > 0, hit_sum / np.maximum(counts, 1), np.nan)
-    return ReliabilityBins(num_bins, counts, mean_conf, acc)
-
-
-def ece_from_bins(bins: ReliabilityBins) -> float:
-    """Count-weighted mean absolute gap between accuracy and confidence."""
-    mask = bins.counts > 0
-    weights = bins.counts[mask] / bins.total
-    return float(np.sum(weights * np.abs(bins.accuracy[mask] - bins.mean_confidence[mask])))
+    return counts, mean_conf, acc
 
 
 def ece(logits, labels=None, temperature=1.0, num_bins: int = DEFAULT_NUM_BINS) -> float:
-    """Expected calibration error over equal-width top-label confidence bins."""
-    return ece_from_bins(reliability_bins(logits, labels, temperature, num_bins))
+    """Expected calibration error over equal-width top-label confidence bins:
+    the count-weighted mean absolute gap between accuracy and confidence."""
+    counts, mean_conf, acc = reliability_bins(logits, labels, temperature, num_bins)
+    mask = counts > 0
+    weights = counts[mask] / int(counts.sum())
+    return float(np.sum(weights * np.abs(acc[mask] - mean_conf[mask])))
 
 
 def golden_section_minimize(fn, lo: float, hi: float, tol: float) -> float:

@@ -331,8 +331,7 @@ def _run_sweep(args, cfg, baselines) -> float:
 def cmd_evaluate(args) -> int:
     preds = load_timelines(args.pred)
     gts = load_timelines(args.gt)
-    result = metrics.evaluate_predictions(preds, gts)
-    results = report.eval_results(result)
+    results = metrics.evaluate_predictions(preds, gts)
     if args.trace:
         traces = inference.load_traces(args.trace)
         try:
@@ -352,8 +351,8 @@ def cmd_evaluate(args) -> int:
         for vid in sorted(preds):
             report.write_ribbon_svg(gts[vid], preds[vid], out / f"ribbon_{vid}.svg")
     write_config_echo(out, _echo_values(args))
-    print(f"accuracy: pooled {report.pct(result.overall_accuracy)}%, "
-          f"per-video mean {report.pct(result.video_mean_accuracy)}%")
+    print(f"accuracy: pooled {report.pct(results['accuracy.pooled'])}%, "
+          f"per-video mean {report.pct(results['accuracy.video_mean'])}%")
     return 0
 
 
@@ -437,7 +436,7 @@ def cmd_pipeline(args) -> int:
         eval_dir.mkdir(exist_ok=True)
         for name in report.STRATEGY_ORDER:
             ev = metrics.evaluate_predictions(strategies[name], gts)
-            results.update(report.eval_results(ev, prefix=f"strategy.{name}"))
+            results.update({f"strategy.{name}.{k}": v for k, v in ev.items()})
         for name, by_vid in traces.items():
             count = frames = 0
             for vid, trace in by_vid.items():
@@ -446,8 +445,7 @@ def cmd_pipeline(args) -> int:
                 frames += cas.total_frames()
             results[f"strategy.{name}.cascade.count"] = count
             results[f"strategy.{name}.cascade.frames"] = frames
-        for pair, acc in metrics.bank_restricted_accuracies(bank, gts).items():
-            results[f"pair.{pair.name}.accuracy"] = acc
+        results.update(metrics.bank_restricted_accuracies(bank, gts))
         if "json" in args.format:
             report.write_results_json(results, eval_dir / "results.json")
         if "text" in args.format:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import InferenceTrace
+from .inference import InferenceTrace, _pair_predictions
 from .logits import TransitionLogitBank
 from .workflow import NUM_PHASES, PhaseTimeline, TransitionPair, all_transition_pairs
 
@@ -38,50 +38,6 @@ def restricted_pair_accuracy(pred, gt, pair: TransitionPair) -> float | None:
     return float((p[mask] == g[mask]).mean())
 
 
-@dataclass(frozen=True)
-class PhaseStats:
-    """Precision/recall for one phase; None where the denominator is empty."""
-
-    precision: float | None
-    recall: float | None
-    support: int
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Pooled evaluation of predictions against ground truth."""
-
-    overall_accuracy: float
-    per_video_accuracy: dict[str, float]
-    per_phase: dict[int, PhaseStats]
-    restricted_pair_accuracy: dict[TransitionPair, float | None]
-
-    def __post_init__(self):
-        if not 0.0 <= self.overall_accuracy <= 1.0:
-            raise ValueError("overall_accuracy must lie in [0, 1]")
-
-    @property
-    def video_mean_accuracy(self) -> float:
-        return float(np.mean(list(self.per_video_accuracy.values())))
-
-
-def per_phase_stats(pred, gt) -> dict[int, PhaseStats]:
-    p, g = _label_arrays(pred, gt)
-    out = {}
-    for phase in range(1, NUM_PHASES + 1):
-        predicted = p == phase
-        actual = g == phase
-        tp = int((predicted & actual).sum())
-        n_pred = int(predicted.sum())
-        n_act = int(actual.sum())
-        out[phase] = PhaseStats(
-            precision=(tp / n_pred) if n_pred else None,
-            recall=(tp / n_act) if n_act else None,
-            support=n_act,
-        )
-    return out
-
-
 def require_ground_truth(preds: dict, gts: dict[str, PhaseTimeline]) -> None:
     """Raise ValueError naming every predicted video (a timeline or a logit
     sequence) without a ground-truth timeline, or else every one whose frame
@@ -94,12 +50,14 @@ def require_ground_truth(preds: dict, gts: dict[str, PhaseTimeline]) -> None:
         raise ValueError(f"frame counts differ from ground truth: {'; '.join(wrong)}")
 
 
-def evaluate_predictions(preds: dict[str, PhaseTimeline], gts: dict[str, PhaseTimeline]) -> EvalResult:
-    """Pool predictions over videos and compute the full metric set.
+def evaluate_predictions(preds: dict[str, PhaseTimeline], gts: dict[str, PhaseTimeline]) -> dict:
+    """Pool predictions over videos and return the evaluation keys:
+    ``accuracy.pooled`` (frame-weighted), ``accuracy.video_mean``,
+    ``accuracy.video.<id>``, ``phase.<p>.precision``, ``.recall`` and
+    ``.support``, and ``pair.<pair>.accuracy``. A value whose denominator is
+    0 is None.
 
     Every predicted video must have a ground-truth timeline of equal length.
-    Pooled (frame-weighted) accuracy and the per-video mean are both exposed,
-    since either convention is defensible for multi-video corpora.
     """
     if not preds:
         raise ValueError("no predictions to evaluate")
@@ -107,38 +65,39 @@ def evaluate_predictions(preds: dict[str, PhaseTimeline], gts: dict[str, PhaseTi
     order = sorted(preds)
     p_all = np.concatenate([preds[v].labels for v in order])
     g_all = np.concatenate([gts[v].labels for v in order])
-    per_video = {v: accuracy(preds[v], gts[v]) for v in order}
-    restricted = {
-        pair: restricted_pair_accuracy(p_all, g_all, pair) for pair in all_transition_pairs()
+    per_video = {f"accuracy.video.{v}": accuracy(preds[v], gts[v]) for v in order}
+    out = {
+        "accuracy.pooled": float((p_all == g_all).mean()),
+        "accuracy.video_mean": float(np.mean(list(per_video.values()))),
+        **per_video,
     }
-    return EvalResult(
-        overall_accuracy=float((p_all == g_all).mean()),
-        per_video_accuracy=per_video,
-        per_phase=per_phase_stats(p_all, g_all),
-        restricted_pair_accuracy=restricted,
-    )
+    for phase in range(1, NUM_PHASES + 1):
+        predicted, actual = p_all == phase, g_all == phase
+        tp, n_pred, n_act = int((predicted & actual).sum()), int(predicted.sum()), int(actual.sum())
+        out[f"phase.{phase}.precision"] = tp / n_pred if n_pred else None
+        out[f"phase.{phase}.recall"] = tp / n_act if n_act else None
+        out[f"phase.{phase}.support"] = n_act
+    for pair in all_transition_pairs():
+        out[f"pair.{pair.name}.accuracy"] = restricted_pair_accuracy(p_all, g_all, pair)
+    return out
 
 
-def bank_restricted_accuracies(
-    bank: TransitionLogitBank, gts: dict[str, PhaseTimeline]
-) -> dict[TransitionPair, float | None]:
-    """Restricted accuracy of each 2-class model's argmax, pooled over videos.
+def bank_restricted_accuracies(bank: TransitionLogitBank, gts: dict[str, PhaseTimeline]) -> dict:
+    """``pair.<pair>.accuracy``: the restricted accuracy of each 2-class
+    model's argmax, pooled over the videos the bank and ``gts`` share.
 
     Measured only on frames whose ground truth lies in the pair, per the
-    restricted convention.
+    restricted convention; None where no frame does.
     """
-    from .inference import _pair_predictions
-
-    out: dict[TransitionPair, float | None] = {}
     videos = [v for v in bank.videos() if v in gts]
     if not videos:
         raise ValueError("bank and ground truth share no videos")
-    preds_by_video = {v: _pair_predictions(bank, v) for v in videos}
-    for pair in all_transition_pairs():
-        p_all = np.concatenate([preds_by_video[v][pair.low - 1] for v in videos])
-        g_all = np.concatenate([gts[v].labels for v in videos])
-        out[pair] = restricted_pair_accuracy(p_all, g_all, pair)
-    return out
+    p_all = np.concatenate([_pair_predictions(bank, v) for v in videos], axis=1)
+    g_all = np.concatenate([gts[v].labels for v in videos])
+    return {
+        f"pair.{pair.name}.accuracy": restricted_pair_accuracy(p_all[pair.low - 1], g_all, pair)
+        for pair in all_transition_pairs()
+    }
 
 
 @dataclass(frozen=True)

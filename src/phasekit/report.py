@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationReport, ReliabilityBins, Temperature
-from .metrics import CascadeReport, CascadeRun, EvalResult
-from .workflow import PhaseTimeline, TransitionPair, all_transition_pairs
+from .calibration import CalibrationReport, Temperature
+from .metrics import CascadeReport, CascadeRun
+from .workflow import PhaseTimeline, all_transition_pairs
 
 # One color band per phase, 1..7.
 PHASE_COLORS = (
@@ -81,11 +81,11 @@ def render_strategy_table(rows: list[tuple[str, float, float]]) -> str:
     )
 
 
-def render_pair_table(baseline_accuracy: float | None, pair_accuracies: dict) -> str:
-    """Baseline vs the six 2-class models (restricted to in-pair frames)."""
+def render_pair_table(baseline_accuracy: float | None, pair_accuracies: dict[str, float | None]) -> str:
+    """Baseline vs the six 2-class models (restricted to in-pair frames),
+    with the pair accuracies keyed by pair name (``trans_1_2`` ...)."""
     body = [["baseline (all frames)", pct(baseline_accuracy)]]
-    for pair in all_transition_pairs():
-        body.append([pair.name, pct(pair_accuracies.get(pair))])
+    body += [[pair.name, pct(pair_accuracies.get(pair.name))] for pair in all_transition_pairs()]
     return render_table(
         ["Model", "Accuracy (%)"], body, title="2-class model accuracy on in-pair frames"
     )
@@ -133,9 +133,8 @@ def render_report_text(results: dict) -> str:
         rows = [["accuracy (pooled %)", pct(results["accuracy.pooled"])],
                 ["accuracy (per-video mean %)", pct(need("accuracy.video_mean"))]]
         blocks.append(render_table(["Metric", "Value"], rows, title="Evaluation"))
-    pair_keys = {k for k in results if k.startswith("pair.trans_")}
-    if pair_keys:
-        pair_accs = {TransitionPair.from_name(k.split(".")[1]): results[k] for k in pair_keys}
+    pair_accs = {k.split(".")[1]: v for k, v in results.items() if k.startswith("pair.trans_")}
+    if pair_accs:
         baseline_acc = results.get("strategy.baseline.accuracy.pooled", results.get("accuracy.pooled"))
         blocks.append(render_pair_table(baseline_acc, pair_accs))
     if "calibration.nll_before" in results:
@@ -164,24 +163,6 @@ def calibration_results(report: CalibrationReport) -> dict:
         "calibration.ece_after": report.ece_after,
         "calibration.temperature": report.fitted.value,
     }
-
-
-def eval_results(result: EvalResult, prefix: str = "") -> dict:
-    """Flatten an EvalResult into dotted key-value pairs."""
-    p = f"{prefix}." if prefix else ""
-    out = {
-        f"{p}accuracy.pooled": result.overall_accuracy,
-        f"{p}accuracy.video_mean": result.video_mean_accuracy,
-    }
-    for vid, acc in sorted(result.per_video_accuracy.items()):
-        out[f"{p}accuracy.video.{vid}"] = acc
-    for phase, stats in result.per_phase.items():
-        out[f"{p}phase.{phase}.precision"] = stats.precision
-        out[f"{p}phase.{phase}.recall"] = stats.recall
-        out[f"{p}phase.{phase}.support"] = stats.support
-    for pair, acc in result.restricted_pair_accuracy.items():
-        out[f"{p}pair.{pair.name}.accuracy"] = acc
-    return out
 
 
 def cascade_results(report: CascadeReport, prefix: str = "") -> dict:
@@ -221,17 +202,13 @@ def _finite_number(value) -> bool:
         return False
 
 
-def write_reliability_csv(bins: ReliabilityBins, path) -> None:
-    edges = bins.edges()
-    lines = ["bin_lo,bin_hi,count,mean_confidence,accuracy"]
-    for i in range(bins.num_bins):
-        mc = bins.mean_confidence[i]
-        ac = bins.accuracy[i]
-        lines.append(
-            f"{edges[i]!r},{edges[i + 1]!r},{int(bins.counts[i])},"
-            f"{'nan' if np.isnan(mc) else repr(float(mc))},"
-            f"{'nan' if np.isnan(ac) else repr(float(ac))}"
-        )
+def write_reliability_csv(bins: tuple[np.ndarray, np.ndarray, np.ndarray], path) -> None:
+    """Write ``calibration.reliability_bins``' (counts, mean_confidence,
+    accuracy) one bin a row after its edges; an empty bin's NaN statistics
+    read ``nan``."""
+    edges = np.linspace(0.0, 1.0, len(bins[0]) + 1)
+    rows = zip(edges, edges[1:], *(a.tolist() for a in bins))
+    lines = ["bin_lo,bin_hi,count,mean_confidence,accuracy", *(",".join(map(repr, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

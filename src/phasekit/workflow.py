@@ -18,20 +18,6 @@ TIMELINE_HEADER = "video_id,frame_idx,phase"
 READ_BLOCK_LINES = 2048
 
 
-class PhaseLabel(int):
-    """A workflow phase identifier, an integer in [1, 7].
-
-    Behaves as a plain int everywhere; construction outside the range is
-    rejected.
-    """
-
-    def __new__(cls, index):
-        value = int(index)
-        if not PHASE_MIN <= value <= PHASE_MAX:
-            raise ValueError(f"phase index must be in [{PHASE_MIN}, {PHASE_MAX}], got {index}")
-        return super().__new__(cls, value)
-
-
 @dataclass(frozen=True, order=True)
 class TransitionPair:
     """A neighboring phase pair (i, i+1); exactly six are constructible."""
@@ -40,28 +26,18 @@ class TransitionPair:
     high: int
 
     def __post_init__(self):
-        low = PhaseLabel(self.low)
-        high = PhaseLabel(self.high)
-        if high != low + 1:
-            raise ValueError(f"transition pair must be neighboring phases, got ({low}, {high})")
-        object.__setattr__(self, "low", int(low))
-        object.__setattr__(self, "high", int(high))
+        for field in ("low", "high"):
+            index = getattr(self, field)
+            if not PHASE_MIN <= int(index) <= PHASE_MAX:
+                raise ValueError(f"phase index must be in [{PHASE_MIN}, {PHASE_MAX}], got {index}")
+            object.__setattr__(self, field, int(index))
+        if self.high != self.low + 1:
+            raise ValueError(f"transition pair must be neighboring phases, got ({self.low}, {self.high})")
 
     @property
     def name(self) -> str:
         """Stable identifier used for bank file names, e.g. ``trans_1_2``."""
         return f"trans_{self.low}_{self.high}"
-
-    @classmethod
-    def from_name(cls, name: str) -> "TransitionPair":
-        parts = name.split("_")
-        if len(parts) != 3 or parts[0] != "trans":
-            raise ValueError(f"not a transition pair name: {name!r}")
-        try:
-            low, high = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValueError(f"not a transition pair name: {name!r}") from None
-        return cls(low, high)
 
 
 def all_transition_pairs() -> tuple[TransitionPair, ...]:
@@ -75,10 +51,8 @@ def pair_for_phase(phase: int) -> TransitionPair:
     Returns (p, p+1) for p <= 6 and (6, 7) for the final phase, which has no
     successor.
     """
-    p = PhaseLabel(phase)
-    if p == PHASE_MAX:
-        return TransitionPair(PHASE_MAX - 1, PHASE_MAX)
-    return TransitionPair(p, p + 1)
+    low = PHASE_MAX - 1 if int(phase) == PHASE_MAX else int(phase)
+    return TransitionPair(low, low + 1)  # the pair rejects a phase outside [1, 7]
 
 
 @dataclass(frozen=True)

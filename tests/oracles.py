@@ -32,11 +32,13 @@ from phasekit.workflow import (
     PHASE_MAX,
     PHASE_MIN,
     TIMELINE_HEADER,
-    PhaseLabel,
     PhaseTimeline,
     TransitionPair,
+    all_transition_pairs,
     pair_for_phase,
 )
+
+PAIRS_BY_NAME = {pair.name: pair for pair in all_transition_pairs()}
 
 
 def oracle_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
@@ -237,6 +239,12 @@ def oracle_save_traces(traces: dict[str, list], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _phase(label) -> int:
+    if not PHASE_MIN <= int(label) <= PHASE_MAX:
+        raise ValueError(f"phase {label} outside [{PHASE_MIN}, {PHASE_MAX}]")
+    return int(label)
+
+
 class MajorityBuffer:
     """Fixed-size FIFO of phase labels; push evicts the oldest entry.
 
@@ -247,14 +255,14 @@ class MajorityBuffer:
     def __init__(self, capacity: int, fill: int = 1):
         if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
-        fill = PhaseLabel(fill)
-        self._fifo = deque([int(fill)] * capacity, maxlen=capacity)
+        fill = _phase(fill)
+        self._fifo = deque([fill] * capacity, maxlen=capacity)
         self._counts = np.zeros(NUM_PHASES + 1, dtype=np.int64)
         self._counts[fill] = capacity
 
     @classmethod
     def from_contents(cls, labels) -> "MajorityBuffer":
-        labels = [int(PhaseLabel(l)) for l in labels]
+        labels = [_phase(l) for l in labels]
         buf = cls(len(labels), fill=labels[0])
         for l in labels:
             buf.push(l)
@@ -265,7 +273,7 @@ class MajorityBuffer:
         return tuple(self._fifo)
 
     def push(self, label: int) -> None:
-        label = int(PhaseLabel(label))
+        label = _phase(label)
         oldest = self._fifo[0]
         self._fifo.append(label)
         self._counts[oldest] -= 1
@@ -340,7 +348,7 @@ def oracle_detect_cascades(records, gt_labels) -> list[tuple[int, int, int]]:
     runs = []
     start = state = None
     for frame_idx, model, m, _, _ in records:
-        pair = None if model == BASELINE_MODEL else TransitionPair.from_name(model)
+        pair = PAIRS_BY_NAME.get(model)  # None for the baseline
         qualifies = pair is not None and int(gt_labels[frame_idx]) not in (pair.low, pair.high)
         if qualifies and start is None:
             start, state = frame_idx, m
@@ -350,6 +358,30 @@ def oracle_detect_cascades(records, gt_labels) -> list[tuple[int, int, int]]:
     if start is not None:
         runs.append((start, len(gt_labels), state))
     return runs
+
+
+def oracle_evaluate_predictions(preds, gts) -> dict:
+    """The evaluation keys, counted one frame at a time over the videos in
+    id order; None where a denominator is 0."""
+    frames, out = [], {}
+    for vid in sorted(preds):
+        pairs = list(zip(preds[vid].labels.tolist(), gts[vid].labels.tolist()))
+        out[f"accuracy.video.{vid}"] = sum(p == g for p, g in pairs) / len(pairs)
+        frames += pairs
+    per_video = list(out.values())
+    out["accuracy.pooled"] = sum(p == g for p, g in frames) / len(frames)
+    out["accuracy.video_mean"] = sum(per_video) / len(per_video)
+    for phase in range(1, NUM_PHASES + 1):
+        hits = sum(p == g == phase for p, g in frames)
+        predicted = sum(p == phase for p, _ in frames)
+        support = sum(g == phase for _, g in frames)
+        out[f"phase.{phase}.precision"] = hits / predicted if predicted else None
+        out[f"phase.{phase}.recall"] = hits / support if support else None
+        out[f"phase.{phase}.support"] = support
+    for pair in all_transition_pairs():
+        inside = [p == g for p, g in frames if g in (pair.low, pair.high)]
+        out[f"pair.{pair.name}.accuracy"] = sum(inside) / len(inside) if inside else None
+    return out
 
 
 def attention_smooth_loop(seq: LogitSequence, window: int) -> LogitSequence:

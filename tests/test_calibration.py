@@ -150,28 +150,29 @@ class TestReliabilityBins:
         rng = np.random.default_rng(6)
         z = rng.normal(size=(123, 7))
         y = rng.integers(1, 8, size=123)
-        bins = reliability_bins(z, y, num_bins=15)
-        assert bins.total == 123
+        counts, mean_conf, acc = reliability_bins(z, y, num_bins=15)
+        assert counts.sum() == 123
+        assert counts.shape == mean_conf.shape == acc.shape == (15,)
 
     def test_mean_confidence_inside_interval(self):
         rng = np.random.default_rng(7)
         z = rng.normal(scale=3, size=(400, 7))
         y = rng.integers(1, 8, size=400)
-        bins = reliability_bins(z, y, num_bins=10)
-        edges = bins.edges()
+        counts, mean_conf, _ = reliability_bins(z, y, num_bins=10)
+        edges = np.linspace(0.0, 1.0, 11)
         for i in range(10):
-            if bins.counts[i]:
-                assert edges[i] <= bins.mean_confidence[i] <= edges[i + 1] + 1e-12
+            if counts[i]:
+                assert edges[i] <= mean_conf[i] <= edges[i + 1] + 1e-12
 
     def test_edge_confidence_goes_to_higher_bin(self):
         # two equal logits give confidence exactly 0.5
-        bins = reliability_bins(np.array([[1.0, 1.0]]), np.array([1]), num_bins=2)
-        assert bins.counts[0] == 0 and bins.counts[1] == 1
+        counts, _, _ = reliability_bins(np.array([[1.0, 1.0]]), np.array([1]), num_bins=2)
+        assert counts[0] == 0 and counts[1] == 1
 
     def test_full_confidence_stays_in_top_bin(self):
         # a 1000-logit gap rounds to confidence 1.0 in float64
-        bins = reliability_bins(np.array([[1000.0, 0.0]]), np.array([1]), num_bins=15)
-        assert bins.counts[-1] == 1
+        counts, _, _ = reliability_bins(np.array([[1000.0, 0.0]]), np.array([1]), num_bins=15)
+        assert counts[-1] == 1
 
 
 class TestGoldenSection:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import proximity_bank
+from conftest import bank_from_argmax, proximity_bank
+from oracles import oracle_evaluate_predictions, oracle_pair_predictions
 from phasekit.inference import MODEL_NAMES, InferenceConfig, InferenceTrace, transition_inference
 from phasekit.metrics import (
     CascadeRun,
@@ -11,10 +12,10 @@ from phasekit.metrics import (
     bank_restricted_accuracies,
     detect_cascades,
     evaluate_predictions,
-    per_phase_stats,
     restricted_pair_accuracy,
 )
-from phasekit.workflow import PhaseTimeline, TransitionPair, pair_for_phase
+from phasekit.logits import TransitionLogitBank
+from phasekit.workflow import PhaseTimeline, TransitionPair, all_transition_pairs, pair_for_phase
 
 labels_st = st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=50)
 
@@ -67,19 +68,20 @@ class TestPerPhase:
         rng = np.random.default_rng(0)
         gt = PhaseTimeline("v", rng.integers(1, 8, size=200))
         pred = PhaseTimeline("v", rng.integers(1, 8, size=200))
-        stats = per_phase_stats(pred, gt)
+        keys = evaluate_predictions({"v": pred}, {"v": gt})
         tp_sum = sum(
-            round(s.recall * s.support) for s in stats.values() if s.recall is not None
+            round(keys[f"phase.{p}.recall"] * keys[f"phase.{p}.support"])
+            for p in range(1, 8) if keys[f"phase.{p}.recall"] is not None
         )
         assert tp_sum == int((pred.labels == gt.labels).sum())
 
     def test_undefined_precision_for_never_predicted_phase(self):
         gt = PhaseTimeline("v", [1, 7])
         pred = PhaseTimeline("v", [1, 1])
-        stats = per_phase_stats(pred, gt)
-        assert stats[7].precision is None
-        assert stats[7].recall == 0.0
-        assert stats[2].recall is None
+        keys = evaluate_predictions({"v": pred}, {"v": gt})
+        assert keys["phase.7.precision"] is None
+        assert keys["phase.7.recall"] == 0.0
+        assert keys["phase.2.recall"] is None
 
 
 class TestEvaluatePredictions:
@@ -92,10 +94,11 @@ class TestEvaluatePredictions:
             "a": PhaseTimeline("a", [1, 1, 1, 2]),
             "b": PhaseTimeline("b", [2, 3]),
         }
-        result = evaluate_predictions(preds, gts)
-        assert result.overall_accuracy == pytest.approx(4 / 6)
-        assert result.video_mean_accuracy == pytest.approx((0.75 + 0.5) / 2)
-        assert result.per_video_accuracy == {"a": 0.75, "b": 0.5}
+        keys = evaluate_predictions(preds, gts)
+        assert keys["accuracy.pooled"] == pytest.approx(4 / 6)
+        assert keys["accuracy.video_mean"] == pytest.approx((0.75 + 0.5) / 2)
+        assert {k: v for k, v in keys.items() if k.startswith("accuracy.video.")} == {
+            "accuracy.video.a": 0.75, "accuracy.video.b": 0.5}
 
     def test_missing_ground_truth_rejected(self):
         with pytest.raises(ValueError, match="missing ground truth"):
@@ -107,7 +110,61 @@ class TestBankRestricted:
         gt = PhaseTimeline("v", np.repeat(np.arange(1, 8), 10))
         bank = proximity_bank("v", gt)
         accs = bank_restricted_accuracies(bank, {"v": gt})
-        assert all(a == 1.0 for a in accs.values())
+        assert accs == {f"pair.{pair.name}.accuracy": 1.0 for pair in all_transition_pairs()}
+
+
+def assert_same_keys(got: dict, want: dict) -> None:
+    """Equal keys; None and integer values equal, floats within 1e-12."""
+    assert set(got) == set(want)
+    for key, value in want.items():
+        if value is None or isinstance(value, int):
+            assert got[key] == value and type(got[key]) is type(value), key
+        else:
+            assert type(got[key]) is float and got[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+
+
+@st.composite
+def predictions_and_truth(draw):
+    """1-4 videos whose predicted and true phases come from two drawn subsets
+    of 1..7, so some phases are never predicted or never true."""
+    phases = st.lists(st.integers(1, 7), min_size=1, max_size=7, unique=True)
+    pred_phases, gt_phases = draw(phases), draw(phases)
+    ids = draw(st.lists(st.sampled_from(["a", "b.c", "video01", "z"]), min_size=1, max_size=4, unique=True))
+    preds, gts = {}, {}
+    for vid in ids:
+        n = draw(st.integers(1, 40))
+        preds[vid] = PhaseTimeline(vid, draw(st.lists(st.sampled_from(pred_phases), min_size=n, max_size=n)))
+        gts[vid] = PhaseTimeline(vid, draw(st.lists(st.sampled_from(gt_phases), min_size=n, max_size=n)))
+    return preds, gts
+
+
+class TestAgainstOracles:
+    @given(predictions_and_truth())
+    @settings(max_examples=80)
+    def test_evaluate_predictions_matches_per_frame_loop(self, data):
+        preds, gts = data
+        assert_same_keys(evaluate_predictions(preds, gts), oracle_evaluate_predictions(preds, gts))
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_bank_restricted_accuracies_match_oracle_pair_predictions(self, data):
+        ids = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
+        gt_phases = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=7, unique=True))
+        banks, gts, pairs_frames = [], {}, {pair: [] for pair in all_transition_pairs()}
+        for vid in ids:
+            n = data.draw(st.integers(1, 30))
+            argmax = {pair.name: data.draw(st.lists(st.sampled_from([pair.low, pair.high]), min_size=n, max_size=n))
+                      for pair in all_transition_pairs()}
+            banks.append(bank_from_argmax(vid, argmax, n))
+            gts[vid] = PhaseTimeline(vid, data.draw(st.lists(st.sampled_from(gt_phases), min_size=n, max_size=n)))
+            for pair, pred in oracle_pair_predictions(banks[-1], vid).items():
+                pairs_frames[pair] += zip(pred.tolist(), gts[vid].labels.tolist())
+        want = {}
+        for pair, frames in pairs_frames.items():
+            inside = [p == g for p, g in frames if g in (pair.low, pair.high)]
+            want[f"pair.{pair.name}.accuracy"] = sum(inside) / len(inside) if inside else None
+        gts["not_in_bank"] = PhaseTimeline("not_in_bank", [1])
+        assert_same_keys(bank_restricted_accuracies(TransitionLogitBank.merge(banks), gts), want)
 
 
 class TestDetectCascades:

@@ -9,7 +9,6 @@ from phasekit.calibration import CalibrationReport, Temperature, reliability_bin
 from phasekit.metrics import evaluate_predictions
 from phasekit.report import (
     cascade_results,
-    eval_results,
     load_results_json,
     metric,
     pct,
@@ -60,7 +59,7 @@ class TestTables:
         assert out.splitlines()[0] == "Inference strategy comparison"
 
     def test_pair_table_includes_all_pairs_and_handles_undefined(self):
-        accs = {pair: None for pair in all_transition_pairs()}
+        accs = {pair.name: None for pair in all_transition_pairs()}
         out = render_pair_table(0.8744, accs)
         for pair in all_transition_pairs():
             assert pair.name in out
@@ -106,8 +105,7 @@ class TestRenderReportText:
         assert text.endswith("cascades for b:\nNo cascade runs detected.\n")
 
     def test_each_family_renders_as_its_table_helper(self):
-        pairs = {pair: None for pair in all_transition_pairs()}
-        pairs[all_transition_pairs()[0]] = 0.9
+        pairs = {"trans_1_2": 0.9}
         cal = CalibrationReport(0.576, 0.402, 0.215, 0.031, Temperature(2.5))
         blocks = render_report_text(self.RESULTS).split("\n\n")
         assert blocks[0] + "\n" == render_strategy_table([("baseline (argmax)", 0.85, 0.84)])
@@ -147,9 +145,12 @@ class TestResultsJson:
     def test_eval_results_keys(self):
         preds = {"a": PhaseTimeline("a", [1, 2])}
         gts = {"a": PhaseTimeline("a", [1, 1])}
-        flat = eval_results(evaluate_predictions(preds, gts), prefix="strategy.baseline")
-        assert flat["strategy.baseline.accuracy.pooled"] == 0.5
-        assert "strategy.baseline.pair.trans_1_2.accuracy" in flat
+        flat = evaluate_predictions(preds, gts)
+        assert flat["accuracy.pooled"] == 0.5
+        assert flat["pair.trans_1_2.accuracy"] == 0.5
+        assert flat["pair.trans_3_4.accuracy"] is None
+        assert flat["phase.2.precision"] == 0.0 and flat["phase.2.recall"] is None
+        assert len(flat) == 2 + 1 + 3 * 7 + 6
 
     def test_cascade_results_keys(self):
         report = CascadeReport((CascadeRun(3, 9, 2),))
