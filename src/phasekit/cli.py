@@ -34,10 +34,12 @@ class StageError(RuntimeError):
 
 @contextmanager
 def _stage(name: str):
-    """Re-raise any failure inside the block as a StageError naming ``name``."""
+    """Re-raise an input or config error inside the block (the types main
+    reports) as a StageError naming ``name``; any other exception is a bug
+    and propagates as it is."""
     try:
         yield
-    except Exception as exc:
+    except (ValueError, KeyError, OSError) as exc:
         raise StageError(name, exc) from exc
 
 
@@ -377,31 +379,26 @@ def cmd_report(args) -> int:
 def cmd_pipeline(args) -> int:
     """simulate -> calibrate -> infer (all four strategies) -> evaluate -> report.
 
-    The whole configuration is checked before the first artifact is written.
-    Each stage writes its artifacts once and hands its in-memory results to
-    the next, so no artifact is read back. Identical configuration and seed
+    The whole configuration is checked, and every video simulated, before the
+    first artifact is written. Each stage writes its artifacts once and hands
+    its in-memory results to the next, so no artifact is read back. Identical configuration and seed
     yield byte-identical trees. Raises StageError naming the failing stage.
     """
     with _stage("simulate"):
         workflow = _workflow_spec(args)
-        noise = {
-            split: _noise_spec(args, derive_video_seed(args.seed, key))
-            for split, key in (("val", 101), ("test", 202))
-        }
-    with _stage("infer"):
-        uncal_cfg = inference.InferenceConfig(args.buffer, args.threshold)
-    out = Path(args.out)
-    echo = _simulation_echo(args, workflow)
-    del echo["command"]  # keeps pipeline echoes byte-identical to earlier versions
-    write_config_echo(out, echo)
-
-    with _stage("simulate"):
-        videos = {}
-        for split, count in (("val", args.val_videos), ("test", args.test_videos)):
-            videos[split] = simulate.generate_dataset(
-                out / split, count, workflow, noise[split],
+        videos = {
+            split: simulate.simulate_videos(
+                count, workflow, _noise_spec(args, derive_video_seed(args.seed, key)),
                 id_prefix=split, smoothing_window=args.attention_smooth,
             )
+            for split, key, count in (("val", 101, args.val_videos), ("test", 202, args.test_videos))
+        }
+        out = Path(args.out)
+        echo = _simulation_echo(args, workflow)
+        del echo["command"]  # keeps pipeline echoes byte-identical to earlier versions
+        write_config_echo(out, echo)
+        for split, split_videos in videos.items():
+            simulate.save_dataset(split_videos, out / split)
             write_config_echo(out / split, echo)
         base_val = {v.baseline.video_id: v.baseline for v in videos["val"]}
         base_test = {v.baseline.video_id: v.baseline for v in videos["test"]}
@@ -416,6 +413,7 @@ def cmd_pipeline(args) -> int:
     with _stage("infer"):
         inf_dir = out / "inference"
         inf_dir.mkdir(exist_ok=True)
+        uncal_cfg = inference.InferenceConfig(args.buffer, args.threshold)
         cal_cfg = replace(uncal_cfg, temperature=results["calibration.temperature"])
         strategies = {"baseline": {vid: inference.baseline_argmax(base_test[vid]) for vid in sorted(base_test)}}
         traces = {}

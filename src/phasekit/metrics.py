@@ -92,12 +92,13 @@ def bank_restricted_accuracies(bank: TransitionLogitBank, gts: dict[str, PhaseTi
     videos = [v for v in bank.videos() if v in gts]
     if not videos:
         raise ValueError("bank and ground truth share no videos")
-    p_all = np.concatenate([_pair_predictions(bank, v) for v in videos], axis=1)
+    preds = [_pair_predictions(bank, v) for v in videos]
     g_all = np.concatenate([gts[v].labels for v in videos])
-    return {
-        f"pair.{pair.name}.accuracy": restricted_pair_accuracy(p_all[pair.low - 1], g_all, pair)
-        for pair in all_transition_pairs()
-    }
+    out = {}
+    for pair in all_transition_pairs():
+        p_all = np.concatenate([p[pair.low - 1] for p in preds])
+        out[f"pair.{pair.name}.accuracy"] = restricted_pair_accuracy(p_all, g_all, pair)
+    return out
 
 
 @dataclass(frozen=True)

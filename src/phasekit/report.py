@@ -82,13 +82,15 @@ def render_strategy_table(rows: list[tuple[str, float, float]]) -> str:
 
 
 def render_pair_table(baseline_accuracy: float | None, pair_accuracies: dict[str, float | None]) -> str:
-    """Baseline vs the six 2-class models (restricted to in-pair frames),
-    with the pair accuracies keyed by pair name (``trans_1_2`` ...)."""
-    body = [["baseline (all frames)", pct(baseline_accuracy)]]
-    body += [[pair.name, pct(pair_accuracies.get(pair.name))] for pair in all_transition_pairs()]
-    return render_table(
-        ["Model", "Accuracy (%)"], body, title="2-class model accuracy on in-pair frames"
-    )
+    """In-pair accuracy by pair name (``trans_1_2`` ...). With a baseline
+    accuracy these are the six 2-class models, drawn under the baseline's
+    accuracy on all frames; without one they are one prediction's accuracy
+    on each pair's frames."""
+    body = [[pair.name, pct(pair_accuracies.get(pair.name))] for pair in all_transition_pairs()]
+    if baseline_accuracy is None:
+        return render_table(["Pair", "Accuracy (%)"], body, title="Prediction accuracy on in-pair frames")
+    body.insert(0, ["baseline (all frames)", pct(baseline_accuracy)])
+    return render_table(["Model", "Accuracy (%)"], body, title="2-class model accuracy on in-pair frames")
 
 
 def render_calibration_table(report: CalibrationReport) -> str:
@@ -103,11 +105,12 @@ def render_calibration_table(report: CalibrationReport) -> str:
 def render_report_text(results: dict) -> str:
     """Render every table family a flat results dict holds, in this order:
     strategies (``strategy.<name>.accuracy.*``), evaluation (``accuracy.*``),
-    pairs (``pair.<pair>.accuracy``), calibration (``calibration.*``) and
-    cascades by id (``video.<id>.cascade.count`` and ``.cascade.<i>.start``,
-    ``.end``, ``.state``; ids may contain dots). A family that lacks a key,
-    or holds null or a non-integer where a number or a frame is needed,
-    raises ValueError."""
+    pairs (``pair.<pair>.accuracy``: the 2-class models' when the baseline
+    strategy is present, else the evaluated prediction's), calibration
+    (``calibration.*``) and cascades by id (``video.<id>.cascade.count``
+    and ``.cascade.<i>.start``, ``.end``, ``.state``; ids may contain
+    dots). A family that lacks a key, or holds null or a non-integer where
+    a number or a frame is needed, raises ValueError."""
     def need(key, nullable=True):
         if key not in results or results[key] is None and not nullable:
             raise ValueError(f"no value for {key!r}")
@@ -135,8 +138,8 @@ def render_report_text(results: dict) -> str:
         blocks.append(render_table(["Metric", "Value"], rows, title="Evaluation"))
     pair_accs = {k.split(".")[1]: v for k, v in results.items() if k.startswith("pair.trans_")}
     if pair_accs:
-        baseline_acc = results.get("strategy.baseline.accuracy.pooled", results.get("accuracy.pooled"))
-        blocks.append(render_pair_table(baseline_acc, pair_accs))
+        # only pipeline results hold the bank's accuracies, beside the baseline strategy
+        blocks.append(render_pair_table(results.get("strategy.baseline.accuracy.pooled"), pair_accs))
     if "calibration.nll_before" in results:
         cal = CalibrationReport(
             **{k: need(f"calibration.{k}", False) for k in ("nll_before", "nll_after", "ece_before", "ece_after")},
@@ -206,7 +209,7 @@ def write_reliability_csv(bins: tuple[np.ndarray, np.ndarray, np.ndarray], path)
     """Write ``calibration.reliability_bins``' (counts, mean_confidence,
     accuracy) one bin a row after its edges; an empty bin's NaN statistics
     read ``nan``."""
-    edges = np.linspace(0.0, 1.0, len(bins[0]) + 1)
+    edges = np.linspace(0.0, 1.0, len(bins[0]) + 1).tolist()
     rows = zip(edges, edges[1:], *(a.tolist() for a in bins))
     lines = ["bin_lo,bin_hi,count,mean_confidence,accuracy", *(",".join(map(repr, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

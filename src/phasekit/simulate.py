@@ -277,11 +277,20 @@ def attention_smooth(seq: LogitSequence, window: int) -> LogitSequence:
     full windows and are computed together over a copy-free sliding window
     view: scores and outputs are stacked matmuls, and the row softmax is the
     kernel's own ``softmax``.
+
+    No two rows' dot product exceeds the larger of their squared norms, and
+    every window holds its own frame, so the scores overflow (up to
+    rounding) just when some row's squared norm does; that raises
+    ValueError before any score is computed.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     z = seq.logits
     n, k = z.shape
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.square(z).sum(axis=1)).all():
+            raise ValueError(f"attention scores overflow in video {seq.video_id!r}: its logits reach "
+                             f"{np.abs(z).max():.3g}, whose squares pass the float64 range")
     out = np.empty_like(z)
     for t in range(min(n, window - 1)):
         out[t] = scaled_dot_attention(z[t:t + 1], z[:t + 1], z[:t + 1])[0]
@@ -327,6 +336,32 @@ def simulate_video(
     return SimulatedVideo(gt, baseline, bank)
 
 
+def simulate_videos(
+    num_videos: int,
+    workflow: WorkflowSpec,
+    noise: NoiseSpec,
+    id_prefix: str = "video",
+    smoothing_window: int = 0,
+) -> list[SimulatedVideo]:
+    """Simulate videos ``<id_prefix>00``, ``<id_prefix>01``, ... in memory."""
+    if num_videos < 1:
+        raise ValueError("num_videos must be >= 1")
+    return [
+        simulate_video(workflow, noise, f"{id_prefix}{i:02d}", index=i, smoothing_window=smoothing_window)
+        for i in range(num_videos)
+    ]
+
+
+def save_dataset(videos: list[SimulatedVideo], out_dir) -> None:
+    """Write simulated videos as a dataset directory: ``gt.csv`` (timelines),
+    ``baseline.csv`` (K=7 logits) and ``bank/trans_<i>_<i+1>.csv``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_timelines([v.ground_truth for v in videos], out_dir / "gt.csv")
+    save_logits([v.baseline for v in videos], out_dir / "baseline.csv")
+    save_bank(TransitionLogitBank.merge([v.bank for v in videos]), out_dir / "bank")
+
+
 def generate_dataset(
     out_dir,
     num_videos: int,
@@ -335,21 +370,10 @@ def generate_dataset(
     id_prefix: str = "video",
     smoothing_window: int = 0,
 ) -> list[SimulatedVideo]:
-    """Simulate ``num_videos`` videos and write them as a dataset directory.
-
-    Layout: ``gt.csv`` (timelines), ``baseline.csv`` (K=7 logits), and
-    ``bank/trans_<i>_<i+1>.csv``. Nothing is written unless every video
-    simulates. Returns the written videos, in file order.
+    """Simulate ``num_videos`` videos and write them as a dataset directory
+    (see save_dataset). Nothing is written unless every video simulates.
+    Returns the written videos, in file order.
     """
-    if num_videos < 1:
-        raise ValueError("num_videos must be >= 1")
-    videos = [
-        simulate_video(workflow, noise, f"{id_prefix}{i:02d}", index=i, smoothing_window=smoothing_window)
-        for i in range(num_videos)
-    ]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_timelines([v.ground_truth for v in videos], out_dir / "gt.csv")
-    save_logits([v.baseline for v in videos], out_dir / "baseline.csv")
-    save_bank(TransitionLogitBank.merge([v.bank for v in videos]), out_dir / "bank")
+    videos = simulate_videos(num_videos, workflow, noise, id_prefix, smoothing_window)
+    save_dataset(videos, out_dir)
     return videos

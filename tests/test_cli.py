@@ -2,6 +2,7 @@ import filecmp
 import re
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,21 @@ class TestSimulate:
         rc = main([command, "--frames-mean", "140", flag, value, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_overflowing_attention_scores_rejected_and_write_nothing(self, tmp_path, capsys, command):
+        out = tmp_path / "data"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--overconfidence", "1e160", "--attention-smooth", "3", "--frames-mean", "140",
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        stage = "error in stage simulate: " if command == "pipeline" else "error: "
+        first = "val00" if command == "pipeline" else "video00"
+        assert re.fullmatch(re.escape(f"{stage}attention scores overflow in video '{first}': ") + ".*\n", err)
+        assert [str(w.message) for w in caught] == []
         assert not out.exists()
 
     def test_output_is_loadable_and_consistent(self, small_dataset):
@@ -409,7 +425,7 @@ class TestEvaluate:
         out = tmp_path / "rerender"
         rc = main(["report", "--results", str(eval_dir / "results.json"), "--out", str(out)])
         assert rc == 0
-        assert "2-class model accuracy" in (out / "report.txt").read_text()
+        assert "Prediction accuracy on in-pair frames" in (out / "report.txt").read_text()
 
     @pytest.mark.parametrize("flags", [["--format", "svg"], ["--pred", "x"]])
     def test_report_removed_flags_rejected_and_write_nothing(self, tmp_path, capsys, flags):
@@ -667,6 +683,17 @@ class TestPipeline:
         for sub in ("", "val", "test", "calibration", "inference", "evaluation"):
             assert (out / sub / "config.txt").exists(), sub
         assert (out / "evaluation" / "ribbon_transition_test00.svg").exists()
+
+    def test_bug_in_a_stage_propagates(self, tmp_path, monkeypatch):
+        """Only the errors main reports become a stage error; a TypeError
+        is a bug and keeps its traceback."""
+        def broken(*args, **kwargs):
+            raise TypeError("broken stage")
+
+        monkeypatch.setattr(cli.metrics, "bank_restricted_accuracies", broken)
+        with pytest.raises(TypeError, match="broken stage"):
+            main(["pipeline", "--frames-mean", "140", "--val-videos", "1", "--test-videos", "1",
+                  "--out", str(tmp_path / "run")])
 
     def test_stage_error_is_named(self, tmp_path, capsys):
         rc = main(["pipeline", "--out", str(tmp_path / "run"), "--base-acc", "0.05"])

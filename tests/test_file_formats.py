@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_load_logits, oracle_load_timelines, oracle_load_traces
 from phasekit import workflow
+from phasekit.cli import main
 from phasekit.inference import TRACE_HEADER, InferenceTrace, load_traces, save_traces
 from phasekit.logits import LogitSequence, load_logits, save_logits
 from phasekit.workflow import PhaseTimeline, load_timelines, save_timelines
@@ -188,3 +189,30 @@ def test_block_reader_matches_row_reader(kind, data, tmp_path_factory):
             assert _normalized(kind, got[1]) == _normalized(kind, expected[1]), block
         else:
             assert got[1] == expected[1], block
+
+
+class TestArtifacts:
+    """What ``pipeline`` and ``calibrate`` write is plain text: no numpy
+    scalar repr anywhere, and every cell of a numeric CSV column a float."""
+
+    TEXT_COLUMNS = {"video_id", "model"}
+
+    def test_text_artifacts_hold_plain_numbers(self, tmp_path):
+        run = tmp_path / "run"
+        assert main(["pipeline", "--frames-mean", "280", "--val-videos", "1", "--test-videos", "1",
+                     "--out", str(run)]) == 0
+        assert main(["calibrate", "--val", str(run / "val"), "--test", str(run / "test"), "--include-bank",
+                     "--out", str(tmp_path / "cal")]) == 0
+        files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        assert sum(p.name.startswith("reliability_") for p in files) == 4
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            assert "np." not in text, path
+            if path.suffix != ".csv":
+                continue
+            header, *rows = text.splitlines()
+            names = header.split(",")
+            for row in rows:
+                for name, cell in zip(names, row.split(","), strict=True):
+                    if name not in self.TEXT_COLUMNS and not (name == "confidence" and cell == ""):
+                        float(cell)

@@ -112,6 +112,16 @@ class TestRenderReportText:
         assert blocks[2] + "\n" == render_pair_table(0.85, pairs)
         assert blocks[3] + "\n" == render_calibration_table(cal)
 
+    def test_pairs_without_baseline_strategy_are_the_evaluated_predictions(self):
+        """An evaluate results file holds its prediction's in-pair accuracies,
+        and no 2-class model's."""
+        results = {k: v for k, v in self.RESULTS.items() if not k.startswith("strategy.")}
+        block = render_report_text(results).split("\n\n")[1] + "\n"
+        assert block == render_pair_table(None, {"trans_1_2": 0.9})
+        assert block.splitlines()[0] == "Prediction accuracy on in-pair frames"
+        assert "baseline" not in block and "2-class" not in block
+        assert ["trans_1_2", "90.00"] in [line.split() for line in block.splitlines()]
+
     @pytest.mark.parametrize("key, value, message", [
         ("video.a.x.cascade.0.end", None, "no value for 'video.a.x.cascade.0.end'"),
         ("video.a.x.cascade.0.start", 3.0, "'video.a.x.cascade.0.start' must be a non-negative integer, got 3.0"),
@@ -172,6 +182,15 @@ class TestReliabilityCsv:
         assert lines[0] == "bin_lo,bin_hi,count,mean_confidence,accuracy"
         empty = [l for l in lines[1:] if l.split(",")[2] == "0"]
         assert all("nan" in l for l in empty)
+
+    def test_every_cell_is_a_plain_number(self, tmp_path):
+        rng = np.random.default_rng(1)
+        bins = reliability_bins(rng.normal(scale=4, size=(60, 7)), rng.integers(1, 8, size=60), num_bins=15)
+        path = tmp_path / "bins.csv"
+        write_reliability_csv(bins, path)
+        rows = [[float(cell) for cell in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] + [rows[-1][1]] == np.linspace(0.0, 1.0, 16).tolist()
+        assert path.read_text().splitlines()[2].startswith("0.06666666666666667,0.13333333333333333,")
 
 
 class TestRibbonSvg:

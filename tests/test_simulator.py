@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,15 @@ class TestAttentionSmooth:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         seq = LogitSequence("v", np.random.default_rng(seed).standard_normal((n, k)) * scale)
         assert np.array_equal(attention_smooth(seq, window).logits, attention_smooth_loop(seq, window).logits)
+
+    @pytest.mark.parametrize("window", [1, 3, 500])
+    def test_overflowing_scores_rejected_without_a_warning(self, window):
+        z = np.random.default_rng(4).standard_normal((200, 7)) * 1e160
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^attention scores overflow in video 'v': its logits reach "):
+                attention_smooth(LogitSequence("v", z), window)
+        assert [str(w.message) for w in caught] == []
 
     def test_kernel_calls_only_for_short_windows(self, monkeypatch):
         calls = []
