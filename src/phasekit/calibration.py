@@ -93,11 +93,13 @@ def as_arrays(logits, labels=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nll_arrays(z: np.ndarray, y: np.ndarray, t: float) -> float:
-    v = z / t
-    m = v.max(axis=1, keepdims=True)
-    lse = (m + np.log(np.exp(v - m).sum(axis=1, keepdims=True)))[:, 0]
-    true = v[np.arange(z.shape[0]), y - 1]
-    return float((lse - true).mean())
+    # v - m overflows to -inf for a logit far below its row maximum; exp(-inf) = 0 is the right limit
+    with np.errstate(over="ignore"):
+        v = z / t
+        m = v.max(axis=1, keepdims=True)
+        lse = (m + np.log(np.exp(v - m).sum(axis=1, keepdims=True)))[:, 0]
+        true = v[np.arange(z.shape[0]), y - 1]
+        return float((lse - true).mean())
 
 
 def nll(logits, labels=None, temperature=1.0) -> float:
@@ -209,17 +211,22 @@ def fit_temperature(logits, labels=None) -> Temperature:
     return Temperature(fitted)
 
 
-def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS) -> CalibrationReport:
+def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, test_name: str = "test split") -> CalibrationReport:
     """Fit T on the validation split, evaluate NLL/ECE on the test split.
 
     ``val`` and ``test`` are each a labeled LogitSequence or a list or tuple
-    of them (see as_arrays).
+    of them (see as_arrays). A test NLL that overflows raises a ValueError
+    naming ``test_name``.
     """
     fitted = fit_temperature(val)
     test_z, test_y = as_arrays(test)
+    nll_before, nll_after = (_nll_arrays(test_z, test_y, t) for t in (1.0, fitted.value))
+    for t, value in ((1.0, nll_before), (fitted.value, nll_after)):
+        if not math.isfinite(value):
+            raise ValueError(f"{test_name}: NLL is not finite at temperature {t!r}: the scaled logits overflow")
     return CalibrationReport(
-        nll_before=_nll_arrays(test_z, test_y, 1.0),
-        nll_after=_nll_arrays(test_z, test_y, fitted.value),
+        nll_before=nll_before,
+        nll_after=nll_after,
         ece_before=ece(test_z, test_y, 1.0, num_bins),
         ece_after=ece(test_z, test_y, fitted.value, num_bins),
         fitted=fitted,

@@ -206,14 +206,16 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- calibrate
 
-def _write_calibration(out_dir, report_path, val: dict, test: dict, bins: int, extra_results: dict) -> dict:
+def _write_calibration(out_dir, report_path, val: dict, test: dict, test_file: Path, bins: int,
+                       extra_results: dict) -> dict:
     """Fit T on the ``val`` baselines ({video_id: LogitSequence}) and write the
     results (plus ``extra_results``), their text rendering and the ``test``
     split's reliability bins before and after. Nothing is written unless the
-    report can be computed. Returns the results."""
+    report can be computed; errors in the test split name ``test_file``.
+    Returns the results."""
     # video id order fixes the concatenation order, and so the float results
     val_seqs, test_seqs = ([split[v] for v in sorted(split)] for split in (val, test))
-    cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=bins)
+    cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=bins, test_name=str(test_file))
     results = {**report.calibration_results(cal), **extra_results}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -232,9 +234,10 @@ def cmd_calibrate(args) -> int:
     else:
         out_dir, report_path = out, out / "report.json"
     val = load_logits(Path(args.val) / "baseline.csv")
-    test = load_logits(Path(args.test) / "baseline.csv")
+    test_file = Path(args.test) / "baseline.csv"
+    test = load_logits(test_file)
     extra = _bank_temperatures(load_bank(Path(args.val) / "bank")) if args.include_bank else {}
-    results = _write_calibration(out_dir, report_path, val, test, args.bins, extra)
+    results = _write_calibration(out_dir, report_path, val, test, test_file, args.bins, extra)
     write_config_echo(out_dir, _echo_values(args))
     print(report.render_report_text(results), end="")
     return 0
@@ -407,7 +410,8 @@ def cmd_pipeline(args) -> int:
 
     with _stage("calibrate"):
         cal_dir = out / "calibration"
-        results = _write_calibration(cal_dir, cal_dir / "report.json", base_val, base_test, args.bins, {})
+        results = _write_calibration(cal_dir, cal_dir / "report.json", base_val, base_test,
+                                     out / "test" / "baseline.csv", args.bins, {})
         write_config_echo(cal_dir, echo)
 
     with _stage("infer"):

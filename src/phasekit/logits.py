@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .workflow import PHASE_MAX, PHASE_MIN, TransitionPair, all_transition_pairs, read_rows
+from .workflow import PHASE_MAX, PHASE_MIN, TransitionPair, all_transition_pairs, int_cells, read_rows
 
 BANK_FILE_SUFFIX = ".csv"
 LOGIT_HEADER = "video_id,frame_idx,label"
@@ -37,9 +37,10 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
         raise ValueError("softmax input is empty")
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax input contains non-finite entries")
-    y = z / t
-    y = y - y.max(axis=-1, keepdims=True)
-    e = np.exp(y)
+    with np.errstate(over="ignore"):  # a score far below its row maximum gives exp(-inf) = 0
+        y = z / t
+        y = y - y.max(axis=-1, keepdims=True)
+        e = np.exp(y)
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -195,7 +196,7 @@ def _logit_columns(cells) -> tuple[list[int], np.ndarray]:
     z = np.fromiter(map(float, chain.from_iterable(cells[1:])), np.float64, n * (len(cells) - 1))
     if not np.isfinite(z).all():
         raise ValueError("non-finite logit")
-    labels = list(map(int, cells[0]))
+    labels = int_cells(cells[0])
     hi = max(PHASE_MAX, len(cells) - 1)
     for label in (min(labels), max(labels)):
         if not 0 <= label <= hi:

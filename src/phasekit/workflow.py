@@ -16,6 +16,11 @@ PHASE_MAX = 7
 TIMELINE_HEADER = "video_id,frame_idx,phase"
 # Lines read_rows converts at a time; only one block's cell strings are held.
 READ_BLOCK_LINES = 2048
+# frame_idx cells "0", "1", ... that read_rows checks as strings; frames past
+# the cap, and any other spelling, are parsed with int() instead.
+CANONICAL_FRAMES_MAX = 1 << 16
+_frame_cells: list[str] = []
+_DIGITS = {str(d): d for d in range(10)}
 
 
 @dataclass(frozen=True, order=True)
@@ -174,39 +179,65 @@ def read_rows(path, header: str, convert, *, open_ended: bool = False) -> dict[s
 
 def _add_rows(lines, columns: int, convert, per_video: dict, counts: dict) -> None:
     """Split stripped data ``lines`` once, convert them column by column and
-    append each video's run of rows; a bad row adds nothing and raises."""
+    append each video's run of rows; a bad row adds nothing and raises.
+
+    Column counts and frame_idx cells are checked as strings first; only a
+    block that fails a string check is parsed with int() to name the fault."""
     if not lines:
         return
-    widths = set(map(str.count, lines, repeat(","))) - {columns - 1}
-    if widths:
+    step = columns + 1
+    # a stripped line holds no "\n", so the markers sit on the stride only if every line has the right width
+    cells = ",\n,".join(lines).split(",")
+    if len(cells) != len(lines) * step - 1 or cells[columns::step] != ["\n"] * (len(lines) - 1):
+        widths = set(map(str.count, lines, repeat(","))) - {columns - 1}
         raise ValueError(f"expected {columns} columns, got {widths.pop() + 1}")
-    cells = ",".join(lines).split(",")
-    vids, frames, *data = (cells[j::columns] for j in range(columns))
-    idx = list(map(int, frames))
-    runs, seen, expected = [], {}, []
+    vids, frames, *data = (cells[j::step] for j in range(columns))
+    runs, seen, canonical = [], {}, True
+    start = 0
     for vid, group in groupby(vids):
         size = len(list(group))
         have = seen.get(vid, counts.get(vid, 0))
         seen[vid] = have + size
-        expected += range(have, have + size)
-        runs.append((vid, len(expected) - size, len(expected)))
-    if idx != expected:
-        i = next(i for i, (got, want) in enumerate(zip(idx, expected)) if got != want)
-        raise ValueError(f"frame_idx {idx[i]} out of order for video {vids[i]!r} (expected {expected[i]})")
+        runs.append((vid, have, start, start + size))
+        canonical = canonical and frames[start:start + size] == _canonical_frames(have, have + size)
+        start += size
+    if not canonical:
+        idx = list(map(int, frames))
+        expected = list(chain.from_iterable(range(have, have + e - s) for _, have, s, e in runs))
+        if idx != expected:
+            i = next(i for i, (got, want) in enumerate(zip(idx, expected)) if got != want)
+            raise ValueError(f"frame_idx {idx[i]} out of order for video {vids[i]!r} (expected {expected[i]})")
     data = convert(data)
-    for vid, s, e in runs:
+    for vid, _, s, e in runs:
         per_video.setdefault(vid, []).append([col[s:e] for col in data])
     counts.update(seen)
+
+
+def _canonical_frames(start: int, stop: int) -> list[str]:
+    """The cells str(start) ... str(stop - 1), cut short at CANONICAL_FRAMES_MAX."""
+    stop = min(stop, CANONICAL_FRAMES_MAX)
+    if len(_frame_cells) < stop:
+        _frame_cells.extend(map(str, range(len(_frame_cells), stop)))
+    return _frame_cells[start:stop]
 
 
 def _joined(parts):
     return np.concatenate(parts) if isinstance(parts[0], np.ndarray) else list(chain.from_iterable(parts))
 
 
+def int_cells(cells) -> list[int]:
+    """A column of cell strings as ints: the digits "0" ... "9" by lookup, and
+    the whole column through int() when any cell is spelled otherwise."""
+    try:
+        return list(map(_DIGITS.__getitem__, cells))
+    except KeyError:
+        return list(map(int, cells))
+
+
 def phase_cells(cells, name: str = "phase") -> list[int]:
     """A column of cell strings as ints, each in [1, 7]; a bad cell raises a
     ValueError that calls the column ``name``."""
-    phases = list(map(int, cells))
+    phases = int_cells(cells)
     for phase in (min(phases), max(phases)):
         if not PHASE_MIN <= phase <= PHASE_MAX:
             raise ValueError(f"{name} {phase} outside [{PHASE_MIN}, {PHASE_MAX}]")

@@ -165,9 +165,14 @@ class TestCalibrate:
             split.mkdir()
             (split / "baseline.csv").write_text(header + body)
         out = tmp_path / "cal"
-        rc = main(["calibrate", "--val", str(val), "--test", str(test), "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["calibrate", "--val", str(val), "--test", str(test), "--out", str(out)])
         assert rc == 2
-        assert "nll_before must be finite and >= 0, got inf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {test / 'baseline.csv'}: NLL is not finite at temperature 1.0: the scaled logits overflow\n"
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught] == []
         assert not out.exists()
 
 

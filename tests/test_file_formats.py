@@ -15,6 +15,11 @@ from phasekit.workflow import PhaseTimeline, load_timelines, save_timelines
 MODELS = ["baseline", "trans_1_2", "trans_3_4", "trans_6_7"]
 BAD_CELLS = ["x", "", "1.5.", "--1", "1e", "inf", "-inf", "nan", "1e400", "99999999999999999999",
              "0", "8", "٣", "1_0", " 2 ", "0x1", "2.0", "1\x0c5", "\x0c3", "trans_9_9"]
+# Other spellings of an integer cell: int() reads the first five as the
+# canonical cell does and rejects the last two.
+RESPELLINGS = ["+{}".format, "0{}".format, "0_{}".format, " {}".format,
+               lambda cell: cell.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+               "{}.0".format, "0x{}".format]
 
 
 class TestWriters:
@@ -119,7 +124,7 @@ def _table(draw, kind):
 
 def _corrupt(draw, rows):
     """Damage one cell or row of ``rows`` in place, or leave them valid."""
-    how = draw(st.sampled_from(["none", "drop", "extra", "cell", "frame", "formfeed"]))
+    how = draw(st.sampled_from(["none", "drop", "extra", "cell", "frame", "formfeed", "respell"]))
     row = rows[draw(st.integers(0, len(rows) - 1))]
     col = draw(st.integers(2, len(row) - 1))
     if how == "drop":
@@ -133,6 +138,9 @@ def _corrupt(draw, rows):
     elif how == "formfeed":
         at = draw(st.integers(0, len(row[col])))
         row[col] = row[col][:at] + "\x0c" + row[col][at:]
+    elif how == "respell":  # frame_idx, label, phase, state or prediction: the cells of digits alone
+        col = draw(st.sampled_from([j for j in range(1, len(row)) if row[j].isdigit()]))
+        row[col] = draw(st.sampled_from(RESPELLINGS))(row[col])
 
 
 @st.composite
@@ -179,7 +187,11 @@ def test_block_reader_matches_row_reader(kind, data, tmp_path_factory):
     load, oracle = LOADERS[kind]
     path = tmp_path_factory.mktemp(kind) / "f.csv"
     path.write_bytes(data.draw(_file_text(kind)).encode("utf-8"))
-    expected = _outcome(oracle, path)
+    _assert_blocks_match(kind, load, path, _outcome(oracle, path))
+
+
+def _assert_blocks_match(kind, load, path, expected):
+    """``load(path)`` at block sizes 1, 3 and the default has the outcome ``expected``."""
     for block in (1, 3, workflow.READ_BLOCK_LINES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(workflow, "READ_BLOCK_LINES", block)
@@ -189,6 +201,23 @@ def test_block_reader_matches_row_reader(kind, data, tmp_path_factory):
             assert _normalized(kind, got[1]) == _normalized(kind, expected[1]), block
         else:
             assert got[1] == expected[1], block
+
+
+@pytest.mark.parametrize("bad_frame", [None, 30])
+def test_frames_past_the_canonical_cap_match_row_reader(tmp_path, monkeypatch, bad_frame):
+    """Past CANONICAL_FRAMES_MAX, frame_idx cells are parsed with int(), and
+    the cache of canonical cells never grows beyond the cap."""
+    monkeypatch.setattr(workflow, "CANONICAL_FRAMES_MAX", 5)
+    monkeypatch.setattr(workflow, "_frame_cells", [])
+    rows = [f"v,{i},{1 + i % 7},{i / 7!r},-0.5" for i in range(40)] + [f"w,{i},0,0.25,{i}.5" for i in range(9)]
+    if bad_frame is not None:
+        rows[bad_frame] = rows[bad_frame].replace(f"v,{bad_frame},", f"v,{bad_frame + 1},")
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(["video_id,frame_idx,label,z1,z2", *rows]) + "\n")
+    expected = _outcome(oracle_load_logits, path)
+    assert expected[0] == ("ok" if bad_frame is None else "ValueError")
+    _assert_blocks_match("logits", load_logits, path, expected)
+    assert workflow._frame_cells == ["0", "1", "2", "3", "4"]
 
 
 class TestArtifacts:
