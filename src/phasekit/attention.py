@@ -39,11 +39,7 @@ class AttentionWeights:
 
     def __post_init__(self):
         for name in ("w_q", "w_k", "w_v"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 2:
-                raise ValueError(f"{name} must be a 2-D matrix")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+            arr = _check_matrix(name, getattr(self, name)).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.w_q.shape != self.w_k.shape:

@@ -93,13 +93,16 @@ def as_arrays(logits, labels=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nll_arrays(z: np.ndarray, y: np.ndarray, t: float) -> float:
-    # v - m overflows to -inf for a logit far below its row maximum; exp(-inf) = 0 is the right limit
-    with np.errstate(over="ignore"):
+    # v - m may overflow to -inf, whose exp is the right limit 0; a scaled logit of inf gives inf or NaN, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
         v = z / t
         m = v.max(axis=1, keepdims=True)
         lse = (m + np.log(np.exp(v - m).sum(axis=1, keepdims=True)))[:, 0]
         true = v[np.arange(z.shape[0]), y - 1]
-        return float((lse - true).mean())
+        value = float((lse - true).mean())
+    if not math.isfinite(value):
+        raise ValueError(f"NLL is not finite at temperature {t!r}: the scaled logits overflow")
+    return value
 
 
 def nll(logits, labels=None, temperature=1.0) -> float:
@@ -109,11 +112,7 @@ def nll(logits, labels=None, temperature=1.0) -> float:
     when the scaled logits overflow and the result is not finite.
     """
     z, y = as_arrays(logits, labels)
-    t = positive_temperature(temperature)
-    value = _nll_arrays(z, y, t)
-    if not math.isfinite(value):
-        raise ValueError(f"NLL is not finite at temperature {t!r}: the scaled logits overflow")
-    return value
+    return _nll_arrays(z, y, positive_temperature(temperature))
 
 
 def reliability_bins(
@@ -187,7 +186,7 @@ def fit_temperature(logits, labels=None) -> Temperature:
     never has a worse NLL than T=1 on the fitting set. When the minimum sits on
     a search bound (degenerate sets where NLL is monotone in T, e.g. every
     prediction wrong), the bound itself is returned and a RuntimeWarning is
-    emitted.
+    emitted. Raises ValueError when the scaled logits overflow at any probe.
     """
     z, y = as_arrays(logits, labels)
     lo, hi = TEMPERATURE_SEARCH_RANGE
@@ -211,19 +210,23 @@ def fit_temperature(logits, labels=None) -> Temperature:
     return Temperature(fitted)
 
 
-def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, test_name: str = "test split") -> CalibrationReport:
+def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, val_name: str = "validation split",
+                     test_name: str = "test split") -> CalibrationReport:
     """Fit T on the validation split, evaluate NLL/ECE on the test split.
 
     ``val`` and ``test`` are each a labeled LogitSequence or a list or tuple
-    of them (see as_arrays). A test NLL that overflows raises a ValueError
-    naming ``test_name``.
+    of them (see as_arrays). An NLL that overflows raises a ValueError naming
+    its split, ``val_name`` or ``test_name``.
     """
-    fitted = fit_temperature(val)
+    try:
+        fitted = fit_temperature(val)
+    except ValueError as exc:
+        raise ValueError(f"{val_name}: {exc}") from None
     test_z, test_y = as_arrays(test)
-    nll_before, nll_after = (_nll_arrays(test_z, test_y, t) for t in (1.0, fitted.value))
-    for t, value in ((1.0, nll_before), (fitted.value, nll_after)):
-        if not math.isfinite(value):
-            raise ValueError(f"{test_name}: NLL is not finite at temperature {t!r}: the scaled logits overflow")
+    try:
+        nll_before, nll_after = (_nll_arrays(test_z, test_y, t) for t in (1.0, fitted.value))
+    except ValueError as exc:
+        raise ValueError(f"{test_name}: {exc}") from None
     return CalibrationReport(
         nll_before=nll_before,
         nll_after=nll_after,

@@ -1,7 +1,7 @@
-"""Command-line interface: simulate, calibrate, infer, evaluate, report,
-pipeline, and selftest subcommands wired over the library modules.
+"""Command-line interface: simulate, calibrate, infer, evaluate, report and
+pipeline subcommands wired over the library modules.
 
-Exit codes: 0 success, 1 selftest assertion failure, 2 input or config error.
+Exit codes: 0 success, 2 input or config error.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, inference, metrics, report, simulate
-from .logits import LogitSequence, TransitionLogitBank, load_bank, load_logits, positive_temperature
-from .selfcheck import run_selftest
+from .logits import LogitSequence, TransitionLogitBank, bank_path, load_bank, load_logits, positive_temperature
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
 from .workflow import NUM_PHASES, all_transition_pairs, check_utf8, load_timelines, save_timelines
 
@@ -41,6 +40,15 @@ def _stage(name: str):
         yield
     except (ValueError, KeyError, OSError) as exc:
         raise StageError(name, exc) from exc
+
+
+@contextmanager
+def _naming(path):
+    """Prefix a ValueError raised inside the block with ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _format_value(value) -> str:
@@ -206,16 +214,16 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- calibrate
 
-def _write_calibration(out_dir, report_path, val: dict, test: dict, test_file: Path, bins: int,
-                       extra_results: dict) -> dict:
+def _write_calibration(out_dir, report_path, val: dict, test: dict, val_file: Path, test_file: Path,
+                       bins: int, extra_results: dict) -> dict:
     """Fit T on the ``val`` baselines ({video_id: LogitSequence}) and write the
     results (plus ``extra_results``), their text rendering and the ``test``
     split's reliability bins before and after. Nothing is written unless the
-    report can be computed; errors in the test split name ``test_file``.
-    Returns the results."""
+    report can be computed; errors in a split name its file. Returns the results."""
     # video id order fixes the concatenation order, and so the float results
     val_seqs, test_seqs = ([split[v] for v in sorted(split)] for split in (val, test))
-    cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=bins, test_name=str(test_file))
+    cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=bins,
+                                       val_name=str(val_file), test_name=str(test_file))
     results = {**report.calibration_results(cal), **extra_results}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -229,22 +237,19 @@ def _write_calibration(out_dir, report_path, val: dict, test: dict, test_file: P
 
 def cmd_calibrate(args) -> int:
     out = Path(args.out)
-    if out.suffix == ".json":
-        out_dir, report_path = out.parent, out
-    else:
-        out_dir, report_path = out, out / "report.json"
-    val = load_logits(Path(args.val) / "baseline.csv")
-    test_file = Path(args.test) / "baseline.csv"
-    test = load_logits(test_file)
-    extra = _bank_temperatures(load_bank(Path(args.val) / "bank")) if args.include_bank else {}
-    results = _write_calibration(out_dir, report_path, val, test, test_file, args.bins, extra)
+    out_dir, report_path = (out.parent, out) if out.suffix == ".json" else (out, out / "report.json")
+    val_file, test_file = Path(args.val) / "baseline.csv", Path(args.test) / "baseline.csv"
+    val, test = load_logits(val_file), load_logits(test_file)
+    extra = _bank_temperatures(Path(args.val) / "bank") if args.include_bank else {}
+    results = _write_calibration(out_dir, report_path, val, test, val_file, test_file, args.bins, extra)
     write_config_echo(out_dir, _echo_values(args))
     print(report.render_report_text(results), end="")
     return 0
 
 
-def _bank_temperatures(bank) -> dict:
-    """Optional per-pair fits on in-pair frames, labels mapped to {1, 2}."""
+def _bank_temperatures(directory) -> dict:
+    """Optional per-pair fits on in-pair frames, labels mapped to {1, 2}; errors name the pair file."""
+    bank = load_bank(directory)
     out = {}
     for pair in all_transition_pairs():
         zs, ys = [], []
@@ -259,7 +264,8 @@ def _bank_temperatures(bank) -> dict:
         if not zs:
             out[f"calibration.bank.{pair.name}.temperature"] = None
             continue
-        fitted = calibration.fit_temperature(np.concatenate(zs), np.concatenate(ys))
+        with _naming(bank_path(directory, pair)):
+            fitted = calibration.fit_temperature(np.concatenate(zs), np.concatenate(ys))
         out[f"calibration.bank.{pair.name}.temperature"] = fitted.value
     return out
 
@@ -271,7 +277,8 @@ def _resolve_temperature(args, val_base) -> float:
         return args.temperature
     if val_base is None:
         raise ValueError("--temperature auto requires --val <dir> to fit on")
-    fitted = calibration.fit_temperature([val_base[v] for v in sorted(val_base)])
+    with _naming(Path(args.val) / "baseline.csv"):
+        fitted = calibration.fit_temperature([val_base[v] for v in sorted(val_base)])
     print(f"fitted temperature on validation split: {fitted.value!r}")
     return fitted.value
 
@@ -286,11 +293,13 @@ def _infer(strategy: str, baselines: dict[str, LogitSequence], bank, cfg) -> tup
 
 
 def cmd_infer(args) -> int:
-    bank = load_bank(args.bank)
     confidence = args.strategy == "confidence"
+    if args.sweep and not confidence:
+        raise ValueError("--sweep applies only to --strategy confidence")
+    bank = load_bank(args.bank)
     # one parse of the validation baselines serves both --temperature auto and --sweep
     val_base = None
-    if args.val and (args.sweep or (confidence and args.temperature == "auto")):
+    if args.val and confidence and (args.sweep or args.temperature == "auto"):
         val_base = load_logits(Path(args.val) / "baseline.csv")
     cfg = inference.InferenceConfig(
         buffer_size=args.buffer,
@@ -333,28 +342,34 @@ def _run_sweep(args, cfg, baselines) -> float:
 
 # ---------------------------------------------------------------- evaluate
 
+def _write_results(out: Path, results: dict, formats, texts: dict, ribbons: dict) -> None:
+    """Write into ``out`` what ``formats`` selects: results.json, the ``texts``
+    ({file name: results} to render) and the ``ribbons`` ({file name: (gt, pred)})."""
+    out.mkdir(parents=True, exist_ok=True)
+    if "json" in formats:
+        report.write_results_json(results, out / "results.json")
+    if "text" in formats:
+        for name, family in texts.items():
+            (out / name).write_text(report.render_report_text(family), encoding="utf-8")
+    if "svg" in formats:
+        for name, (gt, pred) in ribbons.items():
+            report.write_ribbon_svg(gt, pred, out / name)
+
+
 def cmd_evaluate(args) -> int:
     preds = load_timelines(args.pred)
     gts = load_timelines(args.gt)
     results = metrics.evaluate_predictions(preds, gts)
     if args.trace:
         traces = inference.load_traces(args.trace)
-        try:
+        with _naming(args.trace):
             metrics.require_ground_truth(traces, gts)
-        except ValueError as exc:
-            raise ValueError(f"{args.trace}: {exc}") from None
         for vid in sorted(traces):
             results.update(report.cascade_results(metrics.detect_cascades(traces[vid], gts[vid]), f"video.{vid}"))
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if "json" in args.format:
-        report.write_results_json(results, out / "results.json")
-    if "text" in args.format:
-        (out / "evaluation.txt").write_text(report.render_report_text(results), encoding="utf-8")
-    if "svg" in args.format:
-        for vid in sorted(preds):
-            report.write_ribbon_svg(gts[vid], preds[vid], out / f"ribbon_{vid}.svg")
+    ribbons = {f"ribbon_{vid}.svg": (gts[vid], preds[vid]) for vid in sorted(preds)}
+    _write_results(out, results, args.format, {"evaluation.txt": results}, ribbons)
     write_config_echo(out, _echo_values(args))
     print(f"accuracy: pooled {report.pct(results['accuracy.pooled'])}%, "
           f"per-video mean {report.pct(results['accuracy.video_mean'])}%")
@@ -365,10 +380,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     results = report.load_results_json(args.results)
-    try:
+    with _naming(args.results):
         text = report.render_report_text(results)
-    except ValueError as exc:
-        raise ValueError(f"{args.results}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(text, encoding="utf-8")
@@ -411,7 +424,7 @@ def cmd_pipeline(args) -> int:
     with _stage("calibrate"):
         cal_dir = out / "calibration"
         results = _write_calibration(cal_dir, cal_dir / "report.json", base_val, base_test,
-                                     out / "test" / "baseline.csv", args.bins, {})
+                                     out / "val" / "baseline.csv", out / "test" / "baseline.csv", args.bins, {})
         write_config_echo(cal_dir, echo)
 
     with _stage("infer"):
@@ -434,8 +447,6 @@ def cmd_pipeline(args) -> int:
         write_config_echo(inf_dir, echo)
 
     with _stage("evaluate"):
-        eval_dir = out / "evaluation"
-        eval_dir.mkdir(exist_ok=True)
         for name in report.STRATEGY_ORDER:
             ev = metrics.evaluate_predictions(strategies[name], gts)
             results.update({f"strategy.{name}.{k}": v for k, v in ev.items()})
@@ -448,26 +459,15 @@ def cmd_pipeline(args) -> int:
             results[f"strategy.{name}.cascade.count"] = count
             results[f"strategy.{name}.cascade.frames"] = frames
         results.update(metrics.bank_restricted_accuracies(bank, gts))
-        if "json" in args.format:
-            report.write_results_json(results, eval_dir / "results.json")
-        if "text" in args.format:
-            strategy_family = {k: v for k, v in results.items() if k.startswith("strategy.")}
-            (eval_dir / "strategies.txt").write_text(report.render_report_text(strategy_family), encoding="utf-8")
-            (eval_dir / "report.txt").write_text(report.render_report_text(results), encoding="utf-8")
-        if "svg" in args.format:
-            for name in ("transition", "confidence_calibrated"):
-                for vid in sorted(strategies[name]):
-                    report.write_ribbon_svg(
-                        gts[vid], strategies[name][vid], eval_dir / f"ribbon_{name}_{vid}.svg"
-                    )
-        write_config_echo(eval_dir, echo)
+        strategy_family = {k: v for k, v in results.items() if k.startswith("strategy.")}
+        ribbons = {f"ribbon_{name}_{vid}.svg": (gts[vid], strategies[name][vid])
+                   for name in ("transition", "confidence_calibrated") for vid in sorted(strategies[name])}
+        _write_results(out / "evaluation", results, args.format,
+                       {"strategies.txt": strategy_family, "report.txt": results}, ribbons)
+        write_config_echo(out / "evaluation", echo)
 
     print(report.render_report_text(results), end="")
     return 0
-
-
-def cmd_selftest(args) -> int:
-    return 0 if run_selftest() else 1
 
 
 # ---------------------------------------------------------------- parser
@@ -566,8 +566,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--test-videos", type=_int_at_least(1), default=3)
     _add_simulation_flags(p, frames_default=1200.0)
     p.add_argument("--out", required=True, help="artifact directory")
-
-    sub.add_parser("selftest", help="run built-in numeric verification").set_defaults(func=cmd_selftest)
     return parser, parsers
 
 
@@ -576,7 +574,7 @@ def main(argv=None) -> int:
     parser, parsers = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
+        if args.config:
             args = _parse_with_config(parser, parsers[args.command], argv, args.config)
         return args.func(args)
     except StageError as exc:

@@ -1,5 +1,5 @@
-"""Built-in numeric verification: brute-force oracles for the attention
-kernel plus anchor checks for softmax, ECE, and the 1-D minimizer.
+"""Brute-force oracles for the attention kernel, behind acceptance
+criterion 7.
 
 The oracles here use explicit scalar loops on purpose; they share no code
 with the array implementations they verify.
@@ -12,8 +12,6 @@ import math
 import numpy as np
 
 from .attention import AttentionWeights, HeadConfig, multi_head_attention, scaled_dot_attention
-from .calibration import ece, golden_section_minimize
-from .logits import softmax
 
 
 def attention_oracle(queries, keys, values) -> np.ndarray:
@@ -85,40 +83,3 @@ def check_attention_against_oracle(
         got_mh = multi_head_attention(x, heads, HeadConfig(h, d_in, d_h))
         worst_diff = max(worst_diff, float(np.abs(got_mh - multi_head_oracle(x, heads)).max()))
     return worst_diff, worst_rowsum
-
-
-def run_selftest() -> bool:
-    """Run all built-in checks, printing one line each; True when all pass."""
-    failures = []
-
-    def check(name: str, ok: bool, detail: str = ""):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail and not ok else ""))
-        if not ok:
-            failures.append(name)
-
-    diff, rowsum = check_attention_against_oracle()
-    check("attention matches scalar-loop oracle (50 instances)", diff < 1e-10, f"max diff {diff:.3e}")
-    check("attention rows sum to 1", rowsum < 1e-12, f"max gap {rowsum:.3e}")
-
-    p = softmax([2.0, 0.0])
-    expected = math.exp(2) / (math.exp(2) + 1)
-    check("softmax([2,0]) anchor", abs(p[0] - expected) < 1e-12)
-    p2 = softmax([2.0, 0.0], temperature=2.0)
-    check("softmax temperature halves the gap", abs(p2[0] - math.exp(1) / (math.exp(1) + 1)) < 1e-12)
-    rng = np.random.default_rng(7)
-    z = rng.normal(size=(20, 7))
-    shift = softmax(z + 123.456, 1.7)
-    check("softmax shift invariance", float(np.abs(shift - softmax(z, 1.7)).max()) < 1e-12)
-
-    # Four predictions in one bin, confidence 0.8 each, two correct.
-    a = math.log(4.0)
-    logits = np.array([[a, 0.0]] * 4)
-    labels = np.array([1, 1, 2, 2])
-    check("ECE hand-binned anchor 0.3", abs(ece(logits, labels, num_bins=15) - 0.3) < 1e-9)
-
-    best = golden_section_minimize(lambda x: (x - 2.0) ** 2, -5.0, 9.0, 1e-7)
-    check("golden-section finds a quadratic minimum", abs(best - 2.0) < 1e-6)
-
-    if not failures:
-        print("all self-test checks passed")
-    return not failures

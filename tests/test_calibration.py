@@ -74,7 +74,6 @@ class TestNll:
         with pytest.raises(ValueError, match="label count"):
             nll(np.zeros((3, 7)), np.array([1, 2]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("row, label", [
         ([1e308, -1e308, 0, 0, 0, 0, 0], 1),  # inf - inf: nan
         ([1e308, 0, 0, 0, 0, 0, 0], 2),  # the true class is infinitely unlikely
@@ -254,6 +253,15 @@ class TestCalibrateReport:
         val = LogitSequence("val", [[2.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 0.0]], labels=[1, 2, 2, 1])
         test = LogitSequence("test", [[1e308, -1e308], [0.0, 0.0]], labels=[2, 1])
         with pytest.raises(ValueError, match=r"^test split: NLL is not finite at temperature 1\.0: the scaled logits overflow$"):
+            calibrate_report(val, test)
+
+    def test_overflowing_fit_rejected(self):
+        """A probe of the fit whose NLL overflows raises instead of comparing NaN."""
+        val = LogitSequence("val", [[1e308, -1e308], [0.0, 0.0]], labels=[1, 2])
+        test = LogitSequence("test", [[2.0, 0.0], [0.0, 2.0]], labels=[1, 2])
+        with pytest.raises(ValueError, match=r"^NLL is not finite at temperature [0-9.]+: the scaled logits overflow$"):
+            fit_temperature(val)
+        with pytest.raises(ValueError, match=r"^validation split: NLL is not finite at temperature [0-9.]+: "):
             calibrate_report(val, test)
 
     def test_report_invariants_enforced(self):

@@ -157,21 +157,32 @@ class TestCalibrate:
         assert "sequence 'video00' carries no labels" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_overflowing_nll_rejected_and_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bad", ["val", "test", "bank"])
+    def test_overflowing_nll_rejected_and_writes_nothing(self, tmp_path, capsys, bad):
+        """An NLL that overflows while T is fitted on the validation split or
+        on a bank pair, or applied to the test split, names that file."""
         header = "video_id,frame_idx,label,z1,z2\n"
+        fine = "v,0,1,2.0,0.0\nv,1,2,2.0,0.0\nv,2,2,0.0,2.0\nv,3,1,1.0,0.0\n"
         val, test = tmp_path / "val", tmp_path / "test"
-        for split, body in ((val, "v,0,1,2.0,0.0\nv,1,2,2.0,0.0\nv,2,2,0.0,2.0\nv,3,1,1.0,0.0\n"),
-                            (test, "t,0,2,1e308,-1e308\nt,1,1,0.0,0.0\n")):
-            split.mkdir()
-            (split / "baseline.csv").write_text(header + body)
+        files = {val / "baseline.csv": fine, test / "baseline.csv": fine}
+        files.update({val / "bank" / f"trans_{i}_{i + 1}.csv": fine for i in range(1, 7)})
+        bad_file = {"val": val / "baseline.csv", "test": test / "baseline.csv",
+                    "bank": val / "bank" / "trans_1_2.csv"}[bad]
+        files[bad_file] = "v,0,2,1e308,-1e308\nv,1,1,0.0,0.0\nv,2,2,0.0,2.0\nv,3,1,1.0,0.0\n"
+        for path, body in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(header + body)
         out = tmp_path / "cal"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = main(["calibrate", "--val", str(val), "--test", str(test), "--out", str(out)])
+            rc = main(["calibrate", "--val", str(val), "--test", str(test), "--out", str(out),
+                       *(["--include-bank"] if bad == "bank" else [])])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == f"error: {test / 'baseline.csv'}: NLL is not finite at temperature 1.0: the scaled logits overflow\n"
-        assert "RuntimeWarning" not in err
+        # the test split overflows at T = 1; a fit, at its first probe
+        temperature = re.escape("1.0") if bad == "test" else r"[0-9.]+"
+        assert re.fullmatch(rf"error: {re.escape(str(bad_file))}: NLL is not finite at temperature {temperature}: "
+                            r"the scaled logits overflow\n", err), err
         assert [str(w.message) for w in caught] == []
         assert not out.exists()
 
@@ -198,6 +209,39 @@ class TestInfer:
         assert "fitted temperature" in capsys.readouterr().out
         echo = (tmp_path / "config.txt").read_text()
         assert "resolved_temperature" in echo
+
+    def test_auto_temperature_on_overflowing_validation_named_and_writes_nothing(self, small_dataset, tmp_path, capsys):
+        val, test = small_dataset
+        bad = tmp_path / "val"
+        shutil.copytree(val, bad)
+        lines = (val / "baseline.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        lines[2] = ",".join([*cells[:3], "1e308", "-1e308", *["0"] * (len(cells) - 5)])
+        (bad / "baseline.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "inf"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
+                       "--bank", str(test / "bank"), "--temperature", "auto", "--val", str(bad),
+                       "--out", str(out / "pred.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(rf"error: {re.escape(str(bad / 'baseline.csv'))}: NLL is not finite at temperature "
+                            r"[0-9.]+: the scaled logits overflow\n", captured.err), captured.err
+        assert captured.out == ""
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
+    def test_sweep_with_transition_strategy_rejected_and_writes_nothing(self, small_dataset, tmp_path, capsys):
+        val, test = small_dataset
+        out = tmp_path / "inf"
+        rc = main(["infer", "--strategy", "transition", "--bank", str(test / "bank"), "--sweep", "--val", str(val),
+                   "--out", str(out / "pred.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --sweep applies only to --strategy confidence\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["transition", "confidence"])
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", ""])
@@ -315,6 +359,19 @@ class TestEvaluate:
         assert (out / "evaluation.txt").exists()
         assert (out / "ribbon_video00.svg").exists()
         assert "accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("formats", ["text", "json", "svg", "json,svg"])
+    def test_format_selects_the_files(self, small_dataset, tmp_path, formats):
+        _, test = small_dataset
+        pred = tmp_path / "pred.csv"
+        main(["infer", "--strategy", "transition", "--bank", str(test / "bank"), "--out", str(pred)])
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--pred", str(pred), "--gt", str(test / "gt.csv"), "--format", formats,
+                   "--out", str(out)])
+        assert rc == 0
+        by_format = {"text": {"evaluation.txt"}, "json": {"results.json"},
+                     "svg": {"ribbon_video00.svg", "ribbon_video01.svg"}}
+        assert {p.name for p in out.iterdir()} == {"config.txt"}.union(*(by_format[f] for f in formats.split(",")))
 
     @pytest.mark.parametrize("column, value", [
         (1, "99999"),  # beyond the end of the timeline
@@ -638,7 +695,8 @@ class TestConfigFile:
     def test_config_file_and_flags_give_identical_runs(self, small_dataset, data):
         """Any subset of simulate and infer settings, given as config lines
         (either key spelling, any case of a boolean word) or as flags, gives
-        the same config.txt echo and the same output bytes."""
+        the same exit code, config.txt echo and output bytes. A transition
+        run with --sweep is rejected both ways and writes nothing."""
         val, test = small_dataset
 
         def draw(settings, switch_off):
@@ -669,9 +727,11 @@ class TestConfigFile:
             (root / "infer.cfg").write_text(text)
             paths = ["--strategy", strategy, "--base", str(test / "baseline.csv"), "--bank", str(test / "bank"),
                      "--val", str(val)]
+            expected = 2 if strategy == "transition" and "--sweep" in flags else 0
             for how, extra in (("flags", flags), ("file", ["--config", str(root / "infer.cfg")])):
                 assert main(["infer", *paths, *extra, "--trace", str(root / how / "inf" / "trace.csv"),
-                             "--out", str(root / how / "inf" / "pred.csv")]) == 0
+                             "--out", str(root / how / "inf" / "pred.csv")]) == expected
+                assert (root / how / "inf").exists() == (expected == 0)
             assert _tree(root / "flags") == _tree(root / "file")
 
 
@@ -688,6 +748,17 @@ class TestPipeline:
         for sub in ("", "val", "test", "calibration", "inference", "evaluation"):
             assert (out / sub / "config.txt").exists(), sub
         assert (out / "evaluation" / "ribbon_transition_test00.svg").exists()
+
+    @pytest.mark.parametrize("formats", ["text", "json", "svg", "json,svg"])
+    def test_format_selects_the_evaluation_files(self, tmp_path, formats):
+        out = tmp_path / "run"
+        rc = main(["pipeline", "--frames-mean", "140", "--val-videos", "1", "--test-videos", "1",
+                   "--format", formats, "--out", str(out)])
+        assert rc == 0
+        by_format = {"text": {"strategies.txt", "report.txt"}, "json": {"results.json"},
+                     "svg": {"ribbon_transition_test00.svg", "ribbon_confidence_calibrated_test00.svg"}}
+        expected = {"config.txt"}.union(*(by_format[f] for f in formats.split(",")))
+        assert {p.name for p in (out / "evaluation").iterdir()} == expected
 
     def test_bug_in_a_stage_propagates(self, tmp_path, monkeypatch):
         """Only the errors main reports become a stage error; a TypeError
@@ -797,8 +868,8 @@ class TestParseErrors:
         assert captured.out == ""
         assert not out.exists()
 
-
-class TestSelftest:
-    def test_exit_zero(self, capsys):
-        assert main(["selftest"]) == 0
-        assert "PASS" in capsys.readouterr().out
+    def test_selftest_is_not_a_command(self, capsys):
+        assert main(["selftest"]) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: argument command: invalid choice: 'selftest' .*\n", captured.err), captured.err
+        assert captured.out == ""
