@@ -16,20 +16,6 @@ from .logits import softmax
 
 
 @dataclass(frozen=True)
-class HeadConfig:
-    """Shape contract for a multi-head stack: H heads mapping d_in -> d_h each."""
-
-    num_heads: int
-    d_in: int
-    d_h: int
-
-    def __post_init__(self):
-        for name in ("num_heads", "d_in", "d_h"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-
-@dataclass(frozen=True)
 class AttentionWeights:
     """Projection matrices for one head; each maps d_in to the head width."""
 
@@ -79,21 +65,20 @@ def scaled_dot_attention(queries, keys, values, return_weights: bool = False):
     return out
 
 
-def multi_head_attention(x, heads, cfg: HeadConfig) -> np.ndarray:
+def multi_head_attention(x, heads) -> np.ndarray:
     """Project x through each head, attend, and concatenate head outputs.
 
-    x is (n, d_in); the result is (n, num_heads * d_h). With one head this is
-    exactly scaled_dot_attention on the projected inputs.
+    x is (n, d_in) and every head maps d_in to its own widths; the result is
+    (n, sum of the heads' value widths). With one head this is exactly
+    scaled_dot_attention on the projected inputs.
     """
     xm = _check_matrix("x", x)
     heads = list(heads)
-    if len(heads) != cfg.num_heads:
-        raise ValueError(f"expected {cfg.num_heads} heads, got {len(heads)}")
-    if xm.shape[1] != cfg.d_in:
-        raise ValueError(f"x width {xm.shape[1]} does not match d_in={cfg.d_in}")
+    if not heads:
+        raise ValueError("multi-head attention needs at least one head")
     outputs = []
     for i, head in enumerate(heads):
-        if head.w_q.shape != (cfg.d_in, cfg.d_h) or head.w_v.shape != (cfg.d_in, cfg.d_h):
-            raise ValueError(f"head {i} weights do not map d_in={cfg.d_in} to d_h={cfg.d_h}")
+        if head.w_q.shape[0] != xm.shape[1]:
+            raise ValueError(f"head {i} input width {head.w_q.shape[0]} does not match x width {xm.shape[1]}")
         outputs.append(scaled_dot_attention(xm @ head.w_q, xm @ head.w_k, xm @ head.w_v))
     return np.concatenate(outputs, axis=1)

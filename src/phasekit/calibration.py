@@ -222,8 +222,8 @@ def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, val_name: str 
         fitted = fit_temperature(val)
     except ValueError as exc:
         raise ValueError(f"{val_name}: {exc}") from None
-    test_z, test_y = as_arrays(test)
     try:
+        test_z, test_y = as_arrays(test)
         nll_before, nll_after = (_nll_arrays(test_z, test_y, t) for t in (1.0, fitted.value))
     except ValueError as exc:
         raise ValueError(f"{test_name}: {exc}") from None

@@ -140,14 +140,16 @@ def _int_at_least(low: int):
     return parse
 
 
-def _threshold(text: str) -> float:
-    """A finite confidence threshold in [0, 1]."""
-    try:
-        if 0.0 <= float(text) <= 1.0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+def _number_in(low: int, high: int):
+    """An argparse type for finite numbers in [``low``, ``high``]."""
+    def parse(text: str) -> float:
+        try:
+            if low <= float(text) <= high:
+                return float(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be a number in [{low}, {high}], got {text!r}")
+    return parse
 
 
 def _temperature(text: str) -> float | str:
@@ -161,13 +163,9 @@ def _temperature(text: str) -> float | str:
 
 
 def _workflow_spec(args) -> WorkflowSpec:
-    # the spec checks the mean before the default minimum is derived from it
-    spec = WorkflowSpec(
-        dwell_mean=args.frames_mean / NUM_PHASES, dwell_min=args.dwell_min or 1, monotone=args.monotone
-    )
-    if args.dwell_min is None:
-        spec = replace(spec, dwell_min=max(1, round(spec.dwell_mean / 4)))
-    return spec
+    dwell_mean = args.frames_mean / NUM_PHASES
+    dwell_min = max(1, round(dwell_mean / 4)) if args.dwell_min is None else args.dwell_min
+    return WorkflowSpec(dwell_mean=dwell_mean, dwell_min=dwell_min, monotone=args.monotone)
 
 
 def _noise_spec(args, seed=None) -> NoiseSpec:
@@ -294,17 +292,18 @@ def _infer(strategy: str, baselines: dict[str, LogitSequence], bank, cfg) -> tup
 
 def cmd_infer(args) -> int:
     confidence = args.strategy == "confidence"
-    if args.sweep and not confidence:
-        raise ValueError("--sweep applies only to --strategy confidence")
+    if not confidence and (args.sweep or args.temperature == "auto"):
+        flag = "--sweep" if args.sweep else "--temperature auto"
+        raise ValueError(f"{flag} applies only to --strategy confidence")
     bank = load_bank(args.bank)
     # one parse of the validation baselines serves both --temperature auto and --sweep
     val_base = None
-    if args.val and confidence and (args.sweep or args.temperature == "auto"):
+    if args.val and (args.sweep or args.temperature == "auto"):
         val_base = load_logits(Path(args.val) / "baseline.csv")
     cfg = inference.InferenceConfig(
         buffer_size=args.buffer,
         conf_threshold=args.threshold,
-        temperature=_resolve_temperature(args, val_base) if confidence else 1.0,
+        temperature=_resolve_temperature(args, val_base),
     )
     if args.sweep:
         cfg = replace(cfg, conf_threshold=_run_sweep(args, cfg, val_base))
@@ -313,15 +312,17 @@ def cmd_infer(args) -> int:
         if not args.base:
             raise ValueError("--strategy confidence requires --base <file>")
         baselines = load_logits(args.base)
-    timelines, traces = _infer(args.strategy, baselines, bank, cfg)
+    with _naming(args.base if confidence else args.bank):
+        timelines, traces = _infer(args.strategy, baselines, bank, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_timelines(list(timelines.values()), out)
     if args.trace:
         inference.save_traces(list(traces.values()), args.trace)
     echo = _echo_values(args)
-    echo["resolved_threshold"] = cfg.conf_threshold
-    echo["resolved_temperature"] = cfg.temperature
+    if confidence:
+        echo["resolved_threshold"] = cfg.conf_threshold
+        echo["resolved_temperature"] = cfg.temperature
     write_config_echo(out.parent, echo)
     print(f"wrote {len(timelines)} predicted timelines to {out}")
     return 0
@@ -331,7 +332,8 @@ def _run_sweep(args, cfg, baselines) -> float:
     if baselines is None:
         raise ValueError("--sweep requires --val <dir> with labeled data")
     gts = load_timelines(Path(args.val) / "gt.csv")
-    metrics.require_ground_truth(baselines, gts)
+    with _naming(Path(args.val) / "baseline.csv"):
+        metrics.require_ground_truth(baselines, gts)
     best, table = inference.sweep_threshold(baselines, load_bank(Path(args.val) / "bank"), gts, cfg)
     print("threshold sweep on validation split:")
     for t, a in table:
@@ -359,7 +361,8 @@ def _write_results(out: Path, results: dict, formats, texts: dict, ribbons: dict
 def cmd_evaluate(args) -> int:
     preds = load_timelines(args.pred)
     gts = load_timelines(args.gt)
-    results = metrics.evaluate_predictions(preds, gts)
+    with _naming(args.pred):
+        results = metrics.evaluate_predictions(preds, gts)
     if args.trace:
         traces = inference.load_traces(args.trace)
         with _naming(args.trace):
@@ -473,7 +476,8 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------- parser
 
 def _add_simulation_flags(p: argparse.ArgumentParser, frames_default: float) -> None:
-    p.add_argument("--frames-mean", type=float, default=frames_default,
+    # one frame per phase at least; at most, each video's arrays stay allocatable
+    p.add_argument("--frames-mean", type=_number_in(NUM_PHASES, 1_000_000), default=frames_default,
                    help="mean video length in frames (split evenly over the 7 phases)")
     p.add_argument("--dwell-min", type=_int_at_least(1), default=None,
                    help="minimum frames per phase (default: mean dwell / 4)")
@@ -512,7 +516,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parsers = {}
     shared = {
         "--buffer": dict(type=_int_at_least(1), default=100, help="majority buffer size"),
-        "--threshold": dict(type=_threshold, default=0.5, help="confidence threshold for accepting the baseline"),
+        "--threshold": dict(type=_number_in(0, 1), default=0.5, help="confidence threshold for accepting the baseline"),
         "--bins": dict(type=_int_at_least(1), default=15, help="ECE bin count"),
         "--format": dict(type=_formats, default=("text", "json", "svg")),
         "--config": dict(help="plain-text key = value config file"),

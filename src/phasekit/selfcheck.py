@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .attention import AttentionWeights, HeadConfig, multi_head_attention, scaled_dot_attention
+from .attention import AttentionWeights, multi_head_attention, scaled_dot_attention
 
 
 def attention_oracle(queries, keys, values) -> np.ndarray:
@@ -80,6 +80,6 @@ def check_attention_against_oracle(
             )
             for _ in range(h)
         ]
-        got_mh = multi_head_attention(x, heads, HeadConfig(h, d_in, d_h))
+        got_mh = multi_head_attention(x, heads)
         worst_diff = max(worst_diff, float(np.abs(got_mh - multi_head_oracle(x, heads)).max()))
     return worst_diff, worst_rowsum

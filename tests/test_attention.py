@@ -3,7 +3,6 @@ import pytest
 
 from phasekit.attention import (
     AttentionWeights,
-    HeadConfig,
     multi_head_attention,
     scaled_dot_attention,
 )
@@ -105,39 +104,49 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 4))
         heads = random_heads(rng, 1, 4, 3)
-        cfg = HeadConfig(1, 4, 3)
-        got = multi_head_attention(x, heads, cfg)
+        got = multi_head_attention(x, heads)
         expected = scaled_dot_attention(x @ heads[0].w_q, x @ heads[0].w_k, x @ heads[0].w_v)
         assert np.array_equal(got, expected)
 
     def test_zero_input_gives_zero_output(self):
         rng = np.random.default_rng(7)
         heads = random_heads(rng, 2, 4, 3)
-        out = multi_head_attention(np.zeros((6, 4)), heads, HeadConfig(2, 4, 3))
+        out = multi_head_attention(np.zeros((6, 4)), heads)
         assert np.allclose(out, 0.0, atol=1e-15)
 
     def test_matches_oracle_h2_8x8(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(8, 8))
         heads = random_heads(rng, 2, 8, 8)
-        got = multi_head_attention(x, heads, HeadConfig(2, 8, 8))
+        got = multi_head_attention(x, heads)
         assert np.abs(got - multi_head_oracle(x, heads)).max() < 1e-10
 
     def test_output_width_is_heads_times_head_dim(self):
         rng = np.random.default_rng(9)
-        cfg = HeadConfig(3, 5, 2)
-        out = multi_head_attention(rng.normal(size=(4, 5)), random_heads(rng, 3, 5, 2), cfg)
-        assert out.shape == (4, cfg.num_heads * cfg.d_h)
+        out = multi_head_attention(rng.normal(size=(4, 5)), random_heads(rng, 3, 5, 2))
+        assert out.shape == (4, 3 * 2)
 
-    def test_head_count_mismatch_rejected(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(ValueError, match="heads"):
-            multi_head_attention(np.zeros((2, 4)), random_heads(rng, 2, 4, 3), HeadConfig(3, 4, 3))
+    def test_unequal_head_widths_match_oracle(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(6, 5))
+        # (query/key width, value width) per head; the last two differ
+        widths = [(2, 2), (4, 1), (1, 3)]
+        heads = [
+            AttentionWeights(rng.normal(size=(5, d_qk)), rng.normal(size=(5, d_qk)), rng.normal(size=(5, d_v)))
+            for d_qk, d_v in widths
+        ]
+        got = multi_head_attention(x, heads)
+        assert got.shape == (6, 2 + 1 + 3)
+        assert np.abs(got - multi_head_oracle(x, heads)).max() < 1e-10
+
+    def test_no_heads_rejected(self):
+        with pytest.raises(ValueError, match="at least one head"):
+            multi_head_attention(np.zeros((2, 4)), [])
 
     def test_head_shape_mismatch_rejected(self):
         rng = np.random.default_rng(11)
-        with pytest.raises(ValueError, match="head 0"):
-            multi_head_attention(np.zeros((2, 4)), random_heads(rng, 1, 4, 3), HeadConfig(1, 4, 5))
+        with pytest.raises(ValueError, match="^head 0 input width 4 does not match x width 5$"):
+            multi_head_attention(np.zeros((2, 5)), random_heads(rng, 1, 4, 3))
 
 
 class TestWeightValidation:
@@ -148,7 +157,3 @@ class TestWeightValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             AttentionWeights(np.array([[np.inf]]), np.zeros((1, 1)), np.zeros((1, 1)))
-
-    def test_head_config_positive(self):
-        with pytest.raises(ValueError):
-            HeadConfig(0, 4, 4)

@@ -70,13 +70,22 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value, message", [
-        ("simulate", "--frames-mean", "inf", "error: dwell_mean must be finite, got inf"),
+        ("simulate", "--frames-mean", "inf",
+         "error: argument --frames-mean: must be a number in [7, 1000000], got 'inf'"),
+        ("pipeline", "--frames-mean", "1e308",
+         "error: argument --frames-mean: must be a number in [7, 1000000], got '1e308'"),
+        ("pipeline", "--frames-mean", "0", "error: argument --frames-mean: must be a number in [7, 1000000], got '0'"),
+        ("simulate", "--frames-mean", "6.9",
+         "error: argument --frames-mean: must be a number in [7, 1000000], got '6.9'"),
+        ("simulate", "--frames-mean", "1000001",
+         "error: argument --frames-mean: must be a number in [7, 1000000], got '1000001'"),
         ("simulate", "--seed", "-1", "error: argument --seed: must be an integer >= 0, got '-1'"),
         ("simulate", "--overconfidence", "inf", "error: overconfidence must be finite and >= 1, got inf"),
         ("pipeline", "--overconfidence", "nan",
          "error in stage simulate: overconfidence must be finite and >= 1, got nan"),
         ("pipeline", "--seed", "-1", "error: argument --seed: must be an integer >= 0, got '-1'"),
-    ], ids=["frames_mean_inf", "negative_seed", "overconfidence_inf", "pipeline_overconfidence_nan",
+    ], ids=["frames_mean_inf", "frames_mean_1e308", "frames_mean_0", "frames_mean_6.9", "frames_mean_1000001",
+            "negative_seed", "overconfidence_inf", "pipeline_overconfidence_nan",
             "pipeline_negative_seed"])
     def test_bad_simulation_value_rejected_and_writes_nothing(self, tmp_path, capsys, command, flag, value, message):
         out = tmp_path / "data"
@@ -144,17 +153,21 @@ class TestCalibrate:
 
     def test_unlabeled_validation_named_and_writes_nothing(self, small_dataset, tmp_path, capsys):
         val, test = small_dataset
-        unlabeled = tmp_path / "val"
-        shutil.copytree(val, unlabeled)
-        lines = (val / "baseline.csv").read_text().splitlines()
-        rows = [line.split(",") for line in lines[1:]]
-        for row in rows:
-            row[2] = "0"
-        (unlabeled / "baseline.csv").write_text("\n".join([lines[0], *(",".join(r) for r in rows)]) + "\n")
+        unlabeled = _unlabeled_copy(val, tmp_path / "val")
         out = tmp_path / "cal"
         rc = main(["calibrate", "--val", str(unlabeled), "--test", str(test), "--out", str(out)])
         assert rc == 2
         assert "sequence 'video00' carries no labels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unlabeled_test_split_named_and_writes_nothing(self, small_dataset, tmp_path, capsys):
+        val, test = small_dataset
+        unlabeled = _unlabeled_copy(test, tmp_path / "test")
+        out = tmp_path / "cal"
+        rc = main(["calibrate", "--val", str(val), "--test", str(unlabeled), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {unlabeled / 'baseline.csv'}: sequence 'video00' carries no labels\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["val", "test", "bank"])
@@ -198,6 +211,7 @@ class TestInfer:
         preds = load_timelines(out)
         assert sorted(preds) == ["video00", "video01"]
         assert set(load_traces(trace)) == {"video00", "video01"}
+        assert "resolved_" not in (tmp_path / "config.txt").read_text()
 
     def test_confidence_with_auto_temperature(self, small_dataset, tmp_path, capsys):
         val, test = small_dataset
@@ -233,15 +247,17 @@ class TestInfer:
         assert not out.exists()
 
     def test_sweep_with_transition_strategy_rejected_and_writes_nothing(self, small_dataset, tmp_path, capsys):
+        """--sweep and --temperature auto each apply only to the confidence strategy."""
         val, test = small_dataset
         out = tmp_path / "inf"
-        rc = main(["infer", "--strategy", "transition", "--bank", str(test / "bank"), "--sweep", "--val", str(val),
-                   "--out", str(out / "pred.csv")])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: --sweep applies only to --strategy confidence\n"
-        assert captured.out == ""
-        assert not out.exists()
+        for flags in (["--sweep"], ["--temperature", "auto"]):
+            rc = main(["infer", "--strategy", "transition", "--bank", str(test / "bank"), *flags, "--val", str(val),
+                       "--out", str(out / "pred.csv")])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {' '.join(flags)} applies only to --strategy confidence\n"
+            assert captured.out == ""
+            assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["transition", "confidence"])
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", ""])
@@ -263,6 +279,22 @@ class TestInfer:
         preds = load_timelines(out)
         for vid, seq in load_logits(test / "baseline.csv").items():
             assert np.array_equal(preds[vid].labels, baseline_argmax(seq).labels)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [r[:5] for r in rows], "baseline logits must have K=7, got K=2"),
+        (lambda rows: [["zz", *r[1:]] if r[0] == "video01" else r for r in rows], "bank does not cover video 'zz'"),
+    ], ids=["k2", "unknown_video"])
+    def test_baseline_not_matching_bank_named_and_writes_nothing(self, small_dataset, tmp_path, capsys, edit, message):
+        _, test = small_dataset
+        rows = [line.split(",") for line in (test / "baseline.csv").read_text().splitlines()]
+        base = tmp_path / "baseline.csv"
+        base.write_text("\n".join(",".join(r) for r in edit(rows)) + "\n")
+        out = tmp_path / "inf"
+        rc = main(["infer", "--strategy", "confidence", "--base", str(base), "--bank", str(test / "bank"),
+                   "--out", str(out / "pred.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {base}: {message}\n"
+        assert not out.exists()
 
     def test_missing_bank_names_pair_file(self, small_dataset, tmp_path, capsys):
         _, test = small_dataset
@@ -319,7 +351,9 @@ class TestInfer:
                    "--bank", str(test / "bank"), "--sweep", "--val", str(partial),
                    "--out", str(tmp_path / "pred.csv")])
         assert rc == 2
-        assert "missing ground truth for videos: video01" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {partial / 'baseline.csv'}: missing ground truth for videos: video01\n")
+        assert not (tmp_path / "pred.csv").exists()
 
     def test_sweep_names_video_with_short_ground_truth(self, small_dataset, tmp_path, capsys):
         val, test = small_dataset
@@ -331,9 +365,20 @@ class TestInfer:
                    "--bank", str(test / "bank"), "--sweep", "--val", str(partial),
                    "--out", str(tmp_path / "pred.csv")])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert f"frame counts differ from ground truth: video01: {frames} frames, ground truth 100" in err
+        assert capsys.readouterr().err == (f"error: {partial / 'baseline.csv'}: frame counts differ from ground truth: "
+                                           f"video01: {frames} frames, ground truth 100\n")
         assert not (tmp_path / "pred.csv").exists()
+
+
+def _unlabeled_copy(split, dst):
+    """Copy the dataset directory ``split`` to ``dst`` with every baseline label set to 0."""
+    shutil.copytree(split, dst)
+    lines = (split / "baseline.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        row[2] = "0"
+    (dst / "baseline.csv").write_text("\n".join([lines[0], *(",".join(r) for r in rows)]) + "\n")
+    return dst
 
 
 def _truncate_video(gt, vid, keep):
@@ -403,8 +448,19 @@ class TestEvaluate:
         out = tmp_path / "eval"
         rc = main(["evaluate", "--pred", str(pred), "--gt", str(gt), "--out", str(out)])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert f"frame counts differ from ground truth: video00: {frames} frames, ground truth 100" in err
+        assert capsys.readouterr().err == (
+            f"error: {pred}: frame counts differ from ground truth: video00: {frames} frames, ground truth 100\n")
+        assert not out.exists()
+
+    def test_prediction_without_ground_truth_named_and_writes_nothing(self, small_dataset, tmp_path, capsys):
+        _, test = small_dataset
+        pred = tmp_path / "pred.csv"
+        main(["infer", "--strategy", "transition", "--bank", str(test / "bank"), "--out", str(pred)])
+        pred.write_text(pred.read_text().replace("video01,", "zz,"))
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--pred", str(pred), "--gt", str(test / "gt.csv"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {pred}: missing ground truth for videos: zz\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
@@ -615,7 +671,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("content, message", [
         (b"videos = 1\n# note\n\nmonotone = flase\n",
          "{cfg}:4: monotone takes 1/true/yes/on or 0/false/no/off, got 'flase'"),
-        (b"videos = 1\r\nframes_mean = abc\n", "{cfg}:2: argument --frames-mean: invalid float value: 'abc'"),
+        (b"videos = 1\r\nframes_mean = abc\n",
+         "{cfg}:2: argument --frames-mean: must be a number in [7, 1000000], got 'abc'"),
         (b"videos = 1\nprefix = #v\n", "{cfg}:2: argument --prefix: '#v' has a comma, line break, "
                                         "leading '#' or surrounding whitespace"),
         (b"sweep = yes\n", "{cfg}:1: unknown config key 'sweep'"),
@@ -696,7 +753,8 @@ class TestConfigFile:
         """Any subset of simulate and infer settings, given as config lines
         (either key spelling, any case of a boolean word) or as flags, gives
         the same exit code, config.txt echo and output bytes. A transition
-        run with --sweep is rejected both ways and writes nothing."""
+        run with --sweep or --temperature auto is rejected both ways and
+        writes nothing."""
         val, test = small_dataset
 
         def draw(settings, switch_off):
@@ -727,7 +785,7 @@ class TestConfigFile:
             (root / "infer.cfg").write_text(text)
             paths = ["--strategy", strategy, "--base", str(test / "baseline.csv"), "--bank", str(test / "bank"),
                      "--val", str(val)]
-            expected = 2 if strategy == "transition" and "--sweep" in flags else 0
+            expected = 2 if strategy == "transition" and ("--sweep" in flags or "auto" in flags) else 0
             for how, extra in (("flags", flags), ("file", ["--config", str(root / "infer.cfg")])):
                 assert main(["infer", *paths, *extra, "--trace", str(root / how / "inf" / "trace.csv"),
                              "--out", str(root / how / "inf" / "pred.csv")]) == expected
