@@ -292,9 +292,11 @@ def _infer(strategy: str, baselines: dict[str, LogitSequence], bank, cfg) -> tup
 
 def cmd_infer(args) -> int:
     confidence = args.strategy == "confidence"
-    if not confidence and (args.sweep or args.temperature == "auto"):
-        flag = "--sweep" if args.sweep else "--temperature auto"
-        raise ValueError(f"{flag} applies only to --strategy confidence")
+    if not confidence:  # name the first flag the transition strategy would ignore
+        for flag, given in (("--sweep", args.sweep), ("--temperature auto", args.temperature == "auto"),
+                            ("--base", args.base is not None), ("--val", args.val is not None)):
+            if given:
+                raise ValueError(f"{flag} applies only to --strategy confidence")
     bank = load_bank(args.bank)
     # one parse of the validation baselines serves both --temperature auto and --sweep
     val_base = None

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from .logits import LogitSequence, TransitionLogitBank, argmax_confidence_rows, positive_temperature
-from .workflow import NUM_PHASES, PhaseTimeline, all_transition_pairs, phase_cells, read_rows
+from .workflow import (NUM_PHASES, PhaseTimeline, all_transition_pairs, float_text, int_text, phase_cells, read_rows,
+                       write_rows)
 
 BASELINE_MODEL = "baseline"
 # A trace's model code indexes this: 0 is the baseline, k is pair (k, k + 1).
@@ -263,16 +263,13 @@ def save_traces(traces, path) -> None:
     """
     if isinstance(traces, InferenceTrace):
         traces = [traces]
-    lines = [TRACE_HEADER]
-    for trace in traces:
-        vid = trace.video_id
-        names = [MODEL_NAMES[code] for code in trace.model.tolist()]
-        conf = [repr(c) if has else "" for c, has in zip(trace.confidence.tolist(), trace.has_confidence.tolist())]
-        lines.extend(
-            f"{vid},{i},{m},{s},{c},{p}"
-            for i, m, s, c, p in zip(range(len(trace)), names, trace.state.tolist(), conf, trace.prediction.tolist())
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(path, TRACE_HEADER, ((trace.video_id, _trace_text(trace)) for trace in traces))
+
+
+def _trace_text(trace: InferenceTrace) -> tuple[list[str], ...]:
+    names = list(map(MODEL_NAMES.__getitem__, trace.model.tolist()))
+    conf = [c if has else "" for c, has in zip(float_text(trace.confidence), trace.has_confidence.tolist())]
+    return names, int_text(trace.state), conf, int_text(trace.prediction)
 
 
 def _trace_columns(cells) -> tuple[np.ndarray, ...]:

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .workflow import PHASE_MAX, PHASE_MIN, TransitionPair, all_transition_pairs, int_cells, read_rows
+from .workflow import (PHASE_MAX, PHASE_MIN, TransitionPair, all_transition_pairs, float_text, int_cells, int_text,
+                       read_rows, write_rows)
 
 BANK_FILE_SUFFIX = ".csv"
 LOGIT_HEADER = "video_id,frame_idx,label"
@@ -158,11 +159,6 @@ class TransitionLogitBank:
         return next(iter(by_pair.values())).num_frames
 
 
-def _logit_header(num_classes: int) -> str:
-    zcols = ",".join(f"z{i}" for i in range(1, num_classes + 1))
-    return f"{LOGIT_HEADER},{zcols}"
-
-
 def save_logits(sequences, path) -> None:
     """Write one or more LogitSequence values to a columnar text file.
 
@@ -180,14 +176,16 @@ def save_logits(sequences, path) -> None:
     for seq in sequences:
         if seq.num_classes != k:
             raise ValueError("all sequences in one file must share the class count")
-    lines = [_logit_header(k)]
-    for seq in sequences:
-        labels = [0] * seq.num_frames if seq.labels is None else seq.labels.tolist()
-        lines.extend(
-            f"{seq.video_id},{i},{lab},{','.join(map(repr, row))}"
-            for i, (lab, row) in enumerate(zip(labels, seq.logits.tolist()))
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = LOGIT_HEADER + "".join(f",z{i}" for i in range(1, k + 1))
+    write_rows(path, header, ((seq.video_id, _logit_text(seq)) for seq in sequences))
+
+
+def _logit_text(seq: LogitSequence) -> list[list[str]]:
+    """The label column and the K score columns of ``seq`` as cell strings."""
+    n = seq.num_frames
+    labels = ["0"] * n if seq.labels is None else int_text(seq.labels)
+    scores = float_text(seq.logits.T.ravel())
+    return [labels, *(scores[j:j + n] for j in range(0, len(scores), n))]
 
 
 def _logit_columns(cells) -> tuple[list[int], np.ndarray]:

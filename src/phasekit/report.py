@@ -15,7 +15,7 @@ import numpy as np
 
 from .calibration import CalibrationReport, Temperature
 from .metrics import CascadeReport, CascadeRun
-from .workflow import PhaseTimeline, all_transition_pairs
+from .workflow import PhaseTimeline, all_transition_pairs, segment_boundaries
 
 # One color band per phase, 1..7.
 PHASE_COLORS = (
@@ -217,7 +217,7 @@ def write_reliability_csv(bins: tuple[np.ndarray, np.ndarray, np.ndarray], path)
 
 def ribbon_svg(gt: PhaseTimeline, pred: PhaseTimeline) -> str:
     """Two-row SVG ribbon (ground truth above, prediction below), one colored
-    cell per frame per row."""
+    rect per run of equal labels in each row."""
     if len(gt) != len(pred):
         raise ValueError("ribbon needs equal-length timelines")
     n = len(gt)
@@ -234,11 +234,11 @@ def ribbon_svg(gt: PhaseTimeline, pred: PhaseTimeline) -> str:
     ]
     for row, timeline in ((0, gt), (1, pred)):
         y = pad + row * (row_height + pad)
-        for i, phase in enumerate(timeline.labels):
-            x = label_w + i * cell_width
-            color = PHASE_COLORS[int(phase) - 1]
+        starts = [0, *(frame for frame, _, _ in segment_boundaries(timeline))]
+        for start, stop in zip(starts, [*starts[1:], n]):
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell_width}" height="{row_height}" fill="{color}"/>'
+                f'<rect x="{label_w + start * cell_width}" y="{y}" width="{(stop - start) * cell_width}" '
+                f'height="{row_height}" fill="{PHASE_COLORS[timeline.labels[start] - 1]}"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

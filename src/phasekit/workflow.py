@@ -107,10 +107,39 @@ def save_timelines(timelines, path) -> None:
     """
     if isinstance(timelines, PhaseTimeline):
         timelines = [timelines]
-    lines = [TIMELINE_HEADER]
-    for t in timelines:
-        lines.extend(f"{t.video_id},{i},{p}" for i, p in enumerate(t.labels.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(path, TIMELINE_HEADER, ((t.video_id, (int_text(t.labels),)) for t in timelines))
+
+
+def write_rows(path, header: str, videos) -> None:
+    """Write ``header``, then one line ``video_id,frame_idx,<cells>`` per frame
+    of each ``(video_id, columns)`` of the lazy iterable ``videos``, where the
+    columns are equal-length lists of cell strings; one video is held at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for vid, columns in videos:
+            n = len(columns[0])
+            frames = _canonical_frames(0, n)
+            frames.extend(map(str, range(len(frames), n)))
+            fh.write("\n".join(map(",".join, zip(repeat(vid, n), frames, *columns))) + "\n")
+
+
+def float_text(column) -> list[str]:
+    """``repr`` of each float of a 1-D array, computed once per distinct bit
+    pattern (so -0.0 and 0.0 stay apart)."""
+    column = np.asarray(column, dtype=np.float64)
+    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    if bits.size == column.size:
+        return list(map(repr, column.tolist()))
+    return list(map(list(map(repr, bits.view(np.float64).tolist())).__getitem__, where.tolist()))
+
+
+def int_text(column) -> list[str]:
+    """``str`` of each integer of a 1-D array, looked up among the canonical
+    frame_idx cells when every value is one."""
+    column = np.asarray(column)
+    if column.size and 0 <= column.min() and column.max() < CANONICAL_FRAMES_MAX:
+        return list(map(_canonical_frames(0, int(column.max()) + 1).__getitem__, column.tolist()))
+    return list(map(str, column.tolist()))
 
 
 def check_utf8(path) -> None:

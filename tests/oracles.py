@@ -4,12 +4,14 @@ Everything here deliberately avoids the code paths under test: NLL goes
 through scipy's logsumexp, the temperature oracle is an exhaustive geometric
 grid, majority voting uses collections.Counter, and the simulator's margin
 solve uses adaptive quadrature inside brentq. The file loaders read one row
-at a time through the row-by-row reader the block reader replaced. The
-inference strategies, the threshold sweep, cascade detection and the trace
-writer run one frame at a time over records, as the array versions replaced
-them; a record is a (frame_idx, model, state, confidence, prediction) tuple.
-Attention smoothing makes one kernel call per frame over its trailing window,
-as the stacked-matmul version replaced it.
+at a time through the row-by-row reader the block reader replaced, and the
+file writers format one line per frame, as the streaming writer replaced
+them. The inference strategies, the threshold sweep, cascade detection and
+the trace writer run one frame at a time over records, as the array
+versions replaced them; a record is a (frame_idx, model, state, confidence,
+prediction) tuple. Attention smoothing makes one kernel call per frame over
+its trailing window, as the stacked-matmul version replaced it. The ribbon
+draws one rect per frame, as the one-rect-per-run version replaced it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from phasekit.attention import scaled_dot_attention
-from phasekit.inference import BASELINE_MODEL, MODEL_NAMES, SWEEP_GRID, TRACE_HEADER
+from phasekit.inference import BASELINE_MODEL, MODEL_NAMES, SWEEP_GRID, TRACE_HEADER, InferenceTrace
 from phasekit.logits import LOGIT_HEADER, LogitSequence, argmax_confidence_rows
+from phasekit.report import PHASE_COLORS
 from phasekit.workflow import (
     NUM_PHASES,
     PHASE_MAX,
@@ -167,6 +170,81 @@ def oracle_read_rows(path, header: str, convert, *, open_ended: bool = False) ->
     if not per_video:
         raise ValueError(f"{path}: no frames")
     return per_video
+
+
+def oracle_save_timelines(timelines, path) -> None:
+    """Write timelines one line per frame."""
+    if isinstance(timelines, PhaseTimeline):
+        timelines = [timelines]
+    lines = [TIMELINE_HEADER]
+    for t in timelines:
+        lines.extend(f"{t.video_id},{i},{p}" for i, p in enumerate(t.labels.tolist()))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def oracle_save_logits(sequences, path) -> None:
+    """Write LogitSequence values one line per frame, each score through repr."""
+    if isinstance(sequences, LogitSequence):
+        sequences = [sequences]
+    sequences = list(sequences)
+    if not sequences:
+        raise ValueError("nothing to save")
+    k = sequences[0].num_classes
+    for seq in sequences:
+        if seq.num_classes != k:
+            raise ValueError("all sequences in one file must share the class count")
+    lines = [LOGIT_HEADER + "".join(f",z{i}" for i in range(1, k + 1))]
+    for seq in sequences:
+        labels = [0] * seq.num_frames if seq.labels is None else seq.labels.tolist()
+        lines.extend(
+            f"{seq.video_id},{i},{lab},{','.join(map(repr, row))}"
+            for i, (lab, row) in enumerate(zip(labels, seq.logits.tolist()))
+        )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def oracle_save_trace_arrays(traces, path) -> None:
+    """Write InferenceTrace values one line per frame."""
+    if isinstance(traces, InferenceTrace):
+        traces = [traces]
+    lines = [TRACE_HEADER]
+    for trace in traces:
+        vid = trace.video_id
+        names = [MODEL_NAMES[code] for code in trace.model.tolist()]
+        conf = [repr(c) if has else "" for c, has in zip(trace.confidence.tolist(), trace.has_confidence.tolist())]
+        lines.extend(
+            f"{vid},{i},{m},{s},{c},{p}"
+            for i, m, s, c, p in zip(range(len(trace)), names, trace.state.tolist(), conf, trace.prediction.tolist())
+        )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def oracle_ribbon_svg(gt: PhaseTimeline, pred: PhaseTimeline) -> str:
+    """The two-row ribbon with one colored cell per frame per row."""
+    if len(gt) != len(pred):
+        raise ValueError("ribbon needs equal-length timelines")
+    n = len(gt)
+    cell_width, row_height = 3, 24
+    label_w = 90
+    pad = 4
+    width = label_w + n * cell_width + pad
+    height = 2 * row_height + 3 * pad
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<text x="2" y="{pad + row_height - 8}" font-size="12" font-family="monospace">ground truth</text>',
+        f'<text x="2" y="{2 * pad + 2 * row_height - 8}" font-size="12" font-family="monospace">prediction</text>',
+    ]
+    for row, timeline in ((0, gt), (1, pred)):
+        y = pad + row * (row_height + pad)
+        for i, phase in enumerate(timeline.labels):
+            x = label_w + i * cell_width
+            color = PHASE_COLORS[int(phase) - 1]
+            parts.append(
+                f'<rect x="{x}" y="{y}" width="{cell_width}" height="{row_height}" fill="{color}"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def _oracle_phase(fields) -> int:

@@ -247,15 +247,16 @@ class TestInfer:
         assert not out.exists()
 
     def test_sweep_with_transition_strategy_rejected_and_writes_nothing(self, small_dataset, tmp_path, capsys):
-        """--sweep and --temperature auto each apply only to the confidence strategy."""
+        """--sweep, --temperature auto, --base and --val each apply only to the confidence strategy."""
         val, test = small_dataset
         out = tmp_path / "inf"
-        for flags in (["--sweep"], ["--temperature", "auto"]):
+        for flags, named in ((["--sweep"], "--sweep"), (["--temperature", "auto"], "--temperature auto"),
+                             (["--base", str(tmp_path / "X")], "--base"), ([], "--val")):
             rc = main(["infer", "--strategy", "transition", "--bank", str(test / "bank"), *flags, "--val", str(val),
                        "--out", str(out / "pred.csv")])
             assert rc == 2
             captured = capsys.readouterr()
-            assert captured.err == f"error: {' '.join(flags)} applies only to --strategy confidence\n"
+            assert captured.err == f"error: {named} applies only to --strategy confidence\n"
             assert captured.out == ""
             assert not out.exists()
 
@@ -783,8 +784,9 @@ class TestConfigFile:
             strategy = data.draw(st.sampled_from(["transition", "confidence"]))
             text, flags = draw(INFER_SETTINGS, lambda key: [])
             (root / "infer.cfg").write_text(text)
-            paths = ["--strategy", strategy, "--base", str(test / "baseline.csv"), "--bank", str(test / "bank"),
-                     "--val", str(val)]
+            paths = ["--strategy", strategy, "--bank", str(test / "bank")]
+            if strategy == "confidence":
+                paths += ["--base", str(test / "baseline.csv"), "--val", str(val)]
             expected = 2 if strategy == "transition" and ("--sweep" in flags or "auto" in flags) else 0
             for how, extra in (("flags", flags), ("file", ["--config", str(root / "infer.cfg")])):
                 assert main(["infer", *paths, *extra, "--trace", str(root / how / "inf" / "trace.csv"),

@@ -1,11 +1,22 @@
-"""The three CSV formats: exact writer output, and the block reader checked
-against the row-by-row reference reader on valid and corrupted files."""
+"""The three CSV formats: exact writer output, the streaming writer checked
+against the per-row reference writers, and the block reader checked against
+the row-by-row reference reader on valid and corrupted files."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_load_logits, oracle_load_timelines, oracle_load_traces
+from oracles import (
+    oracle_load_logits,
+    oracle_load_timelines,
+    oracle_load_traces,
+    oracle_save_logits,
+    oracle_save_timelines,
+    oracle_save_trace_arrays,
+)
 from phasekit import workflow
 from phasekit.cli import main
 from phasekit.inference import TRACE_HEADER, InferenceTrace, load_traces, save_traces
@@ -54,6 +65,112 @@ class TestWriters:
             b"b,0,baseline,1,0.75,3\n"
             b"b,1,trans_3_4,3,0.1,4\n"
         )
+
+
+# Values that repeat and that differ only in sign or format edge cases, mixed
+# into the arbitrary finite floats the writers are checked on.
+FLOAT_POOL = [0.0, -0.0, 16.0, 5e-324, 1e16, 1e-5]
+
+
+def _float_column(draw, n):
+    values = st.one_of(st.sampled_from(FLOAT_POOL), st.floats(allow_nan=False, allow_infinity=False))
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+
+
+@st.composite
+def _written(draw, kind):
+    """The values one writer takes: 1-4 videos of 1-40 frames each."""
+    vids = draw(st.lists(st.sampled_from(["a", "b", "v10", "video07"]), min_size=1, max_size=4, unique=True))
+    k = draw(st.integers(2, 7))
+    values = []
+    for vid in vids:
+        n = draw(st.integers(1, 40))
+        phases = st.lists(st.integers(1, 7), min_size=n, max_size=n)
+        if kind == "timeline":
+            values.append(PhaseTimeline(vid, draw(phases)))
+        elif kind == "logits":
+            labels = draw(st.one_of(st.none(), phases))
+            values.append(LogitSequence(vid, _float_column(draw, n * k).reshape(n, k), labels=labels))
+        else:
+            values.append(InferenceTrace(
+                vid, model=draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), state=draw(phases),
+                confidence=_float_column(draw, n),
+                has_confidence=draw(st.lists(st.booleans(), min_size=n, max_size=n)), prediction=draw(phases)))
+    return values
+
+
+WRITERS = {
+    "timeline": (save_timelines, oracle_save_timelines, load_timelines),
+    "logits": (save_logits, oracle_save_logits, load_logits),
+    "trace": (save_traces, oracle_save_trace_arrays, load_traces),
+}
+
+
+def _assert_written_as_oracle(kind, values, tmp):
+    """The streaming writer's bytes equal the per-row writer's, and the
+    loader reads every array back bit for bit."""
+    save, oracle, load = WRITERS[kind]
+    save(values, tmp / "new.csv")
+    oracle(values, tmp / "old.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+    loaded = load(tmp / "new.csv")
+    assert list(loaded) == [v.video_id for v in values]
+    for value in values:
+        got = loaded[value.video_id]
+        if kind == "timeline":
+            assert got.labels.tobytes() == value.labels.tobytes()
+        elif kind == "logits":
+            assert got.logits.shape == value.logits.shape
+            assert got.logits.tobytes() == value.logits.tobytes()
+            assert (got.labels is None) == (value.labels is None)
+            assert value.labels is None or got.labels.tobytes() == value.labels.tobytes()
+        else:
+            assert got == value
+            assert got.confidence.tobytes() == value.confidence.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(WRITERS))
+@given(data=st.data())
+def test_writers_match_row_writers(kind, data, tmp_path_factory):
+    _assert_written_as_oracle(kind, data.draw(_written(kind)), tmp_path_factory.mktemp(kind))
+
+
+@pytest.mark.parametrize("kind", list(WRITERS))
+def test_writers_match_row_writers_past_the_canonical_cap(kind, tmp_path):
+    """70,000 frames in one video: frame_idx cells past CANONICAL_FRAMES_MAX."""
+    n = 70_000
+    assert n > workflow.CANONICAL_FRAMES_MAX
+    rng = np.random.default_rng(14)
+    phases = rng.integers(1, 8, size=n)
+    z = rng.choice(np.array([0.0, -0.0, 16.0, 5e-324, 1e16, 1e-5, 0.1, -2.5]), size=(n, 2))
+    values = {
+        "timeline": [PhaseTimeline("v", phases)],
+        "logits": [LogitSequence("v", z, labels=phases)],
+        "trace": [InferenceTrace("v", model=phases - 1, state=phases, confidence=z[:, 0],
+                                 has_confidence=z[:, 1] > 0, prediction=phases)],
+    }[kind]
+    _assert_written_as_oracle(kind, values, tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["logits", "timeline"])
+def test_writer_streams_one_video_at_a_time(kind, tmp_path):
+    """Writing 20 videos x 2,000 frames allocates at its peak less than the
+    file it writes: the writer never holds every video's lines at once."""
+    rng = np.random.default_rng(7)
+    if kind == "logits":
+        values = [LogitSequence(f"video{i:02d}", rng.normal(size=(2000, 7)), labels=rng.integers(1, 8, size=2000))
+                  for i in range(20)]
+    else:
+        values = [PhaseTimeline(f"video{i:02d}", rng.integers(1, 8, size=2000)) for i in range(20)]
+    save = WRITERS[kind][0]
+    path = tmp_path / "f.csv"
+    tracemalloc.start()
+    try:
+        save(values, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_error_names_line_beyond_several_blocks(tmp_path):

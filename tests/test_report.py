@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import oracle_ribbon_svg
 from phasekit.calibration import CalibrationReport, Temperature, reliability_bins
 from phasekit.metrics import evaluate_predictions
 from phasekit.report import (
@@ -193,17 +196,59 @@ class TestReliabilityCsv:
         assert path.read_text().splitlines()[2].startswith("0.06666666666666667,0.13333333333333333,")
 
 
+RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="24" fill="(#[0-9a-f]{6})"/>\n')
+
+
+def _frame_fills(svg: str, n: int) -> dict[int, list[tuple[str, int]]]:
+    """{row y: [(fill, rect number) per frame]} of a ribbon's rects, checking
+    that every line from the first rect to the closing tag is a rect and
+    every frame of each row is covered by exactly one of them."""
+    body = "<rect" + svg.partition("<rect")[2]
+    assert body.endswith("/>\n</svg>\n")
+    body = body.removesuffix("</svg>\n")
+    assert RECT.sub("", body) == ""
+    rows: dict[int, dict[int, tuple[str, int]]] = {}
+    for number, (x, y, width, fill) in enumerate(RECT.findall(body)):
+        start, offset = divmod(int(x) - 90, 3)
+        size, rest = divmod(int(width), 3)
+        assert offset == rest == 0 and size > 0
+        cells = rows.setdefault(int(y), {})
+        for frame in range(start, start + size):
+            assert frame not in cells, (y, frame)
+            cells[frame] = (fill, number)
+    assert sorted(rows) == [4, 32]
+    for cells in rows.values():
+        assert sorted(cells) == list(range(n))
+    return {y: [cells[i] for i in range(n)] for y, cells in rows.items()}
+
+
 class TestRibbonSvg:
     def test_matches_golden_file(self):
         gt = PhaseTimeline("v", [1, 1, 2, 3, 7])
         pred = PhaseTimeline("v", [1, 2, 2, 3, 6])
         assert ribbon_svg(gt, pred) == (GOLDEN / "ribbon.svg").read_text()
 
-    def test_rect_count_is_two_rows_by_frames(self):
+    def test_rect_count_is_one_per_label_run(self):
         n = 37
-        gt = PhaseTimeline("v", np.ones(n, dtype=int))
-        pred = PhaseTimeline("v", np.full(n, 2))
-        assert ribbon_svg(gt, pred).count("<rect") == 2 * n
+        constant = PhaseTimeline("v", np.ones(n, dtype=int))
+        alternating = PhaseTimeline("v", 1 + np.arange(n) % 2)
+        rows = _frame_fills(ribbon_svg(constant, alternating), n)
+        assert [len({rect for _, rect in frames}) for frames in rows.values()] == [1, n]
+
+    @given(st.data())
+    def test_runs_paint_the_frames_the_per_frame_ribbon_paints(self, data):
+        n = data.draw(st.integers(1, 60))
+        labels = st.lists(st.sampled_from(data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))),
+                          min_size=n, max_size=n)
+        gt, pred = PhaseTimeline("v", data.draw(labels)), PhaseTimeline("v", data.draw(labels))
+        svg, expected = ribbon_svg(gt, pred), oracle_ribbon_svg(gt, pred)
+        assert svg.partition("<rect")[0] == expected.partition("<rect")[0]
+        rows = _frame_fills(svg, n)
+        fills = {y: [fill for fill, _ in frames] for y, frames in rows.items()}
+        assert fills == {y: [fill for fill, _ in frames] for y, frames in _frame_fills(expected, n).items()}
+        for (_, frames), timeline in zip(sorted(rows.items()), (gt, pred)):
+            same_rect = [a[1] == b[1] for a, b in zip(frames, frames[1:])]
+            assert same_rect == (timeline.labels[1:] == timeline.labels[:-1]).tolist()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
