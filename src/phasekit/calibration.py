@@ -92,17 +92,27 @@ def as_arrays(logits, labels=None) -> tuple[np.ndarray, np.ndarray]:
     return z, y
 
 
-def _nll_arrays(z: np.ndarray, y: np.ndarray, t: float) -> float:
-    # v - m may overflow to -inf, whose exp is the right limit 0; a scaled logit of inf gives inf or NaN, raised below
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = z / t
-        m = v.max(axis=1, keepdims=True)
-        lse = (m + np.log(np.exp(v - m).sum(axis=1, keepdims=True)))[:, 0]
-        true = v[np.arange(z.shape[0]), y - 1]
-        value = float((lse - true).mean())
-    if not math.isfinite(value):
-        raise ValueError(f"NLL is not finite at temperature {t!r}: the scaled logits overflow")
-    return value
+def _nll_at(z: np.ndarray, y: np.ndarray):
+    """The mean NLL of (z, y) as a function of the temperature, for many
+    probes of one set: the true-class logits are gathered once, and every
+    probe reuses one (n, K) buffer and one (n, 1) buffer."""
+    true = z[np.arange(z.shape[0]), y - 1]
+    v = np.empty_like(z)
+    m = np.empty_like(z[:, :1])
+
+    def value_at(t: float) -> float:
+        # v - m may overflow to -inf, whose exp is the right limit 0; a scaled logit of inf gives inf or NaN, raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(z, t, out=v)
+            np.max(v, axis=1, keepdims=True, out=m)
+            np.subtract(v, m, out=v)
+            lse = (m + np.log(np.exp(v, out=v).sum(axis=1, keepdims=True)))[:, 0]
+            value = float((lse - true / t).mean())
+        if not math.isfinite(value):
+            raise ValueError(f"NLL is not finite at temperature {t!r}: the scaled logits overflow")
+        return value
+
+    return value_at
 
 
 def nll(logits, labels=None, temperature=1.0) -> float:
@@ -112,7 +122,7 @@ def nll(logits, labels=None, temperature=1.0) -> float:
     when the scaled logits overflow and the result is not finite.
     """
     z, y = as_arrays(logits, labels)
-    return _nll_arrays(z, y, positive_temperature(temperature))
+    return _nll_at(z, y)(positive_temperature(temperature))
 
 
 def reliability_bins(
@@ -192,8 +202,10 @@ def fit_temperature(logits, labels=None) -> Temperature:
     lo, hi = TEMPERATURE_SEARCH_RANGE
     log_lo, log_hi = math.log(lo), math.log(hi)
 
+    nll_at = _nll_at(z, y)
+
     def objective(log_t: float) -> float:
-        return _nll_arrays(z, y, math.exp(log_t))
+        return nll_at(math.exp(log_t))
 
     best_log = golden_section_minimize(objective, log_lo, log_hi, TEMPERATURE_LOG_TOL)
     fitted = math.exp(best_log)
@@ -205,7 +217,7 @@ def fit_temperature(logits, labels=None) -> Temperature:
             RuntimeWarning,
             stacklevel=2,
         )
-    if _nll_arrays(z, y, 1.0) < _nll_arrays(z, y, fitted):
+    if nll_at(1.0) < nll_at(fitted):
         fitted = 1.0
     return Temperature(fitted)
 
@@ -224,7 +236,8 @@ def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, val_name: str 
         raise ValueError(f"{val_name}: {exc}") from None
     try:
         test_z, test_y = as_arrays(test)
-        nll_before, nll_after = (_nll_arrays(test_z, test_y, t) for t in (1.0, fitted.value))
+        # the objective's buffers go with the map, before the ECE passes allocate
+        nll_before, nll_after = map(_nll_at(test_z, test_y), (1.0, fitted.value))
     except ValueError as exc:
         raise ValueError(f"{test_name}: {exc}") from None
     return CalibrationReport(

@@ -7,6 +7,8 @@ Exit codes: 0 success, 2 input or config error.
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -40,6 +42,66 @@ def _stage(name: str):
         yield
     except (ValueError, KeyError, OSError) as exc:
         raise StageError(name, exc) from exc
+
+
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked child,
+    chained as the cause of that exception when the parent re-raises it."""
+
+
+@contextmanager
+def _alongside(stage: str, work):
+    """Run ``work()`` in one forked child while the block runs in this process.
+
+    After the block, even when it raised, the parent reads what the child
+    sent and reaps it. An exception ``work`` raised, or the child's death by
+    a signal, is then raised inside ``_stage(stage)``; it replaces any
+    exception of the block, because ``stage`` comes first. The child ends
+    with ``os._exit``, so it never flushes this process's buffers or runs its
+    exit handlers. Where ``os.fork`` does not exist, ``work()`` runs first,
+    inline.
+    """
+    if not hasattr(os, "fork"):
+        with _stage(stage):
+            work()
+        yield
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                try:
+                    work()
+                except BaseException as exc:  # sent to the parent, which raises it again
+                    import traceback  # here, so that importing cli loads no module for it
+                    pipe.write(pickle.dumps((exc, traceback.format_exc())))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        yield
+    finally:
+        with open(read_fd, "rb") as pipe:
+            sent = pipe.read()  # all of it before waiting, so a full pipe cannot block the child
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        with _stage(stage):
+            if sent:  # the child's own bytes, so unpickling them is safe
+                exc, text = pickle.loads(sent)
+                raise exc from _ChildTraceback(text)
+            if code < 0:
+                import signal
+                raise ChildProcessError(f"writer process {pid} was killed by {signal.Signals(-code).name}")
+            if code:
+                raise ChildProcessError(f"writer process {pid} exited with status {code}")
 
 
 @contextmanager
@@ -402,8 +464,11 @@ def cmd_pipeline(args) -> int:
 
     The whole configuration is checked, and every video simulated, before the
     first artifact is written. Each stage writes its artifacts once and hands
-    its in-memory results to the next, so no artifact is read back. Identical configuration and seed
-    yield byte-identical trees. Raises StageError naming the failing stage.
+    its in-memory results to the next, so no artifact is read back. One forked
+    child writes the two datasets while this process runs the later stages.
+    Identical configuration and seed yield byte-identical trees. Raises
+    StageError naming the failing stage; a failed dataset write is named
+    ``simulate`` even though the later stages have run by then.
     """
     with _stage("simulate"):
         workflow = _workflow_spec(args)
@@ -417,59 +482,63 @@ def cmd_pipeline(args) -> int:
         out = Path(args.out)
         echo = _simulation_echo(args, workflow)
         del echo["command"]  # keeps pipeline echoes byte-identical to earlier versions
-        write_config_echo(out, echo)
-        for split, split_videos in videos.items():
-            simulate.save_dataset(split_videos, out / split)
-            write_config_echo(out / split, echo)
+        for directory in (out, out / "val", out / "test"):
+            write_config_echo(directory, echo)
         base_val = {v.baseline.video_id: v.baseline for v in videos["val"]}
         base_test = {v.baseline.video_id: v.baseline for v in videos["test"]}
         gts = {v.ground_truth.video_id: v.ground_truth for v in videos["test"]}
         bank = TransitionLogitBank.merge([v.bank for v in videos["test"]])
 
-    with _stage("calibrate"):
-        cal_dir = out / "calibration"
-        results = _write_calibration(cal_dir, cal_dir / "report.json", base_val, base_test,
-                                     out / "val" / "baseline.csv", out / "test" / "baseline.csv", args.bins, {})
-        write_config_echo(cal_dir, echo)
+    def save_datasets():
+        for split, split_videos in videos.items():
+            simulate.save_dataset(split_videos, out / split)
 
-    with _stage("infer"):
-        inf_dir = out / "inference"
-        inf_dir.mkdir(exist_ok=True)
-        uncal_cfg = inference.InferenceConfig(args.buffer, args.threshold)
-        cal_cfg = replace(uncal_cfg, temperature=results["calibration.temperature"])
-        strategies = {"baseline": {vid: inference.baseline_argmax(base_test[vid]) for vid in sorted(base_test)}}
-        traces = {}
-        for name, strategy, cfg in (
-            ("transition", "transition", cal_cfg),
-            ("confidence_uncalibrated", "confidence", uncal_cfg),
-            ("confidence_calibrated", "confidence", cal_cfg),
-        ):
-            strategies[name], traces[name] = _infer(strategy, base_test, bank, cfg)
-        for name, by_vid in strategies.items():
-            save_timelines(list(by_vid.values()), inf_dir / f"{name}.csv")
-        for name, by_vid in traces.items():
-            inference.save_traces(list(by_vid.values()), inf_dir / f"{name}_trace.csv")
-        write_config_echo(inf_dir, echo)
+    # no later stage reads the dataset files, so one child writes them meanwhile
+    with _alongside("simulate", save_datasets):
+        with _stage("calibrate"):
+            cal_dir = out / "calibration"
+            results = _write_calibration(cal_dir, cal_dir / "report.json", base_val, base_test,
+                                         out / "val" / "baseline.csv", out / "test" / "baseline.csv", args.bins, {})
+            write_config_echo(cal_dir, echo)
 
-    with _stage("evaluate"):
-        for name in report.STRATEGY_ORDER:
-            ev = metrics.evaluate_predictions(strategies[name], gts)
-            results.update({f"strategy.{name}.{k}": v for k, v in ev.items()})
-        for name, by_vid in traces.items():
-            count = frames = 0
-            for vid, trace in by_vid.items():
-                cas = metrics.detect_cascades(trace, gts[vid])
-                count += len(cas.runs)
-                frames += cas.total_frames()
-            results[f"strategy.{name}.cascade.count"] = count
-            results[f"strategy.{name}.cascade.frames"] = frames
-        results.update(metrics.bank_restricted_accuracies(bank, gts))
-        strategy_family = {k: v for k, v in results.items() if k.startswith("strategy.")}
-        ribbons = {f"ribbon_{name}_{vid}.svg": (gts[vid], strategies[name][vid])
-                   for name in ("transition", "confidence_calibrated") for vid in sorted(strategies[name])}
-        _write_results(out / "evaluation", results, args.format,
-                       {"strategies.txt": strategy_family, "report.txt": results}, ribbons)
-        write_config_echo(out / "evaluation", echo)
+        with _stage("infer"):
+            inf_dir = out / "inference"
+            inf_dir.mkdir(exist_ok=True)
+            uncal_cfg = inference.InferenceConfig(args.buffer, args.threshold)
+            cal_cfg = replace(uncal_cfg, temperature=results["calibration.temperature"])
+            strategies = {"baseline": {vid: inference.baseline_argmax(base_test[vid]) for vid in sorted(base_test)}}
+            traces = {}
+            for name, strategy, cfg in (
+                ("transition", "transition", cal_cfg),
+                ("confidence_uncalibrated", "confidence", uncal_cfg),
+                ("confidence_calibrated", "confidence", cal_cfg),
+            ):
+                strategies[name], traces[name] = _infer(strategy, base_test, bank, cfg)
+            for name, by_vid in strategies.items():
+                save_timelines(list(by_vid.values()), inf_dir / f"{name}.csv")
+            for name, by_vid in traces.items():
+                inference.save_traces(list(by_vid.values()), inf_dir / f"{name}_trace.csv")
+            write_config_echo(inf_dir, echo)
+
+        with _stage("evaluate"):
+            for name in report.STRATEGY_ORDER:
+                ev = metrics.evaluate_predictions(strategies[name], gts)
+                results.update({f"strategy.{name}.{k}": v for k, v in ev.items()})
+            for name, by_vid in traces.items():
+                count = frames = 0
+                for vid, trace in by_vid.items():
+                    cas = metrics.detect_cascades(trace, gts[vid])
+                    count += len(cas.runs)
+                    frames += cas.total_frames()
+                results[f"strategy.{name}.cascade.count"] = count
+                results[f"strategy.{name}.cascade.frames"] = frames
+            results.update(metrics.bank_restricted_accuracies(bank, gts))
+            strategy_family = {k: v for k, v in results.items() if k.startswith("strategy.")}
+            ribbons = {f"ribbon_{name}_{vid}.svg": (gts[vid], strategies[name][vid])
+                       for name in ("transition", "confidence_calibrated") for vid in sorted(strategies[name])}
+            _write_results(out / "evaluation", results, args.format,
+                           {"strategies.txt": strategy_family, "report.txt": results}, ribbons)
+            write_config_echo(out / "evaluation", echo)
 
     print(report.render_report_text(results), end="")
     return 0

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -51,6 +52,18 @@ def proximity_bank(video_id: str, gt: PhaseTimeline, override: dict | None = Non
             labels = [min(max(int(p), pair.low), pair.high) for p in gt.labels]
         per_pair[pair.name] = labels
     return bank_from_argmax(video_id, per_pair, len(gt))
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, still running or
+    exited but not reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({f'pid {pid}, now reaped' if pid else 'still running'})")
 
 
 @pytest.fixture

@@ -11,7 +11,9 @@ the trace writer run one frame at a time over records, as the array
 versions replaced them; a record is a (frame_idx, model, state, confidence,
 prediction) tuple. Attention smoothing makes one kernel call per frame over
 its trailing window, as the stacked-matmul version replaced it. The ribbon
-draws one rect per frame, as the one-rect-per-run version replaced it.
+draws one rect per frame, as the one-rect-per-run version replaced it. The
+NLL objective allocates its temporaries at each probe, as the buffered
+version replaced it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,21 @@ def oracle_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> fl
     lse = logsumexp(z, axis=1)
     true = z[np.arange(z.shape[0]), np.asarray(labels) - 1]
     return float(np.mean(lse - true))
+
+
+def oracle_nll_arrays(z: np.ndarray, y: np.ndarray, t: float) -> float:
+    """The mean NLL with fresh temporaries at each call, as the buffered
+    objective of ``calibration._nll_at`` replaced it."""
+    # v - m may overflow to -inf, whose exp is the right limit 0; a scaled logit of inf gives inf or NaN, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = z / t
+        m = v.max(axis=1, keepdims=True)
+        lse = (m + np.log(np.exp(v - m).sum(axis=1, keepdims=True)))[:, 0]
+        true = v[np.arange(z.shape[0]), y - 1]
+        value = float((lse - true).mean())
+    if not math.isfinite(value):
+        raise ValueError(f"NLL is not finite at temperature {t!r}: the scaled logits overflow")
+    return value
 
 
 def grid_search_temperature(

@@ -1,11 +1,15 @@
 import math
+import warnings
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_search_temperature, oracle_ece, oracle_nll
+from oracles import grid_search_temperature, oracle_ece, oracle_nll, oracle_nll_arrays
+from phasekit import calibration
 from phasekit.calibration import (
     CalibrationReport,
     Temperature,
@@ -100,6 +104,61 @@ class TestNll:
             nll(seq, np.array([1, 2, 3]))
         with pytest.raises(ValueError, match="sequence 'u' carries no labels"):
             nll([seq, LogitSequence("u", np.zeros((2, 7)))])
+
+
+@st.composite
+def nll_sets(draw):
+    """(z, y) with K in 2..7 whose cells mix ordinary logits with values
+    whose scaled NLL overflows at some temperatures of the search range."""
+    k = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 12))
+    cell = st.one_of(st.floats(-60, 60), st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1e308, -1e308]))
+    z = np.array(draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
+    return z, y
+
+
+def _outcome(fn, *args) -> str:
+    """repr of ``fn(*args)`` (exact for a float), or of the ValueError it raises."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="temperature fit hit the search bound")
+        try:
+            return repr(fn(*args))
+        except ValueError as exc:
+            return repr(exc)
+
+
+def allocating_nll():
+    """Make the fit probe ``oracle_nll_arrays`` in place of the buffered objective."""
+    return mock.patch.object(calibration, "_nll_at", lambda z, y: partial(oracle_nll_arrays, z, y))
+
+
+class TestNllBuffers:
+    """The objective that reuses its buffers over probes gives the bits of
+    the one that allocates at each probe."""
+
+    @given(nll_sets(), st.lists(st.floats(0.01, 100), min_size=1, max_size=6))
+    def test_objective_values_match_bit_for_bit(self, data, temperatures):
+        z, y = data
+        nll_at = calibration._nll_at(z, y)
+        for t in temperatures:
+            assert _outcome(nll_at, t) == _outcome(oracle_nll_arrays, z, y, t)
+
+    @settings(max_examples=30)
+    @given(nll_sets())
+    def test_fitted_temperatures_match_bit_for_bit(self, data):
+        z, y = data
+        buffered = _outcome(fit_temperature, z, y)
+        with allocating_nll():
+            assert buffered == _outcome(fit_temperature, z, y)
+
+    def test_fitted_temperature_of_a_simulated_set_matches(self):
+        """4,000 rows: numpy's pairwise sums split them into blocks, which
+        the drawn sets are too small to reach."""
+        z, y = calibrated_sample(t_star=2.5)
+        buffered = fit_temperature(z, y).value
+        with allocating_nll():
+            assert repr(buffered) == repr(fit_temperature(z, y).value)
 
 
 class TestEce:

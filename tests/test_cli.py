@@ -1,7 +1,10 @@
 import filecmp
+import os
 import re
 import shutil
+import signal
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -796,6 +799,8 @@ class TestConfigFile:
 
 
 class TestPipeline:
+    TINY = ["--frames-mean", "140", "--val-videos", "1", "--test-videos", "1"]
+
     def test_end_to_end_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["pipeline", "--out", str(out), "--frames-mean", "420",
@@ -830,6 +835,71 @@ class TestPipeline:
         with pytest.raises(TypeError, match="broken stage"):
             main(["pipeline", "--frames-mean", "140", "--val-videos", "1", "--test-videos", "1",
                   "--out", str(tmp_path / "run")])
+
+    @pytest.mark.parametrize("flags", [[], ["--no-monotone", "--attention-smooth", "30", "--frames-mean", "600"]],
+                             ids=["default", "smooth"])
+    def test_forked_writer_matches_inline_writer(self, tmp_path, capsys, monkeypatch, flags):
+        """A forked child writing the datasets gives the tree and output of
+        writing them first in this process, the path where os.fork is missing."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert main(["pipeline", *flags, "--out", str(tmp_path / "forked")]) == 0
+        forked = capsys.readouterr()
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        assert main(["pipeline", *flags, "--out", str(tmp_path / "inline")]) == 0
+        assert capsys.readouterr() == forked
+        assert _tree(tmp_path / "forked") == _tree(tmp_path / "inline")
+
+    def test_dataset_write_error_is_a_simulate_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "test").mkdir(parents=True)
+        (out / "test" / "bank").write_text("")
+        assert main(["pipeline", *self.TINY, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage simulate: ") and err.count("\n") == 1, err
+        assert str(out / "test" / "bank") in err
+
+    def test_bug_in_the_dataset_writer_propagates(self, tmp_path, monkeypatch):
+        """A TypeError in the child is a bug: it leaves main as a TypeError
+        whose cause holds the child's traceback."""
+        def broken_writer(videos, out_dir):
+            raise TypeError("broken writer")
+
+        monkeypatch.setattr(cli.simulate, "save_dataset", broken_writer)
+        with pytest.raises(TypeError, match="broken writer") as caught:
+            main(["pipeline", *self.TINY, "--out", str(tmp_path / "run")])
+        assert "in broken_writer" in str(caught.value.__cause__)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer runs in this process")
+    def test_killed_writer_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.simulate, "save_dataset", lambda videos, out_dir: os.kill(os.getpid(), signal.SIGKILL))
+        assert main(["pipeline", *self.TINY, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error in stage simulate: writer process \d+ was killed by SIGKILL\n", err), err
+
+    def test_calibrate_error_waits_for_complete_datasets(self, tmp_path, capsys, monkeypatch):
+        """A later stage that fails while the child writes still leaves
+        whole dataset files, and the child reaped."""
+        argv = ["pipeline", "--frames-mean", "420", "--val-videos", "2", "--test-videos", "2"]
+        assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
+        save_dataset = cli.simulate.save_dataset
+
+        def slow_writer(videos, out_dir):
+            time.sleep(0.2)  # the parent fails first
+            save_dataset(videos, out_dir)
+
+        def broken(*args, **kwargs):
+            raise ValueError("calibration broke")
+
+        monkeypatch.setattr(cli.simulate, "save_dataset", slow_writer)
+        monkeypatch.setattr(cli.calibration, "calibrate_report", broken)
+        assert main([*argv, "--out", str(tmp_path / "cut")]) == 2
+        assert capsys.readouterr().err == "error in stage calibrate: calibration broke\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        for split in ("val", "test"):
+            assert _tree(tmp_path / "cut" / split) == _tree(tmp_path / "whole" / split)
 
     def test_stage_error_is_named(self, tmp_path, capsys):
         rc = main(["pipeline", "--out", str(tmp_path / "run"), "--base-acc", "0.05"])

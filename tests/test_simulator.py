@@ -26,6 +26,7 @@ from phasekit.simulate import (
     generate_ground_truth,
     generate_transition_bank,
     simulate_video,
+    simulate_videos,
 )
 from phasekit.workflow import all_transition_pairs, load_timelines
 
@@ -85,6 +86,26 @@ class TestMarginSolve:
     def test_agrees_with_quadrature_oracle(self, problem):
         target, num_classes = problem
         assert abs(_margin_for_accuracy(target, num_classes) - oracle_margin(target, num_classes)) <= 1e-9
+
+    @settings(max_examples=20)
+    @given(margin_problems())
+    def test_cached_value_is_the_solved_value(self, problem):
+        for _ in range(2):  # the first call may fill the cache, the second reads it
+            assert _margin_for_accuracy(*problem) == _margin_for_accuracy.__wrapped__(*problem)
+
+    def test_simulation_solves_each_distinct_key_once(self, monkeypatch):
+        cached, keys = _margin_for_accuracy, []
+
+        def asked(target, num_classes):
+            keys.append((target, num_classes))
+            return cached(target, num_classes)
+
+        cached.cache_clear()
+        monkeypatch.setattr(simulate, "_margin_for_accuracy", asked)
+        simulate_videos(30, WorkflowSpec(dwell_mean=60, dwell_min=15), NoiseSpec(rng_seed=11))
+        info = cached.cache_info()
+        assert info.misses == len(set(keys)) < len(keys)  # each miss is one bisection
+        assert info.hits == len(keys) - len(set(keys))
 
     def test_cli_import_leaves_scipy_out(self):
         code = "import sys, phasekit.cli; print('scipy' in sys.modules)"
