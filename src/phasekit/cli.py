@@ -462,13 +462,15 @@ def cmd_report(args) -> int:
 def cmd_pipeline(args) -> int:
     """simulate -> calibrate -> infer (all four strategies) -> evaluate -> report.
 
-    The whole configuration is checked, and every video simulated, before the
-    first artifact is written. Each stage writes its artifacts once and hands
-    its in-memory results to the next, so no artifact is read back. One forked
-    child writes the two datasets while this process runs the later stages.
-    Identical configuration and seed yield byte-identical trees. Raises
-    StageError naming the failing stage; a failed dataset write is named
-    ``simulate`` even though the later stages have run by then.
+    The whole configuration is checked, every video simulated and every
+    dataset directory made before any file is written. Each stage writes its
+    artifacts once and hands its in-memory results to the next, so no
+    artifact is read back. The two datasets' 16 files are queued: one forked
+    child claims and writes them from the start, while this process runs the
+    later stages and then claims what is left. Identical configuration and
+    seed yield byte-identical trees. Raises StageError naming the failing
+    stage; a failed dataset write is named ``simulate`` even though the later
+    stages have run by then, and the child's error wins over this process's.
     """
     with _stage("simulate"):
         workflow = _workflow_spec(args)
@@ -488,13 +490,19 @@ def cmd_pipeline(args) -> int:
         base_test = {v.baseline.video_id: v.baseline for v in videos["test"]}
         gts = {v.ground_truth.video_id: v.ground_truth for v in videos["test"]}
         bank = TransitionLogitBank.merge([v.bank for v in videos["test"]])
+        # test and val interleaved: both baselines, the bank pairs, then both gt.csv
+        writes = [write for pair in zip(*(simulate.dataset_writes(videos[split], out / split)
+                                          for split in ("test", "val"))) for write in pair]
+        queue, fill = os.pipe()  # each byte in the pipe is one write, claimed by one reader
+        with open(fill, "wb") as pipe:
+            pipe.write(bytes(range(len(writes))))
 
     def save_datasets():
-        for split, split_videos in videos.items():
-            simulate.save_dataset(split_videos, out / split)
+        while claimed := claims.read(1):
+            writes[claimed[0]]()
 
-    # no later stage reads the dataset files, so one child writes them meanwhile
-    with _alongside("simulate", save_datasets):
+    # no later stage reads the dataset files, so both processes write them
+    with open(queue, "rb", buffering=0) as claims, _alongside("simulate", save_datasets):
         with _stage("calibrate"):
             cal_dir = out / "calibration"
             results = _write_calibration(cal_dir, cal_dir / "report.json", base_val, base_test,
@@ -539,6 +547,9 @@ def cmd_pipeline(args) -> int:
             _write_results(out / "evaluation", results, args.format,
                            {"strategies.txt": strategy_family, "report.txt": results}, ribbons)
             write_config_echo(out / "evaluation", echo)
+
+        with _stage("simulate"):
+            save_datasets()
 
     print(report.render_report_text(results), end="")
     return 0

@@ -188,7 +188,7 @@ def load_results_json(path) -> dict:
     any other content raises ValueError naming ``path``."""
     try:
         results = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep, or an int past the digit limit
         raise ValueError(f"{path}: not a JSON results file: {exc}") from None
     if not isinstance(results, dict):
         raise ValueError(f"{path}: expected a JSON object of results, got {type(results).__name__}")

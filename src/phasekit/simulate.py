@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.hermite_e import hermegauss
 
 from .attention import scaled_dot_attention
-from .logits import LogitSequence, TransitionLogitBank, save_bank, save_logits, softmax
+from .logits import LogitSequence, TransitionLogitBank, bank_path, save_logits, softmax
 from .workflow import (
     NUM_PHASES,
     PhaseTimeline,
@@ -357,14 +357,29 @@ def simulate_videos(
     ]
 
 
+def dataset_writes(videos: list[SimulatedVideo], out_dir) -> list:
+    """The files of a dataset directory (see save_dataset), one zero-argument
+    writer each: ``baseline.csv``, ``bank/trans_<i>_<i+1>.csv`` in pair order,
+    then ``gt.csv``. The directories are made now; the writers may then run in
+    any order, in any process."""
+    out_dir = Path(out_dir)
+    bank_dir = out_dir / "bank"
+    bank_dir.mkdir(parents=True, exist_ok=True)
+    bank = TransitionLogitBank.merge([v.bank for v in videos])
+    pair_files = [([bank.sequences[vid][pair] for vid in bank.videos()], bank_path(bank_dir, pair))
+                  for pair in all_transition_pairs()]
+    return [
+        functools.partial(save_logits, [v.baseline for v in videos], out_dir / "baseline.csv"),
+        *(functools.partial(save_logits, seqs, path) for seqs, path in pair_files),
+        functools.partial(save_timelines, [v.ground_truth for v in videos], out_dir / "gt.csv"),
+    ]
+
+
 def save_dataset(videos: list[SimulatedVideo], out_dir) -> None:
     """Write simulated videos as a dataset directory: ``gt.csv`` (timelines),
     ``baseline.csv`` (K=7 logits) and ``bank/trans_<i>_<i+1>.csv``."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_timelines([v.ground_truth for v in videos], out_dir / "gt.csv")
-    save_logits([v.baseline for v in videos], out_dir / "baseline.csv")
-    save_bank(TransitionLogitBank.merge([v.bank for v in videos]), out_dir / "bank")
+    for write in dataset_writes(videos, out_dir):
+        write()
 
 
 def generate_dataset(

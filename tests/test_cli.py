@@ -1,4 +1,5 @@
 import filecmp
+import gc
 import os
 import re
 import shutil
@@ -537,6 +538,17 @@ class TestEvaluate:
         assert capsys.readouterr().err.startswith(f"error: {results}: ")
         assert not out.exists()
 
+    def test_report_deeply_nested_results_is_one_error_line(self, tmp_path, capsys):
+        """JSON nested past the parser's recursion limit is not a results
+        file; it must not end in a RecursionError traceback."""
+        results = tmp_path / "results.json"
+        results.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "render"
+        assert main(["report", "--results", str(results), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {results}: not a JSON results file: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_report_rerenders(self, small_dataset, tmp_path):
         _, test = small_dataset
         pred = tmp_path / "pred.csv"
@@ -626,6 +638,15 @@ INFER_SETTINGS = {
     "sweep": st.booleans(),
 }
 BOOLEAN_WORDS = {True: ["1", "true", "yes", "on"], False: ["0", "false", "no", "off"]}
+
+
+def _wait_for(path: Path, timeout: float = 30.0) -> None:
+    """Wait until ``path`` exists: a signal between a pipeline's two processes."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{path} did not appear within {timeout} s")
+        time.sleep(0.005)
 
 
 def _tree(root):
@@ -852,6 +873,8 @@ class TestPipeline:
         assert _tree(tmp_path / "forked") == _tree(tmp_path / "inline")
 
     def test_dataset_write_error_is_a_simulate_error(self, tmp_path, capsys):
+        """A file in the way of a dataset directory stops the run when the
+        directories are made, before calibrate."""
         out = tmp_path / "run"
         (out / "test").mkdir(parents=True)
         (out / "test" / "bank").write_text("")
@@ -859,21 +882,119 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error in stage simulate: ") and err.count("\n") == 1, err
         assert str(out / "test" / "bank") in err
+        assert not (out / "calibration").exists()
 
+    @staticmethod
+    def _wrap_writers(monkeypatch, wrap):
+        """Replace the per-file writers behind simulate.dataset_writes with ``wrap(writer)``."""
+        for name in ("save_logits", "save_timelines"):
+            monkeypatch.setattr(cli.simulate, name, wrap(getattr(cli.simulate, name)))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="one process writes every file")
+    def test_each_dataset_file_is_written_once_by_one_process(self, tmp_path, monkeypatch):
+        """Both processes claim files from the queue, and no file is claimed
+        twice. The child holds its first file until the parent has claimed one."""
+        parent, log, parent_claimed = os.getpid(), tmp_path / "writes.log", tmp_path / "parent_claimed"
+
+        def wrap(write):
+            def logged_writer(items, path):
+                if os.getpid() == parent:
+                    parent_claimed.touch()
+                else:
+                    _wait_for(parent_claimed)
+                fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+                try:
+                    os.write(fd, f"{os.getpid()} {path}\n".encode())
+                finally:
+                    os.close(fd)
+                write(items, path)
+            return logged_writer
+
+        self._wrap_writers(monkeypatch, wrap)
+        out = tmp_path / "run"
+        assert main(["pipeline", *self.TINY, "--out", str(out)]) == 0
+        claims = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        files = sorted(str(f) for split in ("val", "test") for f in (out / split).rglob("*.csv"))
+        assert len(files) == 16
+        assert sorted(path for _, path in claims) == files
+        pids = {pid for pid, _ in claims}
+        assert len(pids) == 2 and str(parent) in pids
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="one process writes every file")
+    def test_write_error_in_the_parents_share_is_a_simulate_error(self, tmp_path, capsys, monkeypatch):
+        """The parent's own write fails after the later stages; the child
+        writes every other file."""
+        parent, parent_claimed = os.getpid(), tmp_path / "parent_claimed"
+
+        def wrap(write):
+            def writer(items, path):
+                if os.getpid() == parent:
+                    parent_claimed.touch()
+                    raise OSError(f"{path}: no space left on device")
+                _wait_for(parent_claimed)
+                write(items, path)
+            return writer
+
+        self._wrap_writers(monkeypatch, wrap)
+        out = tmp_path / "run"
+        assert main(["pipeline", *self.TINY, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        failed = re.fullmatch(r"error in stage simulate: (.+): no space left on device\n", err)
+        assert failed, err
+        assert (out / "evaluation" / "results.json").exists()
+        files = {str(f) for split in ("val", "test") for f in (out / split).rglob("*.csv")}
+        assert len(files) == 15 and failed[1] not in files
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="one process writes every file")
+    def test_when_both_processes_fail_the_childs_error_is_reported(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+        parent_claimed, child_claimed = tmp_path / "parent_claimed", tmp_path / "child_claimed"
+
+        def wrap(write):
+            def broken_writer(items, path):
+                if os.getpid() == parent:
+                    _wait_for(child_claimed)
+                    parent_claimed.touch()
+                    raise OSError("the parent's write failed")
+                child_claimed.touch()
+                _wait_for(parent_claimed)
+                raise OSError("the child's write failed")
+            return broken_writer
+
+        self._wrap_writers(monkeypatch, wrap)
+        assert main(["pipeline", *self.TINY, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "error in stage simulate: the child's write failed\n"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer runs in this process")
     def test_bug_in_the_dataset_writer_propagates(self, tmp_path, monkeypatch):
         """A TypeError in the child is a bug: it leaves main as a TypeError
         whose cause holds the child's traceback."""
-        def broken_writer(videos, out_dir):
-            raise TypeError("broken writer")
+        parent = os.getpid()
 
-        monkeypatch.setattr(cli.simulate, "save_dataset", broken_writer)
+        def wrap(write):
+            def broken_writer(items, path):
+                if os.getpid() != parent:
+                    raise TypeError("broken writer")
+                write(items, path)
+            return broken_writer
+
+        self._wrap_writers(monkeypatch, wrap)
         with pytest.raises(TypeError, match="broken writer") as caught:
             main(["pipeline", *self.TINY, "--out", str(tmp_path / "run")])
         assert "in broken_writer" in str(caught.value.__cause__)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer runs in this process")
     def test_killed_writer_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli.simulate, "save_dataset", lambda videos, out_dir: os.kill(os.getpid(), signal.SIGKILL))
+        parent = os.getpid()
+
+        def wrap(write):
+            def killed_writer(items, path):
+                if os.getpid() != parent:  # never this process: that would kill the test run
+                    os.kill(os.getpid(), signal.SIGKILL)
+                write(items, path)
+            return killed_writer
+
+        self._wrap_writers(monkeypatch, wrap)
         assert main(["pipeline", *self.TINY, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"error in stage simulate: writer process \d+ was killed by SIGKILL\n", err), err
@@ -883,16 +1004,20 @@ class TestPipeline:
         whole dataset files, and the child reaped."""
         argv = ["pipeline", "--frames-mean", "420", "--val-videos", "2", "--test-videos", "2"]
         assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
-        save_dataset = cli.simulate.save_dataset
+        slept = []
 
-        def slow_writer(videos, out_dir):
-            time.sleep(0.2)  # the parent fails first
-            save_dataset(videos, out_dir)
+        def wrap(write):
+            def slow_writer(items, path):
+                if not slept:
+                    slept.append(path)
+                    time.sleep(0.2)  # the parent fails first
+                write(items, path)
+            return slow_writer
 
         def broken(*args, **kwargs):
             raise ValueError("calibration broke")
 
-        monkeypatch.setattr(cli.simulate, "save_dataset", slow_writer)
+        self._wrap_writers(monkeypatch, wrap)
         monkeypatch.setattr(cli.calibration, "calibrate_report", broken)
         assert main([*argv, "--out", str(tmp_path / "cut")]) == 2
         assert capsys.readouterr().err == "error in stage calibrate: calibration broke\n"
@@ -900,6 +1025,19 @@ class TestPipeline:
             os.waitpid(-1, os.WNOHANG)
         for split in ("val", "test"):
             assert _tree(tmp_path / "cut" / split) == _tree(tmp_path / "whole" / split)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc listing of open files")
+    def test_failed_stage_leaves_no_file_descriptor_open(self, tmp_path, capsys, monkeypatch):
+        """The queue and the child's pipe are closed on the error path too."""
+        def broken(*args, **kwargs):
+            raise ValueError("calibration broke")
+
+        monkeypatch.setattr(cli.calibration, "calibrate_report", broken)
+        gc.collect()
+        before = set(os.listdir("/proc/self/fd"))
+        assert main(["pipeline", *self.TINY, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "error in stage calibrate: calibration broke\n"
+        assert set(os.listdir("/proc/self/fd")) == before
 
     def test_stage_error_is_named(self, tmp_path, capsys):
         rc = main(["pipeline", "--out", str(tmp_path / "run"), "--base-acc", "0.05"])
