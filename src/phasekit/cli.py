@@ -10,14 +10,17 @@ import argparse
 import os
 import pickle
 import sys
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration, inference, metrics, report, simulate
-from .logits import LogitSequence, TransitionLogitBank, bank_path, load_bank, load_logits, positive_temperature
+from .logits import (LogitSequence, TransitionLogitBank, assemble_bank, bank_files, bank_path, load_logits,
+                     positive_temperature)
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
 from .workflow import NUM_PHASES, all_transition_pairs, check_utf8, load_timelines, save_timelines
 
@@ -49,59 +52,97 @@ class _ChildTraceback(Exception):
     chained as the cause of that exception when the parent re-raises it."""
 
 
-@contextmanager
-def _alongside(stage: str, work):
-    """Run ``work()`` in one forked child while the block runs in this process.
-
-    After the block, even when it raised, the parent reads what the child
-    sent and reaps it. An exception ``work`` raised, or the child's death by
-    a signal, is then raised inside ``_stage(stage)``; it replaces any
-    exception of the block, because ``stage`` comes first. The child ends
-    with ``os._exit``, so it never flushes this process's buffers or runs its
-    exit handlers. Where ``os.fork`` does not exist, ``work()`` runs first,
-    inline.
-    """
-    if not hasattr(os, "fork"):
-        with _stage(stage):
-            work()
-        yield
-        return
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the child
-        status = 1
+def _claim(jobs, claims) -> dict:
+    """Run the jobs whose indices this process reads from ``claims`` until it
+    is empty or a job fails: {index: result, or the exception raised}."""
+    done = {}
+    while claimed := claims.read(1):
         try:
-            os.close(read_fd)
+            done[claimed[0]] = jobs[claimed[0]]()
+        except Exception as exc:
+            done[claimed[0]] = exc
+            break
+    return done
+
+
+@contextmanager
+def _shared(jobs):
+    """Run the zero-argument ``jobs`` in this process and one forked child,
+    which claim job indices in order from one queue. Yields a list that holds
+    the results in job order once the block has exited.
+
+    The child claims from the start; this process runs the block, then claims
+    what is left, even when the block raised, and reaps the child. A process
+    stops at its first failed job, so the failure with the lowest index is the
+    one a serial run raises. It replaces any exception of the block, chained to
+    the child's traceback if the child raised it. The child's death is a
+    ChildProcessError. The child ends with ``os._exit``, so it never flushes
+    this process's buffers or runs its exit handlers. Where ``os.fork`` does
+    not exist, the jobs run first, inline.
+    """
+    results = []
+    if not hasattr(os, "fork"):
+        results.extend(job() for job in jobs)
+        yield results
+        return
+    queue, fill = os.pipe()  # each byte in the pipe is one job index, claimed by one reader
+    with open(queue, "rb", buffering=0) as claims:
+        with open(fill, "wb") as pipe:
+            pipe.write(bytes(range(len(jobs))))
+        read_fd, write_fd = os.pipe()
+        with open(read_fd, "rb") as sent:
             with open(write_fd, "wb") as pipe:
+                pid = os.fork()
+                if pid == 0:  # the child
+                    status = 1
+                    try:
+                        theirs, text = _claim(jobs, claims), None
+                        failure = next((v for v in theirs.values() if isinstance(v, Exception)), None)
+                        if failure is not None:
+                            import traceback  # here, so that importing cli loads no module for it
+                            text = "".join(traceback.format_exception(failure))
+                        pickle.dump((theirs, text), pipe, protocol=5)
+                        pipe.close()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            try:
+                yield results
+            finally:
                 try:
-                    work()
-                except BaseException as exc:  # sent to the parent, which raises it again
-                    import traceback  # here, so that importing cli loads no module for it
-                    pipe.write(pickle.dumps((exc, traceback.format_exc())))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        yield
-    finally:
-        with open(read_fd, "rb") as pipe:
-            sent = pipe.read()  # all of it before waiting, so a full pipe cannot block the child
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        with _stage(stage):
-            if sent:  # the child's own bytes, so unpickling them is safe
-                exc, text = pickle.loads(sent)
-                raise exc from _ChildTraceback(text)
-            if code < 0:
-                import signal
-                raise ChildProcessError(f"writer process {pid} was killed by {signal.Signals(-code).name}")
-            if code:
-                raise ChildProcessError(f"writer process {pid} exited with status {code}")
+                    done = _claim(jobs, claims)
+                finally:
+                    try:  # streamed, not read whole, so one copy of the child's results is held
+                        theirs, text = pickle.load(sent)  # the child's own bytes, so this is safe
+                    except Exception:  # a child that died sent at most part of them
+                        theirs = text = None
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code < 0:
+                    import signal
+                    raise ChildProcessError(f"child process {pid} was killed by {signal.Signals(-code).name}")
+                if code or theirs is None:
+                    raise ChildProcessError(f"child process {pid} exited with status {code}")
+                done.update(theirs)
+                failed = [i for i, value in done.items() if isinstance(value, Exception)]
+                if failed:
+                    first = min(failed)
+                    if first in theirs:
+                        raise theirs[first] from _ChildTraceback(text)
+                    raise done[first]
+                results.extend(done[i] for i in range(len(jobs)))
+
+
+def _parsed(jobs) -> deque:
+    """The results of the file-parsing ``jobs`` (see _shared), in job order.
+    Taking each from the left lets go of it, so memory is freed as it is used."""
+    with _shared(list(jobs)) as results:
+        pass
+    return deque(results)
+
+
+def _bank_from(parsed: deque) -> TransitionLogitBank:
+    """The bank whose six pair files are the next ones in ``parsed``."""
+    return assemble_bank([parsed.popleft() for _ in all_transition_pairs()])
 
 
 @contextmanager
@@ -299,17 +340,19 @@ def cmd_calibrate(args) -> int:
     out = Path(args.out)
     out_dir, report_path = (out.parent, out) if out.suffix == ".json" else (out, out / "report.json")
     val_file, test_file = Path(args.val) / "baseline.csv", Path(args.test) / "baseline.csv"
-    val, test = load_logits(val_file), load_logits(test_file)
-    extra = _bank_temperatures(Path(args.val) / "bank") if args.include_bank else {}
+    bank_dir = Path(args.val) / "bank"
+    pair_files = bank_files(bank_dir) if args.include_bank else []
+    parsed = _parsed(partial(load_logits, path) for path in (val_file, test_file, *pair_files))
+    val, test = parsed.popleft(), parsed.popleft()
+    extra = _bank_temperatures(bank_dir, _bank_from(parsed)) if args.include_bank else {}
     results = _write_calibration(out_dir, report_path, val, test, val_file, test_file, args.bins, extra)
     write_config_echo(out_dir, _echo_values(args))
     print(report.render_report_text(results), end="")
     return 0
 
 
-def _bank_temperatures(directory) -> dict:
+def _bank_temperatures(directory, bank: TransitionLogitBank) -> dict:
     """Optional per-pair fits on in-pair frames, labels mapped to {1, 2}; errors name the pair file."""
-    bank = load_bank(directory)
     out = {}
     for pair in all_transition_pairs():
         zs, ys = [], []
@@ -335,8 +378,6 @@ def _bank_temperatures(directory) -> dict:
 def _resolve_temperature(args, val_base) -> float:
     if args.temperature != "auto":
         return args.temperature
-    if val_base is None:
-        raise ValueError("--temperature auto requires --val <dir> to fit on")
     with _naming(Path(args.val) / "baseline.csv"):
         fitted = calibration.fit_temperature([val_base[v] for v in sorted(val_base)])
     print(f"fitted temperature on validation split: {fitted.value!r}")
@@ -359,23 +400,33 @@ def cmd_infer(args) -> int:
                             ("--base", args.base is not None), ("--val", args.val is not None)):
             if given:
                 raise ValueError(f"{flag} applies only to --strategy confidence")
-    bank = load_bank(args.bank)
-    # one parse of the validation baselines serves both --temperature auto and --sweep
-    val_base = None
-    if args.val and (args.sweep or args.temperature == "auto"):
-        val_base = load_logits(Path(args.val) / "baseline.csv")
+    fit_on_val = args.sweep or args.temperature == "auto"
+    if args.temperature == "auto" and not args.val:
+        raise ValueError("--temperature auto requires --val <dir> to fit on")
+    if args.sweep and not args.val:
+        raise ValueError("--sweep requires --val <dir> with labeled data")
+    if confidence and not args.base:
+        raise ValueError("--strategy confidence requires --base <file>")
+    reads = [partial(load_logits, path) for path in bank_files(args.bank)]
+    if fit_on_val:  # one parse of the validation baselines serves both --temperature auto and --sweep
+        val = Path(args.val)
+        reads.append(partial(load_logits, val / "baseline.csv"))
+        if args.sweep:
+            reads.append(partial(load_timelines, val / "gt.csv"))
+            reads += [partial(load_logits, path) for path in bank_files(val / "bank")]
+    if confidence:
+        reads.append(partial(load_logits, args.base))
+    parsed = _parsed(reads)
+    bank = _bank_from(parsed)
+    val_base = parsed.popleft() if fit_on_val else None
     cfg = inference.InferenceConfig(
         buffer_size=args.buffer,
         conf_threshold=args.threshold,
         temperature=_resolve_temperature(args, val_base),
     )
     if args.sweep:
-        cfg = replace(cfg, conf_threshold=_run_sweep(args, cfg, val_base))
-    baselines = {}
-    if confidence:
-        if not args.base:
-            raise ValueError("--strategy confidence requires --base <file>")
-        baselines = load_logits(args.base)
+        cfg = replace(cfg, conf_threshold=_run_sweep(args, cfg, val_base, parsed.popleft(), _bank_from(parsed)))
+    baselines = parsed.popleft() if confidence else {}
     with _naming(args.base if confidence else args.bank):
         timelines, traces = _infer(args.strategy, baselines, bank, cfg)
     out = Path(args.out)
@@ -392,13 +443,10 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _run_sweep(args, cfg, baselines) -> float:
-    if baselines is None:
-        raise ValueError("--sweep requires --val <dir> with labeled data")
-    gts = load_timelines(Path(args.val) / "gt.csv")
+def _run_sweep(args, cfg, baselines, gts, bank) -> float:
     with _naming(Path(args.val) / "baseline.csv"):
         metrics.require_ground_truth(baselines, gts)
-    best, table = inference.sweep_threshold(baselines, load_bank(Path(args.val) / "bank"), gts, cfg)
+    best, table = inference.sweep_threshold(baselines, bank, gts, cfg)
     print("threshold sweep on validation split:")
     for t, a in table:
         marker = "  <- best" if t == best else ""
@@ -423,12 +471,15 @@ def _write_results(out: Path, results: dict, formats, texts: dict, ribbons: dict
 
 
 def cmd_evaluate(args) -> int:
-    preds = load_timelines(args.pred)
-    gts = load_timelines(args.gt)
+    reads = [partial(load_timelines, args.pred), partial(load_timelines, args.gt)]
+    if args.trace:
+        reads.append(partial(inference.load_traces, args.trace))
+    parsed = _parsed(reads)
+    preds, gts = parsed.popleft(), parsed.popleft()
     with _naming(args.pred):
         results = metrics.evaluate_predictions(preds, gts)
     if args.trace:
-        traces = inference.load_traces(args.trace)
+        traces = parsed.popleft()
         with _naming(args.trace):
             metrics.require_ground_truth(traces, gts)
         for vid in sorted(traces):
@@ -470,7 +521,7 @@ def cmd_pipeline(args) -> int:
     later stages and then claims what is left. Identical configuration and
     seed yield byte-identical trees. Raises StageError naming the failing
     stage; a failed dataset write is named ``simulate`` even though the later
-    stages have run by then, and the child's error wins over this process's.
+    stages have run by then, and of two failed writes the one queued first wins.
     """
     with _stage("simulate"):
         workflow = _workflow_spec(args)
@@ -493,16 +544,9 @@ def cmd_pipeline(args) -> int:
         # test and val interleaved: both baselines, the bank pairs, then both gt.csv
         writes = [write for pair in zip(*(simulate.dataset_writes(videos[split], out / split)
                                           for split in ("test", "val"))) for write in pair]
-        queue, fill = os.pipe()  # each byte in the pipe is one write, claimed by one reader
-        with open(fill, "wb") as pipe:
-            pipe.write(bytes(range(len(writes))))
-
-    def save_datasets():
-        while claimed := claims.read(1):
-            writes[claimed[0]]()
 
     # no later stage reads the dataset files, so both processes write them
-    with open(queue, "rb", buffering=0) as claims, _alongside("simulate", save_datasets):
+    with _stage("simulate"), _shared(writes):
         with _stage("calibrate"):
             cal_dir = out / "calibration"
             results = _write_calibration(cal_dir, cal_dir / "report.json", base_val, base_test,
@@ -547,9 +591,6 @@ def cmd_pipeline(args) -> int:
             _write_results(out / "evaluation", results, args.format,
                            {"strategies.txt": strategy_family, "report.txt": results}, ribbons)
             write_config_echo(out / "evaluation", echo)
-
-        with _stage("simulate"):
-            save_datasets()
 
     print(report.render_report_text(results), end="")
     return 0

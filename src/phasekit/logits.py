@@ -225,27 +225,40 @@ def bank_path(directory, pair: TransitionPair) -> Path:
     return Path(directory) / f"{pair.name}{BANK_FILE_SUFFIX}"
 
 
+def bank_layout(bank: TransitionLogitBank, directory) -> list[tuple[list[LogitSequence], Path]]:
+    """The six pair files of ``bank`` in ``directory``, in pair order: each
+    pair's sequences in video id order, and the file they go to."""
+    return [([bank.sequences[vid][pair] for vid in bank.videos()], bank_path(directory, pair))
+            for pair in all_transition_pairs()]
+
+
 def save_bank(bank: TransitionLogitBank, directory) -> None:
     """Write a bank as one file per pair (``trans_1_2.csv`` ... ``trans_6_7.csv``)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for pair in all_transition_pairs():
-        seqs = [bank.sequences[vid][pair] for vid in bank.videos()]
-        save_logits(seqs, bank_path(directory, pair))
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    for seqs, path in bank_layout(bank, directory):
+        save_logits(seqs, path)
+
+
+def bank_files(directory) -> list[Path]:
+    """The six ``trans_<i>_<i+1>.csv`` files of a bank directory, in pair
+    order; a missing one raises ValueError naming it."""
+    paths = [bank_path(directory, pair) for pair in all_transition_pairs()]
+    for path in paths:
+        if not path.exists():
+            raise ValueError(f"missing transition file {path.name} in {directory}")
+    return paths
+
+
+def assemble_bank(parsed) -> TransitionLogitBank:
+    """The bank held by the six pair files ``parsed`` by load_logits, in pair order."""
+    per_video: dict[str, dict[TransitionPair, LogitSequence]] = {}
+    for pair, sequences in zip(all_transition_pairs(), parsed, strict=True):
+        for vid, seq in sequences.items():
+            per_video.setdefault(vid, {})[pair] = seq
+    return TransitionLogitBank(per_video)
 
 
 def load_bank(directory) -> TransitionLogitBank:
-    """Load a bank directory written by save_bank.
-
-    Reads exactly the six ``trans_<i>_<i+1>.csv`` files; a missing one raises
-    ValueError naming it.
-    """
-    directory = Path(directory)
-    per_video: dict[str, dict[TransitionPair, LogitSequence]] = {}
-    for pair in all_transition_pairs():
-        path = bank_path(directory, pair)
-        if not path.exists():
-            raise ValueError(f"missing transition file {path.name} in {directory}")
-        for vid, seq in load_logits(path).items():
-            per_video.setdefault(vid, {})[pair] = seq
-    return TransitionLogitBank(per_video)
+    """Load a bank directory written by save_bank: assemble_bank over the
+    parsed bank_files."""
+    return assemble_bank([load_logits(path) for path in bank_files(directory)])

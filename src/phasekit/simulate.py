@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.hermite_e import hermegauss
 
 from .attention import scaled_dot_attention
-from .logits import LogitSequence, TransitionLogitBank, bank_path, save_logits, softmax
+from .logits import LogitSequence, TransitionLogitBank, bank_layout, save_logits, softmax
 from .workflow import (
     NUM_PHASES,
     PhaseTimeline,
@@ -366,11 +366,9 @@ def dataset_writes(videos: list[SimulatedVideo], out_dir) -> list:
     bank_dir = out_dir / "bank"
     bank_dir.mkdir(parents=True, exist_ok=True)
     bank = TransitionLogitBank.merge([v.bank for v in videos])
-    pair_files = [([bank.sequences[vid][pair] for vid in bank.videos()], bank_path(bank_dir, pair))
-                  for pair in all_transition_pairs()]
     return [
         functools.partial(save_logits, [v.baseline for v in videos], out_dir / "baseline.csv"),
-        *(functools.partial(save_logits, seqs, path) for seqs, path in pair_files),
+        *(functools.partial(save_logits, seqs, path) for seqs, path in bank_layout(bank, bank_dir)),
         functools.partial(save_timelines, [v.ground_truth for v in videos], out_dir / "gt.csv"),
     ]
 

@@ -1,5 +1,7 @@
+import contextlib
 import filecmp
 import gc
+import io
 import os
 import re
 import shutil
@@ -320,11 +322,12 @@ class TestInfer:
         assert f"{base}:5:" in capsys.readouterr().err
 
     def test_auto_temperature_with_sweep_reads_validation_once(self, small_dataset, tmp_path, monkeypatch):
+        """Counted in both processes that parse the command's input files."""
         val, test = small_dataset
-        reads = []
+        log = tmp_path / "reads.log"
 
         def counting_load(path):
-            reads.append(Path(path))
+            _append_line(log, str(path))
             return load_logits(path)
 
         monkeypatch.setattr(cli, "load_logits", counting_load)
@@ -332,7 +335,7 @@ class TestInfer:
                    "--bank", str(test / "bank"), "--temperature", "auto", "--sweep", "--val", str(val),
                    "--out", str(tmp_path / "pred.csv")])
         assert rc == 0
-        assert reads.count(val / "baseline.csv") == 1
+        assert log.read_text().splitlines().count(str(val / "baseline.csv")) == 1
         val_base = load_logits(val / "baseline.csv")
         fitted = fit_temperature([val_base[v] for v in sorted(val_base)])
         assert f"resolved_temperature = {fitted.value!r}" in (tmp_path / "config.txt").read_text()
@@ -649,6 +652,15 @@ def _wait_for(path: Path, timeout: float = 30.0) -> None:
         time.sleep(0.005)
 
 
+def _append_line(path: Path, line: str) -> None:
+    """Append ``line`` to ``path`` in one write, so lines from two processes never interleave."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        os.write(fd, f"{line}\n".encode())
+    finally:
+        os.close(fd)
+
+
 def _tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -902,11 +914,7 @@ class TestPipeline:
                     parent_claimed.touch()
                 else:
                     _wait_for(parent_claimed)
-                fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-                try:
-                    os.write(fd, f"{os.getpid()} {path}\n".encode())
-                finally:
-                    os.close(fd)
+                _append_line(log, f"{os.getpid()} {path}")
                 write(items, path)
             return logged_writer
 
@@ -997,7 +1005,7 @@ class TestPipeline:
         self._wrap_writers(monkeypatch, wrap)
         assert main(["pipeline", *self.TINY, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error in stage simulate: writer process \d+ was killed by SIGKILL\n", err), err
+        assert re.fullmatch(r"error in stage simulate: child process \d+ was killed by SIGKILL\n", err), err
 
     def test_calibrate_error_waits_for_complete_datasets(self, tmp_path, capsys, monkeypatch):
         """A later stage that fails while the child writes still leaves
@@ -1120,6 +1128,245 @@ class TestPipeline:
         uncalibrated = results["strategy.confidence_uncalibrated.accuracy.pooled"]
         assert calibrated >= baseline
         assert uncalibrated < calibrated
+
+
+@pytest.fixture(scope="module")
+def replayed(small_dataset, tmp_path_factory):
+    """A predicted timeline and its trace for the test split of ``small_dataset``."""
+    _, test = small_dataset
+    root = tmp_path_factory.mktemp("replayed")
+    assert main(["infer", "--strategy", "transition", "--bank", str(test / "bank"),
+                 "--trace", str(root / "trace.csv"), "--out", str(root / "pred.csv")]) == 0
+    return root / "pred.csv", root / "trace.csv"
+
+
+def _read_commands(val, test, pred, trace, out):
+    """The input-reading commands, by case: each parses its files in two processes."""
+    confidence = ["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
+                  "--bank", str(test / "bank"), "--val", str(val), "--trace", str(out / "trace.csv")]
+    evaluate = ["evaluate", "--pred", str(pred), "--gt", str(test / "gt.csv")]
+    return {
+        "calibrate": ["calibrate", "--val", str(val), "--test", str(test)],
+        "calibrate_bank": ["calibrate", "--val", str(val), "--test", str(test), "--include-bank"],
+        "transition": ["infer", "--strategy", "transition", "--bank", str(test / "bank"),
+                       "--trace", str(out / "trace.csv"), "--out", str(out / "pred.csv")],
+        "confidence_auto": [*confidence, "--temperature", "auto", "--out", str(out / "pred.csv")],
+        "confidence_sweep": [*confidence, "--sweep", "--out", str(out / "pred.csv")],
+        "evaluate": evaluate,
+        "evaluate_trace": [*evaluate, "--trace", str(trace)],
+    }
+
+
+def _with_out(argv, out):
+    return argv if "--out" in argv else [*argv, "--out", str(out)]
+
+
+def _order_claims(monkeypatch, first: str, marker: Path) -> None:
+    """Let the ``first`` process ("parent" or "child") start its first job
+    before the other claims any; ``marker`` signals it."""
+    parent, claim = os.getpid(), cli._claim
+
+    def ordered(jobs, claims):
+        if (os.getpid() == parent) != (first == "parent"):
+            _wait_for(marker)
+            return claim(jobs, claims)
+        return claim([lambda job=job: marker.touch() or job() for job in jobs], claims)
+
+    monkeypatch.setattr(cli, "_claim", ordered)
+
+
+def _bad_row(path: Path, dst: Path, line: int) -> Path:
+    """A copy of ``path`` at ``dst`` whose ``line`` (1-based) has a non-numeric last cell."""
+    rows = path.read_text().splitlines()
+    rows[line - 1] = rows[line - 1].rsplit(",", 1)[0] + ",oops"
+    dst.parent.mkdir(parents=True, exist_ok=True)
+    dst.write_text("\n".join(rows) + "\n")
+    return dst
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="every file is parsed in this process")
+class TestForkedReads:
+    """calibrate, infer and evaluate parse their input files in this process
+    and one forked child; the results are those of parsing them in order."""
+
+    @pytest.mark.parametrize("case", ["calibrate", "calibrate_bank", "transition", "confidence_auto",
+                                      "confidence_sweep", "evaluate", "evaluate_trace"])
+    def test_forked_reads_match_inline_reads(self, small_dataset, replayed, tmp_path, capsys, monkeypatch, case):
+        """Same --out bytes and stdout with and without os.fork; every loaded
+        array stays read-only, also where it came from the child."""
+        out = tmp_path / "out"
+        argv = _with_out(_read_commands(*small_dataset, *replayed, out)[case], out)
+        loaded, parsed = [], cli._parsed
+
+        def recording(jobs):
+            results = parsed(jobs)
+            loaded.extend(results)
+            return results
+
+        monkeypatch.setattr(cli, "_parsed", recording)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        _order_claims(monkeypatch, "child", tmp_path / "child_claimed")
+        assert main(argv) == 0
+        forked, tree = capsys.readouterr(), _tree(out)
+        assert forks == [1]
+        arrays = [value for by_video in loaded for item in by_video.values()
+                  for value in vars(item).values() if isinstance(value, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+        shutil.rmtree(out)
+        monkeypatch.delattr(os, "fork")
+        assert main(argv) == 0
+        assert capsys.readouterr() == forked
+        assert _tree(out) == tree
+
+    @pytest.mark.parametrize("case, bad", [
+        ("calibrate", "val/baseline.csv"), ("transition", "test/bank/trans_1_2.csv"), ("evaluate", "pred.csv"),
+    ])
+    def test_bad_row_in_the_childs_file_is_the_serial_error(self, small_dataset, replayed, tmp_path, capsys,
+                                                             monkeypatch, case, bad):
+        """The child parses the first file, which has a bad row: exit 2 and
+        the one line a serial run prints."""
+        val, test = small_dataset
+        data = tmp_path / "data"
+        shutil.copytree(val, data / "val")
+        shutil.copytree(test, data / "test")
+        shutil.copy(replayed[0], data / "pred.csv")
+        _bad_row(data / bad, data / bad, 4)
+        out = tmp_path / "out"
+        argv = _with_out(_read_commands(data / "val", data / "test", data / "pred.csv", replayed[1], out)[case], out)
+        _order_claims(monkeypatch, "child", tmp_path / "child_claimed")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data / bad}:4: ") and err.count("\n") == 1, err
+        monkeypatch.delattr(os, "fork")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first", ["parent", "child"])
+    def test_of_two_bad_files_the_earlier_is_reported(self, small_dataset, tmp_path, capsys, monkeypatch, first):
+        """calibrate reads the validation baseline before the test baseline:
+        its error is reported, whichever process parsed it."""
+        val, test = small_dataset
+        bad_val = _bad_row(val / "baseline.csv", tmp_path / "val" / "baseline.csv", 3)
+        bad_test = _bad_row(test / "baseline.csv", tmp_path / "test" / "baseline.csv", 5)
+        argv = ["calibrate", "--val", str(bad_val.parent), "--test", str(bad_test.parent),
+                "--out", str(tmp_path / "out")]
+        _order_claims(monkeypatch, first, tmp_path / "first_claimed")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad_val}:3: ") and err.count("\n") == 1, err
+        monkeypatch.delattr(os, "fork")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+
+    def test_killed_loader_is_one_error_line(self, small_dataset, tmp_path, capsys, monkeypatch):
+        val, test = small_dataset
+        parent = os.getpid()
+
+        def killed_loader(path):
+            if os.getpid() != parent:  # never this process: that would kill the test run
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load_logits(path)
+
+        monkeypatch.setattr(cli, "load_logits", killed_loader)
+        _order_claims(monkeypatch, "child", tmp_path / "child_claimed")
+        out = tmp_path / "out"
+        assert main(["calibrate", "--val", str(val), "--test", str(test), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: child process \d+ was killed by SIGKILL\n", err), err
+        assert not out.exists()
+
+    def test_bug_in_the_childs_loader_propagates(self, small_dataset, tmp_path, monkeypatch):
+        val, test = small_dataset
+        parent = os.getpid()
+
+        def broken_loader(path):
+            if os.getpid() != parent:
+                raise TypeError("broken loader")
+            return load_logits(path)
+
+        monkeypatch.setattr(cli, "load_logits", broken_loader)
+        _order_claims(monkeypatch, "child", tmp_path / "child_claimed")
+        with pytest.raises(TypeError, match="broken loader") as caught:
+            main(["calibrate", "--val", str(val), "--test", str(test), "--out", str(tmp_path / "out")])
+        assert "in broken_loader" in str(caught.value.__cause__)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc listing of open files")
+    def test_failed_load_leaves_no_file_descriptor_open(self, small_dataset, tmp_path, capsys, monkeypatch):
+        val, test = small_dataset
+        bad = _bad_row(test / "baseline.csv", tmp_path / "test" / "baseline.csv", 4)
+        _order_claims(monkeypatch, "child", tmp_path / "child_claimed")
+        gc.collect()
+        before = set(os.listdir("/proc/self/fd"))
+        assert main(["calibrate", "--val", str(val), "--test", str(bad.parent), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:4: ")
+        assert set(os.listdir("/proc/self/fd")) == before
+
+
+FUZZED = ["data/baseline.csv", "data/bank/trans_3_4.csv", "data/gt.csv", "replay/pred.csv", "replay/trace.csv"]
+FUZZ_TOKENS = [b"nan", b"1e309", b"-inf", b"\xff", b"12345678901234567890", b",", b"\n", b"#", b"0", b"-"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A one-video dataset with its predicted timeline and trace."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["simulate", "--videos", "1", "--frames-mean", "40", "--seed", "4", "--out", str(root / "data")]) == 0
+    assert main(["infer", "--strategy", "transition", "--bank", str(root / "data" / "bank"),
+                 "--trace", str(root / "replay" / "trace.csv"), "--out", str(root / "replay" / "pred.csv")]) == 0
+    return root
+
+
+# (file, edit, where in the file as a fraction, span length or bit, inserted token)
+MUTATIONS = st.tuples(st.sampled_from(FUZZED), st.sampled_from(["flip", "insert", "delete", "duplicate"]),
+                      st.floats(0, 1), st.integers(1, 40), st.sampled_from(FUZZ_TOKENS))
+
+
+def _mutate(data: bytes, op: str, at: float, length: int, token: bytes) -> bytes:
+    """``data`` with one byte flipped, ``token`` inserted, or a span deleted or duplicated."""
+    i = min(int(at * len(data)), len(data) - 1)
+    if op == "flip":
+        return data[:i] + bytes([data[i] ^ (1 << length % 8)]) + data[i + 1:]
+    if op == "insert":
+        return data[:i] + token + data[i:]
+    if op == "delete":
+        return data[:i] + data[i + length:]
+    return data[:i + length] + data[i:]
+
+
+class TestFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(mutation=MUTATIONS)
+    def test_mutated_inputs_exit_0_or_name_the_file(self, fuzz_base, mutation):
+        """calibrate, infer and evaluate on a dataset with one mutated file end
+        in exit 0 or in exit 2 with one line naming the file: never a
+        traceback or a numpy warning."""
+        name, *edit = mutation
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            shutil.copytree(fuzz_base, root, dirs_exist_ok=True)
+            path = root / name
+            path.write_bytes(_mutate(path.read_bytes(), *edit))
+            data, replay, out = root / "data", root / "replay", root / "out"
+            commands = [
+                ["calibrate", "--val", str(data), "--test", str(data), "--include-bank", "--out", str(out / "cal")],
+                ["infer", "--strategy", "confidence", "--base", str(data / "baseline.csv"), "--bank",
+                 str(data / "bank"), "--temperature", "auto", "--val", str(data), "--sweep",
+                 "--trace", str(out / "inf" / "trace.csv"), "--out", str(out / "inf" / "pred.csv")],
+                ["evaluate", "--pred", str(replay / "pred.csv"), "--gt", str(data / "gt.csv"),
+                 "--trace", str(replay / "trace.csv"), "--out", str(out / "eval")],
+            ]
+            for argv in commands:
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    rc = main(argv)
+                assert [w for w in caught if "hit the search bound" not in str(w.message)] == [], argv
+                if rc != 0:
+                    assert rc == 2 and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+                    assert str(path) in err.getvalue(), (argv, err.getvalue())
 
 
 class TestParseErrors:
