@@ -223,17 +223,19 @@ def fit_temperature(logits, labels=None) -> Temperature:
 
 
 def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, val_name: str = "validation split",
-                     test_name: str = "test split") -> CalibrationReport:
+                     test_name: str = "test split", fitted: Temperature | None = None) -> CalibrationReport:
     """Fit T on the validation split, evaluate NLL/ECE on the test split.
 
     ``val`` and ``test`` are each a labeled LogitSequence or a list or tuple
-    of them (see as_arrays). An NLL that overflows raises a ValueError naming
-    its split, ``val_name`` or ``test_name``.
+    of them (see as_arrays). A ``fitted`` temperature, when given, is used as
+    it is and ``val`` is not read. An NLL that overflows raises a ValueError
+    naming its split, ``val_name`` or ``test_name``.
     """
-    try:
-        fitted = fit_temperature(val)
-    except ValueError as exc:
-        raise ValueError(f"{val_name}: {exc}") from None
+    if fitted is None:
+        try:
+            fitted = fit_temperature(val)
+        except ValueError as exc:
+            raise ValueError(f"{val_name}: {exc}") from None
     try:
         test_z, test_y = as_arrays(test)
         # the objective's buffers go with the map, before the ECE passes allocate

@@ -10,19 +10,22 @@ import argparse
 import os
 import pickle
 import sys
+import warnings
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration, inference, metrics, report, simulate
-from .logits import (LogitSequence, TransitionLogitBank, assemble_bank, bank_files, bank_path, load_logits,
+from .logits import (LogitSequence, TransitionLogitBank, assemble_bank, bank_files, check_bank_shapes, load_logits,
                      positive_temperature)
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
-from .workflow import NUM_PHASES, all_transition_pairs, check_utf8, load_timelines, save_timelines
+from .workflow import (NUM_PHASES, TIMELINE_HEADER, all_transition_pairs, check_utf8, load_timelines, save_timelines,
+                       timeline_rows, write_rows)
 
 # Keys never written to config echoes: paths vary between runs without
 # affecting artifact content, and byte-identical reruns are a contract.
@@ -52,43 +55,77 @@ class _ChildTraceback(Exception):
     chained as the cause of that exception when the parent re-raises it."""
 
 
+class _Outcome:
+    """What a call did: its value or the ``catch`` exception it raised, and
+    the warnings it issued, kept so that ``get`` can replay them later, in
+    the place a serial run has them, and in another process."""
+
+    text = None  # the traceback of an error raised in a forked child
+
+    def __init__(self, call, catch=Exception):
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                self.value, self.error = call(), None
+            except catch as exc:
+                self.value, self.error = None, exc
+        self.warnings = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+    def get(self):
+        """Issue the call's warnings again, then return its value or raise its error."""
+        for warning in self.warnings:
+            warnings.warn_explicit(*warning)
+        if self.error is None:
+            return self.value
+        if self.text is None:
+            raise self.error
+        raise self.error from _ChildTraceback(self.text)
+
+
 def _claim(jobs, claims) -> dict:
     """Run the jobs whose indices this process reads from ``claims`` until it
-    is empty or a job fails: {index: result, or the exception raised}."""
+    is empty or a job fails: {index: the job's _Outcome}."""
     done = {}
     while claimed := claims.read(1):
-        try:
-            done[claimed[0]] = jobs[claimed[0]]()
-        except Exception as exc:
-            done[claimed[0]] = exc
+        done[claimed[0]] = outcome = _Outcome(jobs[claimed[0]])
+        if outcome.error is not None:
             break
     return done
 
 
+def _one_cpu() -> bool:
+    """Whether this process may run on one CPU only (unknown counts as more)."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) == 1
+
+
 @contextmanager
-def _shared(jobs):
-    """Run the zero-argument ``jobs`` in this process and one forked child,
-    which claim job indices in order from one queue. Yields a list that holds
+def _shared(jobs, sizes=None):
+    """Run the zero-argument ``jobs`` (at most 256) in this process and one
+    forked child, which claim job indices from one queue: the largest
+    ``sizes`` first, or in job order without them. Yields a list that holds
     the results in job order once the block has exited.
 
     The child claims from the start; this process runs the block, then claims
     what is left, even when the block raised, and reaps the child. A process
-    stops at its first failed job, so the failure with the lowest index is the
-    one a serial run raises. It replaces any exception of the block, chained to
-    the child's traceback if the child raised it. The child's death is a
-    ChildProcessError. The child ends with ``os._exit``, so it never flushes
-    this process's buffers or runs its exit handlers. Where ``os.fork`` does
-    not exist, the jobs run first, inline.
+    stops at its first failed job; a job before the first failure in job
+    order that neither process ran then runs here. So the failure raised is
+    the one a serial run raises, and the warnings of the jobs before it are
+    issued again in job order. It replaces any exception of the block,
+    chained to the child's traceback if the child raised it. The child's
+    death is a ChildProcessError. The child ends with ``os._exit``, so it
+    never flushes this process's buffers or runs its exit handlers. Where
+    ``os.fork`` does not exist or this process has one CPU, the jobs run
+    first, inline.
     """
     results = []
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or _one_cpu():
         results.extend(job() for job in jobs)
         yield results
         return
+    order = range(len(jobs)) if sizes is None else sorted(range(len(jobs)), key=lambda i: -sizes[i])
     queue, fill = os.pipe()  # each byte in the pipe is one job index, claimed by one reader
     with open(queue, "rb", buffering=0) as claims:
         with open(fill, "wb") as pipe:
-            pipe.write(bytes(range(len(jobs))))
+            pipe.write(bytes(order))
         read_fd, write_fd = os.pipe()
         with open(read_fd, "rb") as sent:
             with open(write_fd, "wb") as pipe:
@@ -96,12 +133,12 @@ def _shared(jobs):
                 if pid == 0:  # the child
                     status = 1
                     try:
-                        theirs, text = _claim(jobs, claims), None
-                        failure = next((v for v in theirs.values() if isinstance(v, Exception)), None)
-                        if failure is not None:
-                            import traceback  # here, so that importing cli loads no module for it
-                            text = "".join(traceback.format_exception(failure))
-                        pickle.dump((theirs, text), pipe, protocol=5)
+                        theirs = _claim(jobs, claims)
+                        for outcome in theirs.values():
+                            if outcome.error is not None:
+                                import traceback  # here, so that importing cli loads no module for it
+                                outcome.text = "".join(traceback.format_exception(outcome.error))
+                        pickle.dump(theirs, pipe, protocol=5)
                         pipe.close()
                         status = 0
                     finally:
@@ -113,9 +150,9 @@ def _shared(jobs):
                     done = _claim(jobs, claims)
                 finally:
                     try:  # streamed, not read whole, so one copy of the child's results is held
-                        theirs, text = pickle.load(sent)  # the child's own bytes, so this is safe
+                        theirs = pickle.load(sent)  # the child's own bytes, so this is safe
                     except Exception:  # a child that died sent at most part of them
-                        theirs = text = None
+                        theirs = None
                     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 if code < 0:
                     import signal
@@ -123,26 +160,27 @@ def _shared(jobs):
                 if code or theirs is None:
                     raise ChildProcessError(f"child process {pid} exited with status {code}")
                 done.update(theirs)
-                failed = [i for i, value in done.items() if isinstance(value, Exception)]
-                if failed:
-                    first = min(failed)
-                    if first in theirs:
-                        raise theirs[first] from _ChildTraceback(text)
-                    raise done[first]
-                results.extend(done[i] for i in range(len(jobs)))
+                results.extend((done[i] if i in done else _Outcome(jobs[i])).get() for i in range(len(jobs)))
 
 
-def _parsed(jobs) -> deque:
-    """The results of the file-parsing ``jobs`` (see _shared), in job order.
-    Taking each from the left lets go of it, so memory is freed as it is used."""
-    with _shared(list(jobs)) as results:
+def _results(jobs, sizes=None) -> deque:
+    """The results of the ``jobs`` (see _shared), in job order. Taking each
+    from the left lets go of it, so memory is freed as it is used."""
+    with _shared(list(jobs), sizes) as results:
         pass
     return deque(results)
 
 
-def _bank_from(parsed: deque) -> TransitionLogitBank:
-    """The bank whose six pair files are the next ones in ``parsed``."""
-    return assemble_bank([parsed.popleft() for _ in all_transition_pairs()])
+def _size(*paths) -> int:
+    """The bytes in the files at ``paths``; a missing one, which its job names, counts as empty."""
+    return sum(os.path.getsize(path) for path in paths if os.path.isfile(path))
+
+
+def _runs(items: list) -> list[list]:
+    """``items`` cut into runs of consecutive items, at most 256 of them, one
+    for each job of a _shared."""
+    step = -(-len(items) // 256) or 1
+    return [items[i:i + step] for i in range(0, len(items), step)]
 
 
 @contextmanager
@@ -316,15 +354,16 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- calibrate
 
 def _write_calibration(out_dir, report_path, val: dict, test: dict, val_file: Path, test_file: Path,
-                       bins: int, extra_results: dict) -> dict:
-    """Fit T on the ``val`` baselines ({video_id: LogitSequence}) and write the
-    results (plus ``extra_results``), their text rendering and the ``test``
-    split's reliability bins before and after. Nothing is written unless the
-    report can be computed; errors in a split name its file. Returns the results."""
+                       bins: int, extra_results: dict, fitted=None) -> dict:
+    """Fit T on the ``val`` baselines ({video_id: LogitSequence}), unless it is
+    ``fitted`` already, and write the results (plus ``extra_results``), their
+    text rendering and the ``test`` split's reliability bins before and after.
+    Nothing is written unless the report can be computed; errors in a split
+    name its file. Returns the results."""
     # video id order fixes the concatenation order, and so the float results
     val_seqs, test_seqs = ([split[v] for v in sorted(split)] for split in (val, test))
-    cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=bins,
-                                       val_name=str(val_file), test_name=str(test_file))
+    cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=bins, val_name=str(val_file),
+                                       test_name=str(test_file), fitted=fitted)
     results = {**report.calibration_results(cal), **extra_results}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -340,57 +379,110 @@ def cmd_calibrate(args) -> int:
     out = Path(args.out)
     out_dir, report_path = (out.parent, out) if out.suffix == ".json" else (out, out / "report.json")
     val_file, test_file = Path(args.val) / "baseline.csv", Path(args.test) / "baseline.csv"
-    bank_dir = Path(args.val) / "bank"
-    pair_files = bank_files(bank_dir) if args.include_bank else []
-    parsed = _parsed(partial(load_logits, path) for path in (val_file, test_file, *pair_files))
-    val, test = parsed.popleft(), parsed.popleft()
-    extra = _bank_temperatures(bank_dir, _bank_from(parsed)) if args.include_bank else {}
-    results = _write_calibration(out_dir, report_path, val, test, val_file, test_file, args.bins, extra)
+    pair_files = bank_files(Path(args.val) / "bank") if args.include_bank else []
+    # each validation file's job fits its T there, so only the fits and the test split come back
+    jobs = [partial(_fitted_split, val_file), partial(load_logits, test_file),
+            *map(partial, repeat(_pair_fit), pair_files, all_transition_pairs())]
+    val_fit, test, *pairs = _results(jobs, [_size(path) for path in (val_file, test_file, *pair_files)])
+    extra = {}
+    if pairs:  # the bank is checked whole before any of its fits, as assemble_bank would
+        check_bank_shapes([shapes for shapes, _ in pairs])
+        for pair, (_, fit) in zip(all_transition_pairs(), pairs):
+            extra[f"calibration.bank.{pair.name}.temperature"] = fit.get()
+    results = _write_calibration(out_dir, report_path, {}, test, val_file, test_file, args.bins, extra,
+                                 fitted=val_fit.get())
     write_config_echo(out_dir, _echo_values(args))
     print(report.render_report_text(results), end="")
     return 0
 
 
-def _bank_temperatures(directory, bank: TransitionLogitBank) -> dict:
-    """Optional per-pair fits on in-pair frames, labels mapped to {1, 2}; errors name the pair file."""
-    out = {}
-    for pair in all_transition_pairs():
-        zs, ys = [], []
-        for vid in bank.videos():
-            seq = bank.sequences[vid][pair]
-            if seq.labels is None:
-                continue
-            mask = (seq.labels == pair.low) | (seq.labels == pair.high)
-            if mask.any():
-                zs.append(seq.logits[mask])
-                ys.append(np.where(seq.labels[mask] == pair.high, 2, 1))
-        if not zs:
-            out[f"calibration.bank.{pair.name}.temperature"] = None
+def _fit(path, sequences: dict) -> calibration.Temperature:
+    """T fitted on the labeled ``sequences`` of the file ``path`` in video id
+    order; an error names the file."""
+    with _naming(path):
+        return calibration.fit_temperature([sequences[v] for v in sorted(sequences)])
+
+
+def _fitted_split(path) -> _Outcome:
+    """Parse the baseline file ``path``: the _Outcome of fitting T on it."""
+    return _Outcome(partial(_fit, path, load_logits(path)), ValueError)
+
+
+def _pair_fit(path, pair) -> tuple[dict, _Outcome]:
+    """Parse the bank pair file ``path``: the logits' shape per video, and the
+    _Outcome of fitting T on its frames in ``pair``."""
+    sequences = load_logits(path)
+    shapes = {vid: seq.logits.shape for vid, seq in sequences.items()}
+    return shapes, _Outcome(partial(_pair_temperature, path, pair, sequences), ValueError)
+
+
+def _pair_temperature(path, pair, sequences: dict) -> float | None:
+    """T fitted on the in-pair frames of ``sequences`` in video id order,
+    labels mapped to {1, 2}; None when no labeled frame lies in the pair."""
+    zs, ys = [], []
+    for vid in sorted(sequences):
+        seq = sequences[vid]
+        if seq.labels is None:
             continue
-        with _naming(bank_path(directory, pair)):
-            fitted = calibration.fit_temperature(np.concatenate(zs), np.concatenate(ys))
-        out[f"calibration.bank.{pair.name}.temperature"] = fitted.value
-    return out
+        mask = (seq.labels == pair.low) | (seq.labels == pair.high)
+        if mask.any():
+            zs.append(seq.logits[mask])
+            ys.append(np.where(seq.labels[mask] == pair.high, 2, 1))
+    if not zs:
+        return None
+    with _naming(path):
+        return calibration.fit_temperature(np.concatenate(zs), np.concatenate(ys)).value
 
 
 # ---------------------------------------------------------------- infer
 
-def _resolve_temperature(args, val_base) -> float:
-    if args.temperature != "auto":
-        return args.temperature
-    with _naming(Path(args.val) / "baseline.csv"):
-        fitted = calibration.fit_temperature([val_base[v] for v in sorted(val_base)])
-    print(f"fitted temperature on validation split: {fitted.value!r}")
-    return fitted.value
+def _run_strategy(strategy: str, baselines: dict[str, LogitSequence], bank, cfg, vid: str) -> tuple:
+    """One video's (timeline, trace) under ``strategy``."""
+    if strategy == "transition":
+        return inference.transition_inference(bank, vid, cfg)
+    return inference.confidence_inference(baselines[vid], bank, cfg)
 
 
 def _infer(strategy: str, baselines: dict[str, LogitSequence], bank, cfg) -> tuple[dict, dict]:
     """Run one strategy over every video in id order: ({vid: timeline}, {vid: trace})."""
-    if strategy == "transition":
-        runs = {vid: inference.transition_inference(bank, vid, cfg) for vid in bank.videos()}
-    else:
-        runs = {vid: inference.confidence_inference(baselines[vid], bank, cfg) for vid in sorted(baselines)}
+    vids = bank.videos() if strategy == "transition" else sorted(baselines)
+    runs = {vid: _run_strategy(strategy, baselines, bank, cfg, vid) for vid in vids}
     return {vid: t for vid, (t, _) in runs.items()}, {vid: tr for vid, (_, tr) in runs.items()}
+
+
+def _tuned(args) -> tuple[_Outcome | None, _Outcome | None]:
+    """Parse the validation split of ``infer`` and tune on it: the _Outcome of
+    the ``--temperature auto`` fit and that of the ``--sweep``, each None when
+    it is not asked for. The sweep runs only after a fit that succeeded."""
+    val = Path(args.val)
+    base = load_logits(val / "baseline.csv")
+    if args.sweep:
+        gts = load_timelines(val / "gt.csv")
+        pairs = [load_logits(path) for path in bank_files(val / "bank")]
+    fit = _Outcome(partial(_fit, val / "baseline.csv", base), ValueError) if args.temperature == "auto" else None
+    if not args.sweep or fit and fit.error:
+        return fit, None
+    temperature = fit.value.value if fit else args.temperature
+
+    def sweep() -> tuple[float, list]:
+        bank = assemble_bank(pairs)
+        with _naming(val / "baseline.csv"):
+            metrics.require_ground_truth(base, gts)
+        cfg = inference.InferenceConfig(buffer_size=args.buffer, conf_threshold=args.threshold, temperature=temperature)
+        return inference.sweep_threshold(base, bank, gts, cfg)
+
+    return fit, _Outcome(sweep, ValueError)
+
+
+def _predicted_rows(strategy: str, baselines: dict, bank, cfg, named, traced: bool, run: list) -> list[tuple]:
+    """The timeline lines and, when ``traced``, the trace lines of each video
+    of ``run``; an error of the strategy names the file ``named``."""
+    rows = []
+    for vid in run:
+        with _naming(named):
+            timeline, trace = _run_strategy(strategy, baselines, bank, cfg, vid)
+        rows.append((timeline_rows(timeline), inference.trace_rows(trace) if traced else None))
+    return rows
 
 
 def cmd_infer(args) -> int:
@@ -407,51 +499,50 @@ def cmd_infer(args) -> int:
         raise ValueError("--sweep requires --val <dir> with labeled data")
     if confidence and not args.base:
         raise ValueError("--strategy confidence requires --base <file>")
-    reads = [partial(load_logits, path) for path in bank_files(args.bank)]
-    if fit_on_val:  # one parse of the validation baselines serves both --temperature auto and --sweep
+    bank_paths = bank_files(args.bank)
+    jobs, sizes = [partial(load_logits, path) for path in bank_paths], list(map(_size, bank_paths))
+    if fit_on_val:  # one job parses the validation split and tunes on it, for --temperature auto and --sweep
         val = Path(args.val)
-        reads.append(partial(load_logits, val / "baseline.csv"))
-        if args.sweep:
-            reads.append(partial(load_timelines, val / "gt.csv"))
-            reads += [partial(load_logits, path) for path in bank_files(val / "bank")]
+        jobs.append(partial(_tuned, args))
+        sizes.append(_size(val / "baseline.csv", *([val / "gt.csv", *bank_files(val / "bank")] if args.sweep else [])))
     if confidence:
-        reads.append(partial(load_logits, args.base))
-    parsed = _parsed(reads)
-    bank = _bank_from(parsed)
-    val_base = parsed.popleft() if fit_on_val else None
-    cfg = inference.InferenceConfig(
-        buffer_size=args.buffer,
-        conf_threshold=args.threshold,
-        temperature=_resolve_temperature(args, val_base),
-    )
-    if args.sweep:
-        cfg = replace(cfg, conf_threshold=_run_sweep(args, cfg, val_base, parsed.popleft(), _bank_from(parsed)))
+        jobs.append(partial(load_logits, args.base))
+        sizes.append(_size(args.base))
+    parsed = _results(jobs, sizes)
+    bank = assemble_bank([parsed.popleft() for _ in bank_paths])
+    fit, sweep = parsed.popleft() if fit_on_val else (None, None)
+    temperature, threshold = args.temperature, args.threshold
+    if fit:
+        temperature = fit.get().value
+        print(f"fitted temperature on validation split: {temperature!r}")
+    if sweep:
+        threshold, table = sweep.get()
+        print("threshold sweep on validation split:")
+        for t, a in table:
+            marker = "  <- best" if t == threshold else ""
+            print(f"  t_conf={t:.1f}  accuracy={100 * a:.2f}%{marker}")
+    cfg = inference.InferenceConfig(buffer_size=args.buffer, conf_threshold=threshold, temperature=temperature)
     baselines = parsed.popleft() if confidence else {}
-    with _naming(args.base if confidence else args.bank):
-        timelines, traces = _infer(args.strategy, baselines, bank, cfg)
+    # the strategy runs and its lines are formatted in two processes too, a run of videos a job
+    frames = ({vid: seq.num_frames for vid, seq in baselines.items()} if confidence
+              else {vid: bank.frame_count(vid) for vid in bank.videos()})
+    runs = _runs(sorted(frames))
+    predict = partial(_predicted_rows, args.strategy, baselines, bank, cfg,
+                      args.base if confidence else args.bank, bool(args.trace))
+    rows = [row for run in _results(map(partial, repeat(predict), runs), [sum(map(frames.get, run)) for run in runs])
+            for row in run]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_timelines(list(timelines.values()), out)
+    write_rows(out, TIMELINE_HEADER, (timeline for timeline, _ in rows))
     if args.trace:
-        inference.save_traces(list(traces.values()), args.trace)
+        write_rows(args.trace, inference.TRACE_HEADER, (trace for _, trace in rows))
     echo = _echo_values(args)
     if confidence:
         echo["resolved_threshold"] = cfg.conf_threshold
         echo["resolved_temperature"] = cfg.temperature
     write_config_echo(out.parent, echo)
-    print(f"wrote {len(timelines)} predicted timelines to {out}")
+    print(f"wrote {len(rows)} predicted timelines to {out}")
     return 0
-
-
-def _run_sweep(args, cfg, baselines, gts, bank) -> float:
-    with _naming(Path(args.val) / "baseline.csv"):
-        metrics.require_ground_truth(baselines, gts)
-    best, table = inference.sweep_threshold(baselines, bank, gts, cfg)
-    print("threshold sweep on validation split:")
-    for t, a in table:
-        marker = "  <- best" if t == best else ""
-        print(f"  t_conf={t:.1f}  accuracy={100 * a:.2f}%{marker}")
-    return best
 
 
 # ---------------------------------------------------------------- evaluate
@@ -470,24 +561,40 @@ def _write_results(out: Path, results: dict, formats, texts: dict, ribbons: dict
             report.write_ribbon_svg(gt, pred, out / name)
 
 
+def _video_results(gts: dict, preds: dict, traces: dict, ribbons, run: list) -> dict:
+    """For each video of ``run``: write its ribbon into the directory
+    ``ribbons`` (unless None), and return the cascade results of its trace."""
+    results = {}
+    for vid in run:
+        if ribbons is not None and vid in preds:
+            report.write_ribbon_svg(gts[vid], preds[vid], ribbons / f"ribbon_{vid}.svg")
+        if vid in traces:
+            results.update(report.cascade_results(metrics.detect_cascades(traces[vid], gts[vid]), f"video.{vid}"))
+    return results
+
+
 def cmd_evaluate(args) -> int:
     reads = [partial(load_timelines, args.pred), partial(load_timelines, args.gt)]
     if args.trace:
         reads.append(partial(inference.load_traces, args.trace))
-    parsed = _parsed(reads)
+    parsed = _results(reads, [_size(path) for path in (args.pred, args.gt, args.trace) if path])
     preds, gts = parsed.popleft(), parsed.popleft()
     with _naming(args.pred):
         results = metrics.evaluate_predictions(preds, gts)
+    traces = {}
     if args.trace:
         traces = parsed.popleft()
         with _naming(args.trace):
             metrics.require_ground_truth(traces, gts)
-        for vid in sorted(traces):
-            results.update(report.cascade_results(metrics.detect_cascades(traces[vid], gts[vid]), f"video.{vid}"))
 
     out = Path(args.out)
-    ribbons = {f"ribbon_{vid}.svg": (gts[vid], preds[vid]) for vid in sorted(preds)}
-    _write_results(out, results, args.format, {"evaluation.txt": results}, ribbons)
+    out.mkdir(parents=True, exist_ok=True)
+    # the ribbons and cascades come from two processes too, a run of videos a job
+    runs = _runs(sorted(preds.keys() | traces.keys()))
+    video = partial(_video_results, gts, preds, traces, out if "svg" in args.format else None)
+    for cascades in _results(map(partial, repeat(video), runs), [sum(len(gts[v]) for v in run) for run in runs]):
+        results.update(cascades)
+    _write_results(out, results, args.format, {"evaluation.txt": results}, {})
     write_config_echo(out, _echo_values(args))
     print(f"accuracy: pooled {report.pct(results['accuracy.pooled'])}%, "
           f"per-video mean {report.pct(results['accuracy.video_mean'])}%")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .logits import LogitSequence, TransitionLogitBank, argmax_confidence_rows, positive_temperature
 from .workflow import (NUM_PHASES, PhaseTimeline, all_transition_pairs, float_text, int_text, phase_cells, read_rows,
-                       write_rows)
+                       row_block, write_rows)
 
 BASELINE_MODEL = "baseline"
 # A trace's model code indexes this: 0 is the baseline, k is pair (k, k + 1).
@@ -263,13 +263,14 @@ def save_traces(traces, path) -> None:
     """
     if isinstance(traces, InferenceTrace):
         traces = [traces]
-    write_rows(path, TRACE_HEADER, ((trace.video_id, _trace_text(trace)) for trace in traces))
+    write_rows(path, TRACE_HEADER, map(trace_rows, traces))
 
 
-def _trace_text(trace: InferenceTrace) -> tuple[list[str], ...]:
+def trace_rows(trace: InferenceTrace) -> str:
+    """The lines of ``trace`` in a trace file (see save_traces)."""
     names = list(map(MODEL_NAMES.__getitem__, trace.model.tolist()))
     conf = [c if has else "" for c, has in zip(float_text(trace.confidence), trace.has_confidence.tolist())]
-    return names, int_text(trace.state), conf, int_text(trace.prediction)
+    return row_block(trace.video_id, (names, int_text(trace.state), conf, int_text(trace.prediction)))
 
 
 def _trace_columns(cells) -> tuple[np.ndarray, ...]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .workflow import (PHASE_MAX, PHASE_MIN, TransitionPair, all_transition_pairs, float_text, int_cells, int_text,
-                       read_rows, write_rows)
+                       read_rows, row_block, write_rows)
 
 BANK_FILE_SUFFIX = ".csv"
 LOGIT_HEADER = "video_id,frame_idx,label"
@@ -121,23 +121,8 @@ class TransitionLogitBank:
     sequences: dict[str, dict[TransitionPair, LogitSequence]]
 
     def __post_init__(self):
-        pairs = set(all_transition_pairs())
-        for vid, by_pair in self.sequences.items():
-            got = set(by_pair)
-            if got != pairs:
-                missing = sorted(p.name for p in pairs - got)
-                raise ValueError(f"bank for video {vid!r} is missing pairs: {', '.join(missing)}")
-            counts = set()
-            for pair, seq in by_pair.items():
-                if seq.num_classes != 2:
-                    raise ValueError(f"bank entry {pair.name} for {vid!r} must have K=2")
-                if seq.video_id != vid:
-                    raise ValueError(
-                        f"bank entry {pair.name} carries video {seq.video_id!r}, expected {vid!r}"
-                    )
-                counts.add(seq.num_frames)
-            if len(counts) != 1:
-                raise ValueError(f"bank for video {vid!r} has mismatched frame counts: {sorted(counts)}")
+        _check_layout({vid: {pair: (seq.video_id, seq.logits.shape) for pair, seq in by_pair.items()}
+                       for vid, by_pair in self.sequences.items()})
 
     @classmethod
     def merge(cls, banks) -> "TransitionLogitBank":
@@ -177,7 +162,7 @@ def save_logits(sequences, path) -> None:
         if seq.num_classes != k:
             raise ValueError("all sequences in one file must share the class count")
     header = LOGIT_HEADER + "".join(f",z{i}" for i in range(1, k + 1))
-    write_rows(path, header, ((seq.video_id, _logit_text(seq)) for seq in sequences))
+    write_rows(path, header, (row_block(seq.video_id, _logit_text(seq)) for seq in sequences))
 
 
 def _logit_text(seq: LogitSequence) -> list[list[str]]:
@@ -249,13 +234,47 @@ def bank_files(directory) -> list[Path]:
     return paths
 
 
+def _check_layout(per_video: dict) -> None:
+    """Raise ValueError unless every video of ``per_video``, {video_id: {pair:
+    (the video id its sequence carries, its logits' shape)}}, has all six
+    pairs, each with K=2, the video's id and one common frame count."""
+    pairs = set(all_transition_pairs())
+    for vid, by_pair in per_video.items():
+        got = set(by_pair)
+        if got != pairs:
+            missing = sorted(p.name for p in pairs - got)
+            raise ValueError(f"bank for video {vid!r} is missing pairs: {', '.join(missing)}")
+        counts = set()
+        for pair, (carried, (frames, k)) in by_pair.items():
+            if k != 2:
+                raise ValueError(f"bank entry {pair.name} for {vid!r} must have K=2")
+            if carried != vid:
+                raise ValueError(f"bank entry {pair.name} carries video {carried!r}, expected {vid!r}")
+            counts.add(frames)
+        if len(counts) != 1:
+            raise ValueError(f"bank for video {vid!r} has mismatched frame counts: {sorted(counts)}")
+
+
+def _by_video(parsed) -> dict[str, dict[TransitionPair, object]]:
+    """{video_id: {pair: item}} from the six pair files' {video_id: item}, in pair order."""
+    per_video: dict[str, dict[TransitionPair, object]] = {}
+    for pair, items in zip(all_transition_pairs(), parsed, strict=True):
+        for vid, item in items.items():
+            per_video.setdefault(vid, {})[pair] = item
+    return per_video
+
+
 def assemble_bank(parsed) -> TransitionLogitBank:
     """The bank held by the six pair files ``parsed`` by load_logits, in pair order."""
-    per_video: dict[str, dict[TransitionPair, LogitSequence]] = {}
-    for pair, sequences in zip(all_transition_pairs(), parsed, strict=True):
-        for vid, seq in sequences.items():
-            per_video.setdefault(vid, {})[pair] = seq
-    return TransitionLogitBank(per_video)
+    return TransitionLogitBank(_by_video(parsed))
+
+
+def check_bank_shapes(shapes) -> None:
+    """Raise the ValueError assemble_bank raises for the six pair files, in
+    pair order, whose sequences have these logit ``shapes``, {video_id:
+    (frames, K)} per file, without their arrays."""
+    _check_layout({vid: {pair: (vid, shape) for pair, shape in by_pair.items()}
+                   for vid, by_pair in _by_video(shapes).items()})
 
 
 def load_bank(directory) -> TransitionLogitBank:

@@ -107,20 +107,29 @@ def save_timelines(timelines, path) -> None:
     """
     if isinstance(timelines, PhaseTimeline):
         timelines = [timelines]
-    write_rows(path, TIMELINE_HEADER, ((t.video_id, (int_text(t.labels),)) for t in timelines))
+    write_rows(path, TIMELINE_HEADER, map(timeline_rows, timelines))
 
 
-def write_rows(path, header: str, videos) -> None:
-    """Write ``header``, then one line ``video_id,frame_idx,<cells>`` per frame
-    of each ``(video_id, columns)`` of the lazy iterable ``videos``, where the
-    columns are equal-length lists of cell strings; one video is held at a time."""
+def timeline_rows(timeline: PhaseTimeline) -> str:
+    """The lines of ``timeline`` in a timeline file (see save_timelines)."""
+    return row_block(timeline.video_id, (int_text(timeline.labels),))
+
+
+def write_rows(path, header: str, blocks) -> None:
+    """Write ``header``, then each block of the lazy iterable ``blocks`` (see
+    row_block); one block is held at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for vid, columns in videos:
-            n = len(columns[0])
-            frames = _canonical_frames(0, n)
-            frames.extend(map(str, range(len(frames), n)))
-            fh.write("\n".join(map(",".join, zip(repeat(vid, n), frames, *columns))) + "\n")
+        fh.writelines(blocks)
+
+
+def row_block(vid: str, columns) -> str:
+    """One line ``video_id,frame_idx,<cells>`` per frame of the video ``vid``,
+    whose ``columns`` are equal-length lists of cell strings."""
+    n = len(columns[0])
+    frames = _canonical_frames(0, n)
+    frames.extend(map(str, range(len(frames), n)))
+    return "\n".join(map(",".join, zip(repeat(vid, n), frames, *columns))) + "\n"
 
 
 def float_text(column) -> list[str]:

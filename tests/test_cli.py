@@ -9,6 +9,7 @@ import signal
 import tempfile
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,12 @@ from phasekit.inference import baseline_argmax, load_traces
 from phasekit.logits import load_bank, load_logits
 from phasekit.report import load_results_json
 from phasekit.workflow import load_timelines
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """Commands fork as on a host with two CPUs, whatever this one has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -1141,20 +1148,38 @@ def replayed(small_dataset, tmp_path_factory):
 
 
 def _read_commands(val, test, pred, trace, out):
-    """The input-reading commands, by case: each parses its files in two processes."""
+    """The input-reading commands, by case: each parses its files in two
+    processes, and infer and evaluate share their output stage as well."""
+    transition = ["infer", "--strategy", "transition", "--bank", str(test / "bank"), "--out", str(out / "pred.csv")]
     confidence = ["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
-                  "--bank", str(test / "bank"), "--val", str(val), "--trace", str(out / "trace.csv")]
+                  "--bank", str(test / "bank"), "--out", str(out / "pred.csv")]
+    traced = ["--trace", str(out / "trace.csv")]
     evaluate = ["evaluate", "--pred", str(pred), "--gt", str(test / "gt.csv")]
     return {
         "calibrate": ["calibrate", "--val", str(val), "--test", str(test)],
         "calibrate_bank": ["calibrate", "--val", str(val), "--test", str(test), "--include-bank"],
-        "transition": ["infer", "--strategy", "transition", "--bank", str(test / "bank"),
-                       "--trace", str(out / "trace.csv"), "--out", str(out / "pred.csv")],
-        "confidence_auto": [*confidence, "--temperature", "auto", "--out", str(out / "pred.csv")],
-        "confidence_sweep": [*confidence, "--sweep", "--out", str(out / "pred.csv")],
+        "transition": [*transition, *traced],
+        "transition_untraced": transition,
+        "confidence": confidence,
+        "confidence_auto": [*confidence, *traced, "--val", str(val), "--temperature", "auto"],
+        "confidence_sweep": [*confidence, *traced, "--val", str(val), "--sweep"],
         "evaluate": evaluate,
         "evaluate_trace": [*evaluate, "--trace", str(trace)],
+        "evaluate_text": [*evaluate, "--trace", str(trace), "--format", "text"],
     }
+
+
+def _tiny_splits(root: Path) -> tuple[Path, Path]:
+    """A validation split with a bank and a test split, each of one
+    four-frame video with K=2 scores, under ``root``."""
+    header = "video_id,frame_idx,label,z1,z2\n"
+    body = "v,0,1,2.0,0.0\nv,1,2,2.0,0.0\nv,2,2,0.0,2.0\nv,3,1,1.0,0.0\n"
+    val, test = root / "val", root / "test"
+    for path in (val / "baseline.csv", test / "baseline.csv", *(val / "bank" / f"trans_{i}_{i + 1}.csv"
+                                                                for i in range(1, 7))):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(header + body)
+    return val, test
 
 
 def _with_out(argv, out):
@@ -1189,29 +1214,31 @@ class TestForkedReads:
     """calibrate, infer and evaluate parse their input files in this process
     and one forked child; the results are those of parsing them in order."""
 
-    @pytest.mark.parametrize("case", ["calibrate", "calibrate_bank", "transition", "confidence_auto",
-                                      "confidence_sweep", "evaluate", "evaluate_trace"])
+    @pytest.mark.parametrize("case", ["calibrate", "calibrate_bank", "transition", "transition_untraced",
+                                      "confidence", "confidence_auto", "confidence_sweep", "evaluate",
+                                      "evaluate_trace", "evaluate_text"])
     def test_forked_reads_match_inline_reads(self, small_dataset, replayed, tmp_path, capsys, monkeypatch, case):
-        """Same --out bytes and stdout with and without os.fork; every loaded
-        array stays read-only, also where it came from the child."""
+        """Same --out bytes and stdout with and without os.fork: one fork to
+        parse and fit, and one more for infer's and evaluate's output stage.
+        Every loaded array stays read-only, also where it came from the child."""
         out = tmp_path / "out"
         argv = _with_out(_read_commands(*small_dataset, *replayed, out)[case], out)
-        loaded, parsed = [], cli._parsed
+        loaded, results = [], cli._results
 
-        def recording(jobs):
-            results = parsed(jobs)
-            loaded.extend(results)
-            return results
+        def recording(jobs, sizes=None):
+            done = results(jobs, sizes)
+            loaded.extend(done)
+            return done
 
-        monkeypatch.setattr(cli, "_parsed", recording)
+        monkeypatch.setattr(cli, "_results", recording)
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         _order_claims(monkeypatch, "child", tmp_path / "child_claimed")
         assert main(argv) == 0
         forked, tree = capsys.readouterr(), _tree(out)
-        assert forks == [1]
-        arrays = [value for by_video in loaded for item in by_video.values()
-                  for value in vars(item).values() if isinstance(value, np.ndarray)]
+        assert len(forks) == (1 if argv[0] == "calibrate" else 2)
+        arrays = [value for by_video in loaded if isinstance(by_video, dict) for item in by_video.values()
+                  if hasattr(item, "__dict__") for value in vars(item).values() if isinstance(value, np.ndarray)]
         assert arrays and not any(a.flags.writeable for a in arrays)
 
         shutil.rmtree(out)
@@ -1219,6 +1246,148 @@ class TestForkedReads:
         assert main(argv) == 0
         assert capsys.readouterr() == forked
         assert _tree(out) == tree
+
+    @pytest.mark.parametrize("case", ["calibrate_bank", "confidence_sweep", "evaluate_trace"])
+    def test_one_cpu_runs_inline(self, small_dataset, replayed, tmp_path, capsys, monkeypatch, case):
+        """Pinned to one CPU a command forks no child, and writes the bytes
+        and prints the lines it does with two."""
+        argv = {how: _with_out(_read_commands(*small_dataset, *replayed, tmp_path / how)[case], tmp_path / how)
+                for how in ("two", "one")}
+        assert main(argv["two"]) == 0
+        two = capsys.readouterr()
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(argv["one"]) == 0
+        assert forks == []
+        assert capsys.readouterr().out == two.out.replace(str(tmp_path / "two"), str(tmp_path / "one"))
+        assert _tree(tmp_path / "one") == _tree(tmp_path / "two")
+
+    def test_fit_warnings_are_issued_in_serial_order(self, tmp_path, capsys):
+        """Each bank pair fit hits a search bound, the low one where the pair
+        model is always right and the high one where it is always wrong; the
+        warnings, issued in the child or here, arrive as a serial run has them."""
+        val, test = _tiny_splits(tmp_path)
+        for i in range(1, 7):
+            scores = "0.01,0.0" if i % 2 else "0.0,0.01"
+            rows = "".join(f"v,{frame},{i},{scores}\n" for frame in range(4))
+            (val / "bank" / f"trans_{i}_{i + 1}.csv").write_text("video_id,frame_idx,label,z1,z2\n" + rows)
+        argv = ["calibrate", "--val", str(val), "--test", str(test), "--include-bank", "--out", str(tmp_path / "cal")]
+        caught = {}
+        for how in ("forked", "inline"):
+            with warnings.catch_warnings(record=True) as caught[how], pytest.MonkeyPatch.context() as patch:
+                warnings.simplefilter("always")
+                if how == "inline":
+                    patch.delattr(os, "fork")
+                assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        messages = [[(w.category, str(w.message)) for w in caught[how]] for how in ("forked", "inline")]
+        assert messages[0] == messages[1]
+        assert [message.split(";")[0] for _, message in messages[0]] == [
+            f"temperature fit hit the search bound T={bound}" for bound in (0.01, 100.0) * 3]
+
+    def test_more_videos_than_queue_slots(self, tmp_path, capsys, monkeypatch):
+        """300 videos go to the output stage as at most 256 jobs, each a run
+        of consecutive videos; the files are those of one process."""
+        data = tmp_path / "data"
+        assert main(["simulate", "--videos", "300", "--frames-mean", "14", "--seed", "5", "--out", str(data)]) == 0
+        argv = {how: [["infer", "--strategy", "transition", "--bank", str(data / "bank"),
+                       "--trace", str(tmp_path / how / "trace.csv"), "--out", str(tmp_path / how / "pred.csv")],
+                      ["evaluate", "--pred", str(tmp_path / how / "pred.csv"), "--gt", str(data / "gt.csv"),
+                       "--trace", str(tmp_path / how / "trace.csv"), "--out", str(tmp_path / how / "eval")]]
+                for how in ("forked", "inline")}
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert [main(call) for call in argv["forked"]] == [0, 0]
+        assert len(forks) == 4
+        monkeypatch.delattr(os, "fork")
+        assert [main(call) for call in argv["inline"]] == [0, 0]
+        assert _tree(tmp_path / "forked") == _tree(tmp_path / "inline")
+        assert len(list((tmp_path / "inline" / "eval").glob("ribbon_*.svg"))) == 300
+
+    def test_jobs_are_claimed_largest_first_and_returned_in_job_order(self, tmp_path):
+        """The child claims every job while this process waits in the block."""
+        log, marker = tmp_path / "claims.log", tmp_path / "drained"
+
+        def job(i):
+            _append_line(log, str(i))
+            if i == 0:  # the smallest, so the last one claimed
+                marker.touch()
+            return i * 10
+
+        with cli._shared([partial(job, i) for i in range(5)], sizes=[1, 5, 3, 5, 2]) as results:
+            _wait_for(marker)
+        assert log.read_text().split() == ["1", "3", "2", "4", "0"]
+        assert results == [0, 10, 20, 30, 40]
+
+    def test_warnings_of_jobs_after_the_first_failure_are_dropped(self, tmp_path):
+        """The child runs job 2, which warns, then fails job 1; this process
+        runs job 0, which warns. A serial run warns once and raises job 1's error."""
+        marker = tmp_path / "failed"
+
+        def warn(text):
+            warnings.warn(text, UserWarning)
+
+        def fail():
+            marker.touch()
+            raise ValueError("job 1 failed")
+
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError, match="job 1 failed"):
+            warnings.simplefilter("always")
+            with cli._shared([partial(warn, "job 0"), fail, partial(warn, "job 2")], sizes=[1, 2, 3]):
+                _wait_for(marker)
+        assert [str(w.message) for w in caught] == ["job 0"]
+
+    def test_an_unclaimed_earlier_bad_file_is_still_the_error(self, tmp_path, capsys, monkeypatch):
+        """Both processes stop at a bad bank pair file, the two largest files,
+        before either claims the small validation baselines, whose bad row a
+        serial run reports first."""
+        val, test = _tiny_splits(tmp_path)
+        rows = "".join(f"v,{frame},1,1.0,0.0\n" for frame in range(200))
+        for i in range(1, 7):
+            extra = {1: 100, 2: 50}.get(i, 0)  # trans_1_2 is the largest file, then trans_2_3
+            path = val / "bank" / f"trans_{i}_{i + 1}.csv"
+            path.write_text("video_id,frame_idx,label,z1,z2\n" + rows + rows[:extra * 14])
+            if i <= 2:
+                _bad_row(path, path, 4)
+        _bad_row(val / "baseline.csv", val / "baseline.csv", 3)
+        argv = ["calibrate", "--val", str(val), "--test", str(test), "--include-bank", "--out", str(tmp_path / "out")]
+        _order_claims(monkeypatch, "child", tmp_path / "child_claimed")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {val / 'baseline.csv'}:3: ") and err.count("\n") == 1, err
+        monkeypatch.delattr(os, "fork")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("case", ["calibrate", "infer"])
+    def test_parse_error_outranks_an_earlier_files_failed_fit(self, small_dataset, tmp_path, capsys, monkeypatch,
+                                                               case):
+        """The validation baselines overflow the fit, and a later file has a
+        bad row: a serial run parses every file before it fits, so the bad
+        row is the error, forked or not."""
+        val, test = small_dataset
+        bad_val = tmp_path / "val"
+        shutil.copytree(val, bad_val)
+        lines = (val / "baseline.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        lines[2] = ",".join([*cells[:3], "1e308", "-1e308", *["0"] * (len(cells) - 5)])
+        (bad_val / "baseline.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        if case == "calibrate":
+            bad = _bad_row(val / "bank" / "trans_6_7.csv", bad_val / "bank" / "trans_6_7.csv", 4)
+            argv = ["calibrate", "--val", str(bad_val), "--test", str(test), "--include-bank", "--out", str(out)]
+        else:
+            bad = _bad_row(test / "baseline.csv", tmp_path / "base.csv", 4)
+            argv = ["infer", "--strategy", "confidence", "--base", str(bad), "--bank", str(test / "bank"),
+                    "--val", str(bad_val), "--temperature", "auto", "--sweep", "--out", str(out / "pred.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:4: ") and err.count("\n") == 1, err
+        monkeypatch.delattr(os, "fork")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case, bad", [
         ("calibrate", "val/baseline.csv"), ("transition", "test/bank/trans_1_2.csv"), ("evaluate", "pred.csv"),
