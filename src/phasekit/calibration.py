@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,13 +42,15 @@ class Temperature:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Held-out NLL/ECE before (T=1) and after applying the fitted temperature."""
+    """Held-out NLL/ECE before (T=1) and after applying the fitted temperature,
+    and the held-out reliability_bins they came from, before and after."""
 
     nll_before: float
     nll_after: float
     ece_before: float
     ece_after: float
     fitted: Temperature
+    reliability: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("nll_before", "nll_after", "ece_before", "ece_after"):
@@ -154,7 +156,12 @@ def reliability_bins(
 def ece(logits, labels=None, temperature=1.0, num_bins: int = DEFAULT_NUM_BINS) -> float:
     """Expected calibration error over equal-width top-label confidence bins:
     the count-weighted mean absolute gap between accuracy and confidence."""
-    counts, mean_conf, acc = reliability_bins(logits, labels, temperature, num_bins)
+    return _binned_ece(reliability_bins(logits, labels, temperature, num_bins))
+
+
+def _binned_ece(bins: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+    """The ECE of reliability_bins' (counts, mean_confidence, accuracy)."""
+    counts, mean_conf, acc = bins
     mask = counts > 0
     weights = counts[mask] / int(counts.sum())
     return float(np.sum(weights * np.abs(acc[mask] - mean_conf[mask])))
@@ -222,30 +229,25 @@ def fit_temperature(logits, labels=None) -> Temperature:
     return Temperature(fitted)
 
 
-def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, val_name: str = "validation split",
-                     test_name: str = "test split", fitted: Temperature | None = None) -> CalibrationReport:
+def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, test_name: str = "test split",
+                     fitted: Temperature | None = None) -> CalibrationReport:
     """Fit T on the validation split, evaluate NLL/ECE on the test split.
 
     ``val`` and ``test`` are each a labeled LogitSequence or a list or tuple
     of them (see as_arrays). A ``fitted`` temperature, when given, is used as
     it is and ``val`` is not read. An NLL that overflows raises a ValueError
-    naming its split, ``val_name`` or ``test_name``.
+    naming its split, ``validation split`` or ``test_name``.
     """
     if fitted is None:
         try:
             fitted = fit_temperature(val)
         except ValueError as exc:
-            raise ValueError(f"{val_name}: {exc}") from None
+            raise ValueError(f"validation split: {exc}") from None
     try:
         test_z, test_y = as_arrays(test)
-        # the objective's buffers go with the map, before the ECE passes allocate
+        # the objective's buffers go with the map, before the binning passes allocate
         nll_before, nll_after = map(_nll_at(test_z, test_y), (1.0, fitted.value))
     except ValueError as exc:
         raise ValueError(f"{test_name}: {exc}") from None
-    return CalibrationReport(
-        nll_before=nll_before,
-        nll_after=nll_after,
-        ece_before=ece(test_z, test_y, 1.0, num_bins),
-        ece_after=ece(test_z, test_y, fitted.value, num_bins),
-        fitted=fitted,
-    )
+    bins = tuple(reliability_bins(test_z, test_y, t, num_bins) for t in (1.0, fitted.value))
+    return CalibrationReport(nll_before, nll_after, *map(_binned_ece, bins), fitted, reliability=bins)

@@ -33,10 +33,7 @@ _PATH_KEYS = {"out", "val", "test", "base", "bank", "pred", "gt", "trace", "resu
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"{stage}: {cause}")
-        self.stage = stage
-        self.cause = cause
+    """An input or config error of a pipeline stage, in a message that names the stage."""
 
 
 @contextmanager
@@ -47,7 +44,7 @@ def _stage(name: str):
     try:
         yield
     except (ValueError, KeyError, OSError) as exc:
-        raise StageError(name, exc) from exc
+        raise StageError(f"error in stage {name}: {exc}") from exc
 
 
 class _ChildTraceback(Exception):
@@ -176,11 +173,15 @@ def _size(*paths) -> int:
     return sum(os.path.getsize(path) for path in paths if os.path.isfile(path))
 
 
-def _runs(items: list) -> list[list]:
-    """``items`` cut into runs of consecutive items, at most 256 of them, one
-    for each job of a _shared."""
-    step = -(-len(items) // 256) or 1
-    return [items[i:i + step] for i in range(0, len(items), step)]
+def _per_video(job, frames: dict) -> list:
+    """The items of the lists that ``job`` returns for runs of consecutive
+    videos of ``frames`` ({video id: frame count}), in video id order. Each
+    run is one job of a _shared, at most 256 of them, the most frames first."""
+    vids = sorted(frames)
+    step = -(-len(vids) // 256) or 1
+    runs = [vids[i:i + step] for i in range(0, len(vids), step)]
+    return [item for items in _results(map(partial, repeat(job), runs), [sum(map(frames.get, run)) for run in runs])
+            for item in items]
 
 
 @contextmanager
@@ -353,24 +354,21 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- calibrate
 
-def _write_calibration(out_dir, report_path, val: dict, test: dict, val_file: Path, test_file: Path,
-                       bins: int, extra_results: dict, fitted=None) -> dict:
-    """Fit T on the ``val`` baselines ({video_id: LogitSequence}), unless it is
-    ``fitted`` already, and write the results (plus ``extra_results``), their
-    text rendering and the ``test`` split's reliability bins before and after.
-    Nothing is written unless the report can be computed; errors in a split
-    name its file. Returns the results."""
+def _write_calibration(out_dir: Path, report_path, fitted: calibration.Temperature, test: dict, test_file: Path,
+                       bins: int, extra_results: dict) -> dict:
+    """Write the results of the temperature ``fitted`` on the ``test``
+    baselines ({video_id: LogitSequence}), plus ``extra_results``, their text
+    rendering and the test split's reliability bins before and after. Nothing
+    is written unless the report can be computed; an error in the test split
+    names ``test_file``. Returns the results."""
     # video id order fixes the concatenation order, and so the float results
-    val_seqs, test_seqs = ([split[v] for v in sorted(split)] for split in (val, test))
-    cal = calibration.calibrate_report(val_seqs, test_seqs, num_bins=bins, val_name=str(val_file),
+    cal = calibration.calibrate_report(None, [test[v] for v in sorted(test)], num_bins=bins,
                                        test_name=str(test_file), fitted=fitted)
     results = {**report.calibration_results(cal), **extra_results}
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write_results_json(results, report_path)
     (out_dir / "report.txt").write_text(report.render_report_text(results), encoding="utf-8")
-    for name, temperature in (("before", 1.0), ("after", cal.fitted.value)):
-        reliability = calibration.reliability_bins(test_seqs, temperature=temperature, num_bins=bins)
+    for name, reliability in zip(("before", "after"), cal.reliability, strict=True):
         report.write_reliability_csv(reliability, out_dir / f"reliability_{name}.csv")
     return results
 
@@ -381,16 +379,16 @@ def cmd_calibrate(args) -> int:
     val_file, test_file = Path(args.val) / "baseline.csv", Path(args.test) / "baseline.csv"
     pair_files = bank_files(Path(args.val) / "bank") if args.include_bank else []
     # each validation file's job fits its T there, so only the fits and the test split come back
-    jobs = [partial(_fitted_split, val_file), partial(load_logits, test_file),
-            *map(partial, repeat(_pair_fit), pair_files, all_transition_pairs())]
-    val_fit, test, *pairs = _results(jobs, [_size(path) for path in (val_file, test_file, *pair_files)])
+    jobs = [partial(_parsed_fit, _fit, val_file), partial(load_logits, test_file),
+            *(partial(_parsed_fit, partial(_pair_temperature, pair), path)
+              for pair, path in zip(all_transition_pairs(), pair_files))]
+    (_, val_fit), test, *pairs = _results(jobs, [_size(path) for path in (val_file, test_file, *pair_files)])
     extra = {}
     if pairs:  # the bank is checked whole before any of its fits, as assemble_bank would
         check_bank_shapes([shapes for shapes, _ in pairs])
         for pair, (_, fit) in zip(all_transition_pairs(), pairs):
             extra[f"calibration.bank.{pair.name}.temperature"] = fit.get()
-    results = _write_calibration(out_dir, report_path, {}, test, val_file, test_file, args.bins, extra,
-                                 fitted=val_fit.get())
+    results = _write_calibration(out_dir, report_path, val_fit.get(), test, test_file, args.bins, extra)
     write_config_echo(out_dir, _echo_values(args))
     print(report.render_report_text(results), end="")
     return 0
@@ -403,20 +401,15 @@ def _fit(path, sequences: dict) -> calibration.Temperature:
         return calibration.fit_temperature([sequences[v] for v in sorted(sequences)])
 
 
-def _fitted_split(path) -> _Outcome:
-    """Parse the baseline file ``path``: the _Outcome of fitting T on it."""
-    return _Outcome(partial(_fit, path, load_logits(path)), ValueError)
-
-
-def _pair_fit(path, pair) -> tuple[dict, _Outcome]:
-    """Parse the bank pair file ``path``: the logits' shape per video, and the
-    _Outcome of fitting T on its frames in ``pair``."""
+def _parsed_fit(fit, path) -> tuple[dict, _Outcome]:
+    """Parse the logit file ``path``: the logits' shape per video, and the
+    _Outcome of ``fit(path, sequences)``."""
     sequences = load_logits(path)
     shapes = {vid: seq.logits.shape for vid, seq in sequences.items()}
-    return shapes, _Outcome(partial(_pair_temperature, path, pair, sequences), ValueError)
+    return shapes, _Outcome(partial(fit, path, sequences), ValueError)
 
 
-def _pair_temperature(path, pair, sequences: dict) -> float | None:
+def _pair_temperature(pair, path, sequences: dict) -> float | None:
     """T fitted on the in-pair frames of ``sequences`` in video id order,
     labels mapped to {1, 2}; None when no labeled frame lies in the pair."""
     zs, ys = [], []
@@ -526,11 +519,8 @@ def cmd_infer(args) -> int:
     # the strategy runs and its lines are formatted in two processes too, a run of videos a job
     frames = ({vid: seq.num_frames for vid, seq in baselines.items()} if confidence
               else {vid: bank.frame_count(vid) for vid in bank.videos()})
-    runs = _runs(sorted(frames))
-    predict = partial(_predicted_rows, args.strategy, baselines, bank, cfg,
-                      args.base if confidence else args.bank, bool(args.trace))
-    rows = [row for run in _results(map(partial, repeat(predict), runs), [sum(map(frames.get, run)) for run in runs])
-            for row in run]
+    rows = _per_video(partial(_predicted_rows, args.strategy, baselines, bank, cfg,
+                              args.base if confidence else args.bank, bool(args.trace)), frames)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_rows(out, TIMELINE_HEADER, (timeline for timeline, _ in rows))
@@ -547,29 +537,27 @@ def cmd_infer(args) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
-def _write_results(out: Path, results: dict, formats, texts: dict, ribbons: dict) -> None:
-    """Write into ``out`` what ``formats`` selects: results.json, the ``texts``
-    ({file name: results} to render) and the ``ribbons`` ({file name: (gt, pred)})."""
+def _write_results(out: Path, results: dict, formats, texts: dict) -> None:
+    """Write into ``out`` what ``formats`` selects of results.json and the
+    ``texts`` ({file name: results} to render)."""
     out.mkdir(parents=True, exist_ok=True)
     if "json" in formats:
         report.write_results_json(results, out / "results.json")
     if "text" in formats:
         for name, family in texts.items():
             (out / name).write_text(report.render_report_text(family), encoding="utf-8")
-    if "svg" in formats:
-        for name, (gt, pred) in ribbons.items():
-            report.write_ribbon_svg(gt, pred, out / name)
 
 
-def _video_results(gts: dict, preds: dict, traces: dict, ribbons, run: list) -> dict:
+def _video_results(gts: dict, preds: dict, traces: dict, ribbons, run: list) -> list:
     """For each video of ``run``: write its ribbon into the directory
-    ``ribbons`` (unless None), and return the cascade results of its trace."""
-    results = {}
+    ``ribbons`` (unless None); return the (key, value) cascade results of the
+    traced ones."""
+    results = []
     for vid in run:
         if ribbons is not None and vid in preds:
             report.write_ribbon_svg(gts[vid], preds[vid], ribbons / f"ribbon_{vid}.svg")
         if vid in traces:
-            results.update(report.cascade_results(metrics.detect_cascades(traces[vid], gts[vid]), f"video.{vid}"))
+            results += report.cascade_results(metrics.detect_cascades(traces[vid], gts[vid]), f"video.{vid}").items()
     return results
 
 
@@ -590,11 +578,9 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # the ribbons and cascades come from two processes too, a run of videos a job
-    runs = _runs(sorted(preds.keys() | traces.keys()))
     video = partial(_video_results, gts, preds, traces, out if "svg" in args.format else None)
-    for cascades in _results(map(partial, repeat(video), runs), [sum(len(gts[v]) for v in run) for run in runs]):
-        results.update(cascades)
-    _write_results(out, results, args.format, {"evaluation.txt": results}, {})
+    results.update(_per_video(video, {vid: len(gts[vid]) for vid in preds.keys() | traces.keys()}))
+    _write_results(out, results, args.format, {"evaluation.txt": results})
     write_config_echo(out, _echo_values(args))
     print(f"accuracy: pooled {report.pct(results['accuracy.pooled'])}%, "
           f"per-video mean {report.pct(results['accuracy.video_mean'])}%")
@@ -656,8 +642,9 @@ def cmd_pipeline(args) -> int:
     with _stage("simulate"), _shared(writes):
         with _stage("calibrate"):
             cal_dir = out / "calibration"
-            results = _write_calibration(cal_dir, cal_dir / "report.json", base_val, base_test,
-                                         out / "val" / "baseline.csv", out / "test" / "baseline.csv", args.bins, {})
+            fitted = _fit(out / "val" / "baseline.csv", base_val)
+            results = _write_calibration(cal_dir, cal_dir / "report.json", fitted, base_test,
+                                         out / "test" / "baseline.csv", args.bins, {})
             write_config_echo(cal_dir, echo)
 
         with _stage("infer"):
@@ -693,10 +680,13 @@ def cmd_pipeline(args) -> int:
                 results[f"strategy.{name}.cascade.frames"] = frames
             results.update(metrics.bank_restricted_accuracies(bank, gts))
             strategy_family = {k: v for k, v in results.items() if k.startswith("strategy.")}
-            ribbons = {f"ribbon_{name}_{vid}.svg": (gts[vid], strategies[name][vid])
-                       for name in ("transition", "confidence_calibrated") for vid in sorted(strategies[name])}
             _write_results(out / "evaluation", results, args.format,
-                           {"strategies.txt": strategy_family, "report.txt": results}, ribbons)
+                           {"strategies.txt": strategy_family, "report.txt": results})
+            if "svg" in args.format:
+                for name in ("transition", "confidence_calibrated"):
+                    for vid in sorted(strategies[name]):
+                        report.write_ribbon_svg(gts[vid], strategies[name][vid],
+                                                out / "evaluation" / f"ribbon_{name}_{vid}.svg")
             write_config_echo(out / "evaluation", echo)
 
     print(report.render_report_text(results), end="")
@@ -812,7 +802,7 @@ def main(argv=None) -> int:
             args = _parse_with_config(parser, parsers[args.command], argv, args.config)
         return args.func(args)
     except StageError as exc:
-        print(f"error in stage {exc.stage}: {exc.cause}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -308,6 +308,21 @@ class TestCalibrateReport:
         ]
         assert calibrate_report(tuple(seqs), tuple(seqs)) == calibrate_report(seqs, seqs)
 
+    def test_report_carries_its_reliability_bins(self):
+        """The report's ECEs reduce the test split's reliability bins at T=1
+        and at the fitted T, and it carries those bins, outside its equality."""
+        val = LogitSequence("val", *calibrated_sample(n_frames=700, t_star=2.0, seed=51))
+        test = LogitSequence("test", *calibrated_sample(n_frames=700, t_star=2.0, seed=52))
+        report = calibrate_report(val, test, num_bins=12)
+        temperatures = (1.0, report.fitted.value)
+        for got, t in zip(report.reliability, temperatures, strict=True):
+            for a, b in zip(got, reliability_bins(test, temperature=t, num_bins=12), strict=True):
+                assert np.array_equal(a, b, equal_nan=True)
+        assert (report.ece_before, report.ece_after) == tuple(ece(test, temperature=t, num_bins=12) for t in temperatures)
+        assert report == CalibrationReport(report.nll_before, report.nll_after, report.ece_before, report.ece_after,
+                                           report.fitted)
+        assert "reliability" not in repr(report)
+
     def test_overflowing_nll_rejected(self):
         val = LogitSequence("val", [[2.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 0.0]], labels=[1, 2, 2, 1])
         test = LogitSequence("test", [[1e308, -1e308], [0.0, 0.0]], labels=[2, 1])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import attention_smooth_loop
 from phasekit import cli
-from phasekit.calibration import fit_temperature
+from phasekit.calibration import fit_temperature, reliability_bins
 from phasekit.cli import main
 from phasekit.inference import baseline_argmax, load_traces
 from phasekit.logits import load_bank, load_logits
@@ -155,6 +155,21 @@ class TestCalibrate:
         assert rc == 0
         results = load_results_json(out / "report.json")
         assert "calibration.bank.trans_1_2.temperature" in results
+
+    def test_one_binning_pass_per_temperature(self, small_dataset, tmp_path, monkeypatch):
+        """The test split is binned once at T=1 and once at the fitted T, for
+        the ECEs and the reliability files both."""
+        val, test = small_dataset
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return reliability_bins(*args, **kwargs)
+
+        monkeypatch.setattr(cli.calibration, "reliability_bins", counted)
+        assert main(["calibrate", "--val", str(val), "--test", str(test), "--include-bank",
+                     "--out", str(tmp_path / "cal")]) == 0
+        assert len(calls) == 2
 
     def test_bad_bins_writes_nothing(self, small_dataset, tmp_path, capsys):
         val, test = small_dataset
@@ -1474,17 +1489,23 @@ class TestForkedReads:
         assert set(os.listdir("/proc/self/fd")) == before
 
 
-FUZZED = ["data/baseline.csv", "data/bank/trans_3_4.csv", "data/gt.csv", "replay/pred.csv", "replay/trace.csv"]
+FUZZED = ["data/baseline.csv", "data/bank/trans_3_4.csv", "data/gt.csv", "replay/pred.csv", "replay/trace.csv",
+          "replay/eval/results.json", "infer.cfg"]
 FUZZ_TOKENS = [b"nan", b"1e309", b"-inf", b"\xff", b"12345678901234567890", b",", b"\n", b"#", b"0", b"-"]
 
 
 @pytest.fixture(scope="module")
 def fuzz_base(tmp_path_factory):
-    """A one-video dataset with its predicted timeline and trace."""
+    """A one-video dataset with its predicted timeline, trace and results,
+    and a config file for ``infer``."""
     root = tmp_path_factory.mktemp("fuzz")
     assert main(["simulate", "--videos", "1", "--frames-mean", "40", "--seed", "4", "--out", str(root / "data")]) == 0
     assert main(["infer", "--strategy", "transition", "--bank", str(root / "data" / "bank"),
                  "--trace", str(root / "replay" / "trace.csv"), "--out", str(root / "replay" / "pred.csv")]) == 0
+    assert main(["evaluate", "--pred", str(root / "replay" / "pred.csv"), "--gt", str(root / "data" / "gt.csv"),
+                 "--trace", str(root / "replay" / "trace.csv"), "--format", "json",
+                 "--out", str(root / "replay" / "eval")]) == 0
+    (root / "infer.cfg").write_text("# a shorter buffer\nbuffer = 12\nthreshold = 0.6\n", encoding="utf-8")
     return root
 
 
@@ -1509,9 +1530,9 @@ class TestFuzz:
     @settings(max_examples=40, deadline=None)
     @given(mutation=MUTATIONS)
     def test_mutated_inputs_exit_0_or_name_the_file(self, fuzz_base, mutation):
-        """calibrate, infer and evaluate on a dataset with one mutated file end
-        in exit 0 or in exit 2 with one line naming the file: never a
-        traceback or a numpy warning."""
+        """calibrate, infer, evaluate and report on a dataset, results file
+        and config file with one mutated file end in exit 0 or in exit 2 with
+        one line naming the file: never a traceback or a numpy warning."""
         name, *edit = mutation
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
@@ -1526,11 +1547,15 @@ class TestFuzz:
                  "--trace", str(out / "inf" / "trace.csv"), "--out", str(out / "inf" / "pred.csv")],
                 ["evaluate", "--pred", str(replay / "pred.csv"), "--gt", str(data / "gt.csv"),
                  "--trace", str(replay / "trace.csv"), "--out", str(out / "eval")],
+                ["report", "--results", str(replay / "eval" / "results.json"), "--out", str(out / "report")],
+                ["infer", "--strategy", "transition", "--bank", str(data / "bank"), "--config", str(root / "infer.cfg"),
+                 "--out", str(out / "cfg" / "pred.csv")],
             ]
             for argv in commands:
                 err = io.StringIO()
                 with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
                         contextlib.redirect_stdout(io.StringIO()):
+                    warnings.simplefilter("always")  # every warning is recorded, to be checked below
                     rc = main(argv)
                 assert [w for w in caught if "hit the search bound" not in str(w.message)] == [], argv
                 if rc != 0:

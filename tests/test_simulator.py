@@ -13,6 +13,7 @@ import phasekit
 from oracles import attention_smooth_loop, oracle_margin, oracle_pair_predictions
 from phasekit import simulate
 from phasekit.calibration import fit_temperature
+from phasekit.cli import main
 from phasekit.logits import LogitSequence, load_bank, load_logits
 from phasekit.simulate import (
     DEFAULT_PAIR_ACCURACY,
@@ -310,6 +311,18 @@ class TestDataset:
         monkeypatch.setattr(simulate, "simulate_video", fail_second)
         with pytest.raises(ValueError, match="simulation failed"):
             generate_dataset(tmp_path / "d", 2, WorkflowSpec(dwell_mean=30, dwell_min=5), NoiseSpec())
+        assert not (tmp_path / "d").exists()
+
+    def test_failed_video_fails_the_command_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        """``simulate`` simulates every video before it writes a file."""
+        def fail_second(workflow, noise, video_id, index=0, smoothing_window=0):
+            if index == 1:
+                raise ValueError("simulation failed")
+            return simulate_video(workflow, noise, video_id, index, smoothing_window)
+
+        monkeypatch.setattr(simulate, "simulate_video", fail_second)
+        assert main(["simulate", "--videos", "2", "--frames-mean", "210", "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == "error: simulation failed\n"
         assert not (tmp_path / "d").exists()
 
     def test_videos_are_distinct_but_reproducible(self, tmp_path):
