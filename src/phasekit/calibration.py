@@ -117,16 +117,6 @@ def _nll_at(z: np.ndarray, y: np.ndarray):
     return value_at
 
 
-def nll(logits, labels=None, temperature=1.0) -> float:
-    """Mean negative log-probability of the true class at the given temperature.
-
-    Invariant to per-row constant shifts of the logits. Raises ValueError
-    when the scaled logits overflow and the result is not finite.
-    """
-    z, y = as_arrays(logits, labels)
-    return _nll_at(z, y)(positive_temperature(temperature))
-
-
 def reliability_bins(
     logits, labels=None, temperature=1.0, num_bins: int = DEFAULT_NUM_BINS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

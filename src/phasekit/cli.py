@@ -53,17 +53,17 @@ class _ChildTraceback(Exception):
 
 
 class _Outcome:
-    """What a call did: its value or the ``catch`` exception it raised, and
-    the warnings it issued, kept so that ``get`` can replay them later, in
-    the place a serial run has them, and in another process."""
+    """What a call did: its value or the exception it raised, and the
+    warnings it issued, kept so that ``get`` can replay them later, in the
+    place a serial run has them, and in another process."""
 
     text = None  # the traceback of an error raised in a forked child
 
-    def __init__(self, call, catch=Exception):
+    def __init__(self, call):
         with warnings.catch_warnings(record=True) as caught:
             try:
                 self.value, self.error = call(), None
-            except catch as exc:
+            except Exception as exc:
                 self.value, self.error = None, exc
         self.warnings = [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
@@ -80,12 +80,10 @@ class _Outcome:
 
 def _claim(jobs, claims) -> dict:
     """Run the jobs whose indices this process reads from ``claims`` until it
-    is empty or a job fails: {index: the job's _Outcome}."""
+    is empty: {index: the job's _Outcome}."""
     done = {}
     while claimed := claims.read(1):
-        done[claimed[0]] = outcome = _Outcome(jobs[claimed[0]])
-        if outcome.error is not None:
-            break
+        done[claimed[0]] = _Outcome(jobs[claimed[0]])
     return done
 
 
@@ -102,16 +100,15 @@ def _shared(jobs, sizes=None):
     the results in job order once the block has exited.
 
     The child claims from the start; this process runs the block, then claims
-    what is left, even when the block raised, and reaps the child. A process
-    stops at its first failed job; a job before the first failure in job
-    order that neither process ran then runs here. So the failure raised is
-    the one a serial run raises, and the warnings of the jobs before it are
-    issued again in job order. It replaces any exception of the block,
-    chained to the child's traceback if the child raised it. The child's
-    death is a ChildProcessError. The child ends with ``os._exit``, so it
-    never flushes this process's buffers or runs its exit handlers. Where
-    ``os.fork`` does not exist or this process has one CPU, the jobs run
-    first, inline.
+    what is left, even when the block raised, and reaps the child. Every job
+    runs once, in the process that claimed it. In job order, each job's
+    warnings are issued again and its result taken, up to the first failed
+    job, whose error is raised: the one a serial run raises. It replaces any
+    exception of the block, chained to the child's traceback if the child
+    raised it. The child's death is a ChildProcessError. The child ends with
+    ``os._exit``, so it never flushes this process's buffers or runs its exit
+    handlers. Where ``os.fork`` does not exist or this process has one CPU,
+    the jobs run first, inline.
     """
     results = []
     if not hasattr(os, "fork") or _one_cpu():
@@ -157,7 +154,7 @@ def _shared(jobs, sizes=None):
                 if code or theirs is None:
                     raise ChildProcessError(f"child process {pid} exited with status {code}")
                 done.update(theirs)
-                results.extend((done[i] if i in done else _Outcome(jobs[i])).get() for i in range(len(jobs)))
+                results.extend(done[i].get() for i in range(len(jobs)))
 
 
 def _results(jobs, sizes=None) -> deque:
@@ -270,10 +267,12 @@ def _formats(text: str) -> tuple[str, ...]:
     return fmts
 
 
-def _int_at_least(low: int):
-    """An argparse type for integers >= ``low``."""
+def _int_at_least(low: int, high: float = float("inf")):
+    """An argparse type for integers >= ``low`` and <= ``high``."""
     def parse(text: str) -> int:
         try:
+            if int(text) > high:
+                raise argparse.ArgumentTypeError(f"must be an integer <= {high}, got {text!r}")
             if int(text) >= low:
                 return int(text)
         except ValueError:
@@ -383,12 +382,10 @@ def cmd_calibrate(args) -> int:
             *(partial(_parsed_fit, partial(_pair_temperature, pair), path)
               for pair, path in zip(all_transition_pairs(), pair_files))]
     (_, val_fit), test, *pairs = _results(jobs, [_size(path) for path in (val_file, test_file, *pair_files)])
-    extra = {}
-    if pairs:  # the bank is checked whole before any of its fits, as assemble_bank would
+    if pairs:  # the bank is checked whole after its fits, as assemble_bank would
         check_bank_shapes([shapes for shapes, _ in pairs])
-        for pair, (_, fit) in zip(all_transition_pairs(), pairs):
-            extra[f"calibration.bank.{pair.name}.temperature"] = fit.get()
-    results = _write_calibration(out_dir, report_path, val_fit.get(), test, test_file, args.bins, extra)
+    extra = {f"calibration.bank.{pair.name}.temperature": fit for pair, (_, fit) in zip(all_transition_pairs(), pairs)}
+    results = _write_calibration(out_dir, report_path, val_fit, test, test_file, args.bins, extra)
     write_config_echo(out_dir, _echo_values(args))
     print(report.render_report_text(results), end="")
     return 0
@@ -401,12 +398,10 @@ def _fit(path, sequences: dict) -> calibration.Temperature:
         return calibration.fit_temperature([sequences[v] for v in sorted(sequences)])
 
 
-def _parsed_fit(fit, path) -> tuple[dict, _Outcome]:
-    """Parse the logit file ``path``: the logits' shape per video, and the
-    _Outcome of ``fit(path, sequences)``."""
+def _parsed_fit(fit, path) -> tuple[dict, object]:
+    """Parse the logit file ``path``: the logits' shape per video, and ``fit(path, sequences)``."""
     sequences = load_logits(path)
-    shapes = {vid: seq.logits.shape for vid, seq in sequences.items()}
-    return shapes, _Outcome(partial(fit, path, sequences), ValueError)
+    return {vid: seq.logits.shape for vid, seq in sequences.items()}, fit(path, sequences)
 
 
 def _pair_temperature(pair, path, sequences: dict) -> float | None:
@@ -443,28 +438,24 @@ def _infer(strategy: str, baselines: dict[str, LogitSequence], bank, cfg) -> tup
     return {vid: t for vid, (t, _) in runs.items()}, {vid: tr for vid, (_, tr) in runs.items()}
 
 
-def _tuned(args) -> tuple[_Outcome | None, _Outcome | None]:
-    """Parse the validation split of ``infer`` and tune on it: the _Outcome of
-    the ``--temperature auto`` fit and that of the ``--sweep``, each None when
-    it is not asked for. The sweep runs only after a fit that succeeded."""
+def _tuned(args) -> tuple[calibration.Temperature | None, tuple[float, list] | None]:
+    """Parse the validation split of ``infer`` and tune on it: the
+    ``--temperature auto`` fit, then the ``--sweep``'s (threshold, table),
+    each None when it is not asked for."""
     val = Path(args.val)
     base = load_logits(val / "baseline.csv")
     if args.sweep:
         gts = load_timelines(val / "gt.csv")
         pairs = [load_logits(path) for path in bank_files(val / "bank")]
-    fit = _Outcome(partial(_fit, val / "baseline.csv", base), ValueError) if args.temperature == "auto" else None
-    if not args.sweep or fit and fit.error:
+    fit = _fit(val / "baseline.csv", base) if args.temperature == "auto" else None
+    if not args.sweep:
         return fit, None
-    temperature = fit.value.value if fit else args.temperature
-
-    def sweep() -> tuple[float, list]:
-        bank = assemble_bank(pairs)
-        with _naming(val / "baseline.csv"):
-            metrics.require_ground_truth(base, gts)
-        cfg = inference.InferenceConfig(buffer_size=args.buffer, conf_threshold=args.threshold, temperature=temperature)
-        return inference.sweep_threshold(base, bank, gts, cfg)
-
-    return fit, _Outcome(sweep, ValueError)
+    bank = assemble_bank(pairs)
+    with _naming(val / "baseline.csv"):
+        metrics.require_ground_truth(base, gts)
+    cfg = inference.InferenceConfig(buffer_size=args.buffer, conf_threshold=args.threshold,
+                                    temperature=fit.value if fit else args.temperature)
+    return fit, inference.sweep_threshold(base, bank, gts, cfg)
 
 
 def _predicted_rows(strategy: str, baselines: dict, bank, cfg, named, traced: bool, run: list) -> list[tuple]:
@@ -486,6 +477,8 @@ def cmd_infer(args) -> int:
             if given:
                 raise ValueError(f"{flag} applies only to --strategy confidence")
     fit_on_val = args.sweep or args.temperature == "auto"
+    if args.val and not fit_on_val:
+        raise ValueError("--val applies only with --temperature auto or --sweep")
     if args.temperature == "auto" and not args.val:
         raise ValueError("--temperature auto requires --val <dir> to fit on")
     if args.sweep and not args.val:
@@ -506,10 +499,10 @@ def cmd_infer(args) -> int:
     fit, sweep = parsed.popleft() if fit_on_val else (None, None)
     temperature, threshold = args.temperature, args.threshold
     if fit:
-        temperature = fit.get().value
+        temperature = fit.value
         print(f"fitted temperature on validation split: {temperature!r}")
     if sweep:
-        threshold, table = sweep.get()
+        threshold, table = sweep
         print("threshold sweep on validation split:")
         for t, a in table:
             marker = "  <- best" if t == threshold else ""
@@ -737,7 +730,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     shared = {
         "--buffer": dict(type=_int_at_least(1), default=100, help="majority buffer size"),
         "--threshold": dict(type=_number_in(0, 1), default=0.5, help="confidence threshold for accepting the baseline"),
-        "--bins": dict(type=_int_at_least(1), default=15, help="ECE bin count"),
+        # at most, the bins' arrays and reliability CSVs stay small, as --frames-mean's cap keeps videos
+        "--bins": dict(type=_int_at_least(1, 1_000_000), default=15, help="ECE bin count"),
         "--format": dict(type=_formats, default=("text", "json", "svg")),
         "--config": dict(help="plain-text key = value config file"),
     }

@@ -13,14 +13,14 @@ from phasekit import calibration
 from phasekit.calibration import (
     CalibrationReport,
     Temperature,
+    as_arrays,
     calibrate_report,
     ece,
     fit_temperature,
     golden_section_minimize,
-    nll,
     reliability_bins,
 )
-from phasekit.logits import LogitSequence, argmax_confidence_rows
+from phasekit.logits import LogitSequence, argmax_confidence_rows, positive_temperature
 from phasekit.simulate import NoiseSpec, WorkflowSpec, generate_baseline_logits, generate_ground_truth
 
 
@@ -46,6 +46,13 @@ class TestTemperature:
 
     def test_float_conversion(self):
         assert float(Temperature(2.5)) == 2.5
+
+
+def nll(logits, labels=None, temperature=1.0) -> float:
+    """The mean NLL of the true class at ``temperature``: the objective the
+    fit minimizes, on the inputs as_arrays accepts."""
+    z, y = as_arrays(logits, labels)
+    return calibration._nll_at(z, y)(positive_temperature(temperature))
 
 
 class TestNll:

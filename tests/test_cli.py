@@ -179,6 +179,15 @@ class TestCalibrate:
         assert capsys.readouterr().err == "error: argument --bins: must be an integer >= 1, got '0'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["calibrate", "pipeline"])
+    def test_bins_beyond_the_cap_rejected_and_write_nothing(self, small_dataset, tmp_path, capsys, command):
+        val, test = small_dataset
+        out = tmp_path / "out"
+        flags = ["--val", str(val), "--test", str(test)] if command == "calibrate" else []
+        assert main([command, *flags, "--bins", "1000001", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: argument --bins: must be an integer <= 1000000, got '1000001'\n"
+        assert not out.exists()
+
     def test_unlabeled_validation_named_and_writes_nothing(self, small_dataset, tmp_path, capsys):
         val, test = small_dataset
         unlabeled = _unlabeled_copy(val, tmp_path / "val")
@@ -287,6 +296,18 @@ class TestInfer:
             assert captured.err == f"error: {named} applies only to --strategy confidence\n"
             assert captured.out == ""
             assert not out.exists()
+
+    def test_val_without_auto_or_sweep_rejected_and_writes_nothing(self, small_dataset, tmp_path, capsys):
+        """The confidence strategy reads --val only to fit T or sweep the threshold."""
+        _, test = small_dataset
+        out = tmp_path / "inf"
+        rc = main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"), "--bank",
+                   str(test / "bank"), "--val", str(tmp_path / "nonexistent"), "--out", str(out / "pred.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --val applies only with --temperature auto or --sweep\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["transition", "confidence"])
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", ""])
@@ -665,12 +686,12 @@ INFER_SETTINGS = {
 BOOLEAN_WORDS = {True: ["1", "true", "yes", "on"], False: ["0", "false", "no", "off"]}
 
 
-def _wait_for(path: Path, timeout: float = 30.0) -> None:
-    """Wait until ``path`` exists: a signal between a pipeline's two processes."""
+def _wait_for(*paths: Path, timeout: float = 30.0) -> None:
+    """Wait until one of ``paths`` exists: a signal between a pipeline's two processes."""
     deadline = time.monotonic() + timeout
-    while not path.exists():
+    while not any(path.exists() for path in paths):
         if time.monotonic() > deadline:
-            raise TimeoutError(f"{path} did not appear within {timeout} s")
+            raise TimeoutError(f"none of {paths} appeared within {timeout} s")
         time.sleep(0.005)
 
 
@@ -813,7 +834,7 @@ class TestConfigFile:
         (either key spelling, any case of a boolean word) or as flags, gives
         the same exit code, config.txt echo and output bytes. A transition
         run with --sweep or --temperature auto is rejected both ways and
-        writes nothing."""
+        writes nothing; a confidence run gets --val only for those two."""
         val, test = small_dataset
 
         def draw(settings, switch_off):
@@ -843,9 +864,10 @@ class TestConfigFile:
             text, flags = draw(INFER_SETTINGS, lambda key: [])
             (root / "infer.cfg").write_text(text)
             paths = ["--strategy", strategy, "--bank", str(test / "bank")]
+            tuned = "--sweep" in flags or "auto" in flags
             if strategy == "confidence":
-                paths += ["--base", str(test / "baseline.csv"), "--val", str(val)]
-            expected = 2 if strategy == "transition" and ("--sweep" in flags or "auto" in flags) else 0
+                paths += ["--base", str(test / "baseline.csv"), *(["--val", str(val)] if tuned else [])]
+            expected = 2 if strategy == "transition" and tuned else 0
             for how, extra in (("flags", flags), ("file", ["--config", str(root / "infer.cfg")])):
                 assert main(["infer", *paths, *extra, "--trace", str(root / how / "inf" / "trace.csv"),
                              "--out", str(root / how / "inf" / "pred.csv")]) == expected
@@ -952,13 +974,13 @@ class TestPipeline:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="one process writes every file")
     def test_write_error_in_the_parents_share_is_a_simulate_error(self, tmp_path, capsys, monkeypatch):
-        """The parent's own write fails after the later stages; the child
-        writes every other file."""
+        """The parent's first write fails after the later stages; both
+        processes go on claiming, and every other file is written."""
         parent, parent_claimed = os.getpid(), tmp_path / "parent_claimed"
 
         def wrap(write):
             def writer(items, path):
-                if os.getpid() == parent:
+                if os.getpid() == parent and not parent_claimed.exists():
                     parent_claimed.touch()
                     raise OSError(f"{path}: no space left on device")
                 _wait_for(parent_claimed)
@@ -1201,16 +1223,28 @@ def _with_out(argv, out):
     return argv if "--out" in argv else [*argv, "--out", str(out)]
 
 
-def _order_claims(monkeypatch, first: str, marker: Path) -> None:
-    """Let the ``first`` process ("parent" or "child") start its first job
-    before the other claims any; ``marker`` signals it."""
-    parent, claim = os.getpid(), cli._claim
+def _order_claims(monkeypatch, first: str, marker: Path, head: int = 1) -> None:
+    """Let the ``first`` process ("parent" or "child") start ``head`` jobs,
+    or stop claiming, before the other claims any. ``marker`` signals the
+    ``head``-th start, and ``marker`` with the suffix ``.done`` the stop."""
+    parent, claim, done = os.getpid(), cli._claim, marker.with_suffix(".done")
 
     def ordered(jobs, claims):
         if (os.getpid() == parent) != (first == "parent"):
-            _wait_for(marker)
+            if head:
+                _wait_for(marker, done)
             return claim(jobs, claims)
-        return claim([lambda job=job: marker.touch() or job() for job in jobs], claims)
+        started = iter(range(1, len(jobs) + 1))
+
+        def signalling(job):
+            if next(started) == head:
+                marker.touch()
+            return job()
+
+        try:
+            return claim([partial(signalling, job) for job in jobs], claims)
+        finally:
+            done.touch()
 
     monkeypatch.setattr(cli, "_claim", ordered)
 
@@ -1279,10 +1313,13 @@ class TestForkedReads:
         assert _tree(tmp_path / "one") == _tree(tmp_path / "two")
 
     def test_fit_warnings_are_issued_in_serial_order(self, tmp_path, capsys):
-        """Each bank pair fit hits a search bound, the low one where the pair
-        model is always right and the high one where it is always wrong; the
-        warnings, issued in the child or here, arrive as a serial run has them."""
+        """Each fit hits a search bound, the low one where the model is always
+        right and the high one where it is always wrong; the warnings, issued
+        in the child or here, arrive as a serial run has them: the validation
+        fit's first, as the first job's."""
         val, test = _tiny_splits(tmp_path)
+        (val / "baseline.csv").write_text("video_id,frame_idx,label,z1,z2\n" +
+                                          "".join(f"v,{frame},1,0.01,0.0\n" for frame in range(4)))
         for i in range(1, 7):
             scores = "0.01,0.0" if i % 2 else "0.0,0.01"
             rows = "".join(f"v,{frame},{i},{scores}\n" for frame in range(4))
@@ -1299,7 +1336,7 @@ class TestForkedReads:
         messages = [[(w.category, str(w.message)) for w in caught[how]] for how in ("forked", "inline")]
         assert messages[0] == messages[1]
         assert [message.split(";")[0] for _, message in messages[0]] == [
-            f"temperature fit hit the search bound T={bound}" for bound in (0.01, 100.0) * 3]
+            f"temperature fit hit the search bound T={bound}" for bound in (0.01, *(0.01, 100.0) * 3)]
 
     def test_more_videos_than_queue_slots(self, tmp_path, capsys, monkeypatch):
         """300 videos go to the output stage as at most 256 jobs, each a run
@@ -1336,8 +1373,8 @@ class TestForkedReads:
         assert results == [0, 10, 20, 30, 40]
 
     def test_warnings_of_jobs_after_the_first_failure_are_dropped(self, tmp_path):
-        """The child runs job 2, which warns, then fails job 1; this process
-        runs job 0, which warns. A serial run warns once and raises job 1's error."""
+        """The child runs job 2, which warns, then fails job 1; job 0, which
+        warns, runs in either process. A serial run warns once and raises job 1's error."""
         marker = tmp_path / "failed"
 
         def warn(text):
@@ -1354,9 +1391,9 @@ class TestForkedReads:
         assert [str(w.message) for w in caught] == ["job 0"]
 
     def test_an_unclaimed_earlier_bad_file_is_still_the_error(self, tmp_path, capsys, monkeypatch):
-        """Both processes stop at a bad bank pair file, the two largest files,
-        before either claims the small validation baselines, whose bad row a
-        serial run reports first."""
+        """Each process first claims one of the two largest files, bad bank
+        pair files; the small validation baselines, whose bad row a serial
+        run reports first, are claimed after them and give the error."""
         val, test = _tiny_splits(tmp_path)
         rows = "".join(f"v,{frame},1,1.0,0.0\n" for frame in range(200))
         for i in range(1, 7):
@@ -1376,11 +1413,11 @@ class TestForkedReads:
         assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("case", ["calibrate", "infer"])
-    def test_parse_error_outranks_an_earlier_files_failed_fit(self, small_dataset, tmp_path, capsys, monkeypatch,
-                                                               case):
+    def test_an_earlier_files_failed_fit_outranks_a_later_parse_error(self, small_dataset, tmp_path, capsys,
+                                                                       monkeypatch, case):
         """The validation baselines overflow the fit, and a later file has a
-        bad row: a serial run parses every file before it fits, so the bad
-        row is the error, forked or not."""
+        bad row: a serial run fits in the validation job, before it parses
+        the later file, so the fit is the error, forked or not."""
         val, test = small_dataset
         bad_val = tmp_path / "val"
         shutil.copytree(val, bad_val)
@@ -1390,7 +1427,7 @@ class TestForkedReads:
         (bad_val / "baseline.csv").write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         if case == "calibrate":
-            bad = _bad_row(val / "bank" / "trans_6_7.csv", bad_val / "bank" / "trans_6_7.csv", 4)
+            _bad_row(val / "bank" / "trans_6_7.csv", bad_val / "bank" / "trans_6_7.csv", 4)
             argv = ["calibrate", "--val", str(bad_val), "--test", str(test), "--include-bank", "--out", str(out)]
         else:
             bad = _bad_row(test / "baseline.csv", tmp_path / "base.csv", 4)
@@ -1398,7 +1435,8 @@ class TestForkedReads:
                     "--val", str(bad_val), "--temperature", "auto", "--sweep", "--out", str(out / "pred.csv")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}:4: ") and err.count("\n") == 1, err
+        fit = re.escape(f"error: {bad_val / 'baseline.csv'}: NLL is not finite at temperature ")
+        assert re.fullmatch(fit + r"[0-9.e+-]+: the scaled logits overflow\n", err), err
         monkeypatch.delattr(os, "fork")
         assert main(argv) == 2
         assert capsys.readouterr().err == err
@@ -1487,6 +1525,59 @@ class TestForkedReads:
         assert main(["calibrate", "--val", str(val), "--test", str(bad.parent), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:4: ")
         assert set(os.listdir("/proc/self/fd")) == before
+
+
+JOB_KINDS = ("value",) * 6 + (ValueError, KeyError, OSError, TypeError)
+
+
+def _drawn_job(i: int, kind, warns: bool):
+    """Job ``i``: it warns first when ``warns``, then returns a value or raises ``kind``."""
+    if warns:
+        warnings.warn(f"job {i}", UserWarning)
+    if kind == "value":
+        return (i, "value")
+    raise kind(f"job {i}")
+
+
+def _run_recorded(run) -> tuple:
+    """What ``run()`` returns, or the type and args of what it raises, and its warning messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = run()
+        except Exception as exc:
+            outcome = (type(exc), exc.args)
+    return outcome, [str(w.message) for w in caught]
+
+
+def _shared_results(jobs, sizes) -> list:
+    """The results of one real ``_shared`` over ``jobs``, with an empty block."""
+    with cli._shared(jobs, sizes) as results:
+        pass
+    return results
+
+
+@st.composite
+def shared_cases(draw):
+    """(jobs, sizes, how many jobs the child starts before this process claims one)."""
+    count = draw(st.integers(0, 40))  # drawn first: a list strategy's lengths lean short
+    kinds = draw(st.lists(st.tuples(st.sampled_from(JOB_KINDS), st.booleans()), min_size=count, max_size=count))
+    sizes = draw(st.none() | st.permutations(range(len(kinds))))
+    return ([partial(_drawn_job, i, kind, warns) for i, (kind, warns) in enumerate(kinds)], sizes,
+            draw(st.integers(0, len(kinds))))
+
+
+class TestSharedOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(shared_cases())
+    def test_shared_gives_what_a_serial_run_gives(self, case):
+        """The forked jobs give the serial run's results, or its exception
+        type and args, and its warnings in the same order."""
+        jobs, sizes, first = case
+        serial = _run_recorded(lambda: [job() for job in jobs])
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            _order_claims(patch, "child", Path(tmp) / "claimed", head=first)
+            assert _run_recorded(partial(_shared_results, jobs, sizes)) == serial
 
 
 FUZZED = ["data/baseline.csv", "data/bank/trans_3_4.csv", "data/gt.csv", "replay/pred.csv", "replay/trace.csv",

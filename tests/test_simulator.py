@@ -108,8 +108,12 @@ class TestMarginSolve:
         assert info.misses == len(set(keys)) < len(keys)  # each miss is one bisection
         assert info.hits == len(keys) - len(set(keys))
 
-    def test_cli_import_leaves_scipy_out(self):
-        code = "import sys, phasekit.cli; print('scipy' in sys.modules)"
+    @pytest.mark.parametrize("module", ["scipy", "traceback", "signal", "multiprocessing", "concurrent.futures",
+                                        "hypothesis"])
+    def test_cli_import_leaves_scipy_out(self, module):
+        """A fresh import of the CLI, which every command pays for, loads
+        none of these; it imports traceback and signal only where it uses them."""
+        code = f"import sys, phasekit.cli; print({module!r} in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(phasekit.__file__).parents[1])}
         child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert child.stdout.strip() == "False"
