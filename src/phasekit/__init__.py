@@ -7,7 +7,7 @@ desk-scale verification. Import each name from its module.
 """
 
 # bench/test_bench.py patches phasekit.load_logits; this line goes with
-# ROADMAP item 5's bench change
+# ROADMAP item 2's bench change
 from .logits import load_logits
 
 __version__ = "0.1.0"

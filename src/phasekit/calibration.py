@@ -11,7 +11,6 @@ search.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +28,10 @@ TEMPERATURE_LOG_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Temperature:
-    """A positive scalar temperature."""
+    """A positive scalar temperature, and whether its fit stopped on a search bound."""
 
     value: float
+    at_bound: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "value", positive_temperature(self.value))
@@ -192,31 +192,21 @@ def fit_temperature(logits, labels=None) -> Temperature:
     Golden-section search on log T over TEMPERATURE_SEARCH_RANGE. The result
     never has a worse NLL than T=1 on the fitting set. When the minimum sits on
     a search bound (degenerate sets where NLL is monotone in T, e.g. every
-    prediction wrong), the bound itself is returned and a RuntimeWarning is
-    emitted. Raises ValueError when the scaled logits overflow at any probe.
+    prediction wrong), the bound is returned with ``at_bound`` set, unless T=1
+    is better. Raises ValueError when the scaled logits overflow at any probe.
     """
     z, y = as_arrays(logits, labels)
     lo, hi = TEMPERATURE_SEARCH_RANGE
     log_lo, log_hi = math.log(lo), math.log(hi)
 
     nll_at = _nll_at(z, y)
-
-    def objective(log_t: float) -> float:
-        return nll_at(math.exp(log_t))
-
-    best_log = golden_section_minimize(objective, log_lo, log_hi, TEMPERATURE_LOG_TOL)
+    best_log = golden_section_minimize(lambda log_t: nll_at(math.exp(log_t)), log_lo, log_hi, TEMPERATURE_LOG_TOL)
     fitted = math.exp(best_log)
     if min(best_log - log_lo, log_hi - best_log) < 3 * TEMPERATURE_LOG_TOL:
         fitted = lo if best_log - log_lo < log_hi - best_log else hi
-        warnings.warn(
-            f"temperature fit hit the search bound T={fitted}; "
-            "NLL appears monotone on the fitting set",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     if nll_at(1.0) < nll_at(fitted):
         fitted = 1.0
-    return Temperature(fitted)
+    return Temperature(fitted, at_bound=fitted in TEMPERATURE_SEARCH_RANGE)
 
 
 def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, test_name: str = "test split",

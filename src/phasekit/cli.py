@@ -10,7 +10,6 @@ import argparse
 import os
 import pickle
 import sys
-import warnings
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
@@ -53,24 +52,20 @@ class _ChildTraceback(Exception):
 
 
 class _Outcome:
-    """What a call did: its value or the exception it raised, and the
-    warnings it issued, kept so that ``get`` can replay them later, in the
-    place a serial run has them, and in another process."""
+    """What a call did: its value or the exception it raised, kept so that
+    ``get`` can give it later, in the place a serial run has it, and in
+    another process."""
 
     text = None  # the traceback of an error raised in a forked child
 
     def __init__(self, call):
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                self.value, self.error = call(), None
-            except Exception as exc:
-                self.value, self.error = None, exc
-        self.warnings = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        try:
+            self.value, self.error = call(), None
+        except Exception as exc:
+            self.value, self.error = None, exc
 
     def get(self):
-        """Issue the call's warnings again, then return its value or raise its error."""
-        for warning in self.warnings:
-            warnings.warn_explicit(*warning)
+        """Return the call's value or raise its error."""
         if self.error is None:
             return self.value
         if self.text is None:
@@ -101,9 +96,9 @@ def _shared(jobs, sizes=None):
 
     The child claims from the start; this process runs the block, then claims
     what is left, even when the block raised, and reaps the child. Every job
-    runs once, in the process that claimed it. In job order, each job's
-    warnings are issued again and its result taken, up to the first failed
-    job, whose error is raised: the one a serial run raises. It replaces any
+    runs once, in the process that claimed it, and a warning is issued in
+    that process. In job order, each job's result is taken up to the first
+    failed job, whose error is raised: the one a serial run raises. It replaces any
     exception of the block, chained to the child's traceback if the child
     raised it. The child's death is a ChildProcessError. The child ends with
     ``os._exit``, so it never flushes this process's buffers or runs its exit
@@ -384,7 +379,10 @@ def cmd_calibrate(args) -> int:
     (_, val_fit), test, *pairs = _results(jobs, [_size(path) for path in (val_file, test_file, *pair_files)])
     if pairs:  # the bank is checked whole after its fits, as assemble_bank would
         check_bank_shapes([shapes for shapes, _ in pairs])
-    extra = {f"calibration.bank.{pair.name}.temperature": fit for pair, (_, fit) in zip(all_transition_pairs(), pairs)}
+    extra = {}
+    for pair, (_, fit) in zip(all_transition_pairs(), pairs):  # null where no labeled frame lies in the pair
+        key = f"calibration.bank.{pair.name}.temperature"
+        extra[key], extra[f"{key}_at_bound"] = (None, None) if fit is None else (fit.value, int(fit.at_bound))
     results = _write_calibration(out_dir, report_path, val_fit, test, test_file, args.bins, extra)
     write_config_echo(out_dir, _echo_values(args))
     print(report.render_report_text(results), end="")
@@ -404,7 +402,7 @@ def _parsed_fit(fit, path) -> tuple[dict, object]:
     return {vid: seq.logits.shape for vid, seq in sequences.items()}, fit(path, sequences)
 
 
-def _pair_temperature(pair, path, sequences: dict) -> float | None:
+def _pair_temperature(pair, path, sequences: dict) -> calibration.Temperature | None:
     """T fitted on the in-pair frames of ``sequences`` in video id order,
     labels mapped to {1, 2}; None when no labeled frame lies in the pair."""
     zs, ys = [], []
@@ -419,7 +417,7 @@ def _pair_temperature(pair, path, sequences: dict) -> float | None:
     if not zs:
         return None
     with _naming(path):
-        return calibration.fit_temperature(np.concatenate(zs), np.concatenate(ys)).value
+        return calibration.fit_temperature(np.concatenate(zs), np.concatenate(ys))
 
 
 # ---------------------------------------------------------------- infer
@@ -453,8 +451,7 @@ def _tuned(args) -> tuple[calibration.Temperature | None, tuple[float, list] | N
     bank = assemble_bank(pairs)
     with _naming(val / "baseline.csv"):
         metrics.require_ground_truth(base, gts)
-    cfg = inference.InferenceConfig(buffer_size=args.buffer, conf_threshold=args.threshold,
-                                    temperature=fit.value if fit else args.temperature)
+    cfg = inference.InferenceConfig(buffer_size=args.buffer, temperature=fit.value if fit else args.temperature)
     return fit, inference.sweep_threshold(base, bank, gts, cfg)
 
 
@@ -476,6 +473,10 @@ def cmd_infer(args) -> int:
                             ("--base", args.base is not None), ("--val", args.val is not None)):
             if given:
                 raise ValueError(f"{flag} applies only to --strategy confidence")
+    if args.sweep and args.threshold is not None:
+        raise ValueError("--threshold applies only without --sweep")
+    if args.threshold is None:  # not given: the default, which config.txt echoes
+        args.threshold = inference.InferenceConfig.conf_threshold
     fit_on_val = args.sweep or args.temperature == "auto"
     if args.val and not fit_on_val:
         raise ValueError("--val applies only with --temperature auto or --sweep")
@@ -500,7 +501,7 @@ def cmd_infer(args) -> int:
     temperature, threshold = args.temperature, args.threshold
     if fit:
         temperature = fit.value
-        print(f"fitted temperature on validation split: {temperature!r}")
+        print(f"fitted temperature on validation split: {temperature!r}{report.AT_BOUND if fit.at_bound else ''}")
     if sweep:
         threshold, table = sweep
         print("threshold sweep on validation split:")
@@ -757,6 +758,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True, help="output directory or report .json path")
 
     p = command("infer", cmd_infer, "run an inference strategy over logit files", "--buffer", "--threshold")
+    p.set_defaults(threshold=None)  # so that cmd_infer can tell a given --threshold from the default
     p.add_argument("--strategy", choices=("transition", "confidence"), required=True)
     p.add_argument("--base", help="baseline K=7 logit file (confidence strategy)")
     p.add_argument("--bank", required=True, help="transition bank directory")

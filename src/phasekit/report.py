@@ -29,6 +29,7 @@ PHASE_COLORS = (
 )
 
 UNDEFINED = "n/a"
+AT_BOUND = " (at the search bound)"  # follows a fitted temperature that stopped on a search bound
 
 STRATEGY_LABELS = {
     "baseline": "baseline (argmax)",
@@ -99,7 +100,7 @@ def render_calibration_table(report: CalibrationReport) -> str:
         ["calibrated", metric(report.nll_after), metric(report.ece_after)],
     ]
     table = render_table(["Model", "NLL", "ECE"], body, title="Confidence calibration")
-    return table + f"fitted temperature = {report.fitted.value!r}\n"
+    return table + f"fitted temperature = {report.fitted.value!r}{AT_BOUND if report.fitted.at_bound else ''}\n"
 
 
 def render_report_text(results: dict) -> str:
@@ -110,7 +111,8 @@ def render_report_text(results: dict) -> str:
     (``calibration.*``) and cascades by id (``video.<id>.cascade.count``
     and ``.cascade.<i>.start``, ``.end``, ``.state``; ids may contain
     dots). A family that lacks a key, or holds null or a non-integer where
-    a number or a frame is needed, raises ValueError."""
+    a number or a frame is needed, or a ``calibration.temperature_at_bound``
+    (absent: 0) other than 0 or 1, raises ValueError."""
     def need(key, nullable=True):
         if key not in results or results[key] is None and not nullable:
             raise ValueError(f"no value for {key!r}")
@@ -141,9 +143,12 @@ def render_report_text(results: dict) -> str:
         # only pipeline results hold the bank's accuracies, beside the baseline strategy
         blocks.append(render_pair_table(results.get("strategy.baseline.accuracy.pooled"), pair_accs))
     if "calibration.nll_before" in results:
+        at_bound = results.get("calibration.temperature_at_bound", 0)
+        if type(at_bound) is not int or at_bound not in (0, 1):
+            raise ValueError(f"'calibration.temperature_at_bound' must be 0 or 1, got {at_bound!r}")
         cal = CalibrationReport(
             **{k: need(f"calibration.{k}", False) for k in ("nll_before", "nll_after", "ece_before", "ece_after")},
-            fitted=Temperature(need("calibration.temperature", False)),
+            fitted=Temperature(need("calibration.temperature", False), at_bound=bool(at_bound)),
         )
         blocks.append(render_calibration_table(cal))
     for vid in sorted(m[1] for m in map(re.compile(r"video\.(.+)\.cascade\.count").fullmatch, results) if m):
@@ -165,6 +170,7 @@ def calibration_results(report: CalibrationReport) -> dict:
         "calibration.ece_before": report.ece_before,
         "calibration.ece_after": report.ece_after,
         "calibration.temperature": report.fitted.value,
+        "calibration.temperature_at_bound": int(report.fitted.at_bound),
     }
 
 

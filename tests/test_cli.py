@@ -2,6 +2,7 @@ import contextlib
 import filecmp
 import gc
 import io
+import json
 import os
 import re
 import shutil
@@ -22,7 +23,7 @@ from phasekit import cli
 from phasekit.calibration import fit_temperature, reliability_bins
 from phasekit.cli import main
 from phasekit.inference import baseline_argmax, load_traces
-from phasekit.logits import load_bank, load_logits
+from phasekit.logits import LogitSequence, load_bank, load_logits, save_logits
 from phasekit.report import load_results_json
 from phasekit.workflow import load_timelines
 
@@ -391,6 +392,42 @@ class TestInfer:
         assert rc == 0
         out = capsys.readouterr().out
         assert "t_conf=0.1" in out and "t_conf=0.9" in out and "<- best" in out
+        best = re.search(r"t_conf=([0-9.]+) .*<- best", out)[1]
+        echo = (tmp_path / "config.txt").read_text().splitlines()
+        assert "threshold = 0.5" in echo and f"resolved_threshold = {best}" in echo
+
+    @pytest.mark.parametrize("given", ["flag", "config", "config_default"])
+    def test_threshold_with_sweep_rejected_and_writes_nothing(self, small_dataset, tmp_path, capsys, given):
+        """The sweep picks the threshold, so a given one is an error, even at the default's value."""
+        val, test = small_dataset
+        cfg = tmp_path / "infer.cfg"
+        cfg.write_text("threshold = 0.5\n" if given == "config_default" else "sweep = on\nthreshold = 0.2\n")
+        flags = ["--sweep", "--threshold", "0.2"] if given == "flag" else ["--config", str(cfg)]
+        if given == "config_default":
+            flags.append("--sweep")
+        out = tmp_path / "inf"
+        rc = main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
+                   "--bank", str(test / "bank"), "--val", str(val), *flags, "--out", str(out / "pred.csv")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: --threshold applies only without --sweep\n")
+        assert not out.exists()
+
+    def test_auto_temperature_on_a_search_bound_says_so(self, small_dataset, tmp_path, capsys):
+        """Every validation frame labeled with its own argmax: the NLL falls
+        with T down to the low search bound, and the fitted line says so."""
+        val, test = small_dataset
+        seqs = load_logits(val / "baseline.csv")
+        right = tmp_path / "val"
+        right.mkdir()
+        save_logits([LogitSequence(vid, seqs[vid].logits, labels=seqs[vid].logits.argmax(axis=1) + 1)
+                     for vid in sorted(seqs)], right / "baseline.csv")
+        rc = main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
+                   "--bank", str(test / "bank"), "--temperature", "auto", "--val", str(right),
+                   "--out", str(tmp_path / "pred.csv")])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith(
+            "fitted temperature on validation split: 0.01 (at the search bound)\n")
+        assert "resolved_temperature = 0.01" in (tmp_path / "config.txt").read_text().splitlines()
 
     def test_sweep_names_video_without_ground_truth(self, small_dataset, tmp_path, capsys):
         val, test = small_dataset
@@ -656,6 +693,42 @@ class TestReport:
         assert (out / "report.txt").read_bytes() == text.read_bytes()
         assert capsys.readouterr().out == text.read_text()
 
+    def test_a_fit_on_a_bound_rerenders_with_its_suffix(self, tmp_path, capsys):
+        val, test = _bound_splits(tmp_path)
+        run = tmp_path / "cal"
+        assert main(["calibrate", "--val", str(val), "--test", str(test), "--out", str(run)]) == 0
+        text = (run / "report.txt").read_text()
+        assert text.endswith("fitted temperature = 0.01 (at the search bound)\n")
+        assert load_results_json(run / "report.json")["calibration.temperature_at_bound"] == 1
+        capsys.readouterr()
+        assert main(["report", "--results", str(run / "report.json"), "--out", str(tmp_path / "render")]) == 0
+        assert (tmp_path / "render" / "report.txt").read_bytes() == (run / "report.txt").read_bytes()
+        assert capsys.readouterr().out == text
+
+    def test_results_without_the_bound_flag_render_as_off_the_bound(self, small_dataset, tmp_path, capsys):
+        """Results written before the flag existed render as they did."""
+        val, test = small_dataset
+        run = tmp_path / "cal"
+        assert main(["calibrate", "--val", str(val), "--test", str(test), "--out", str(run)]) == 0
+        results = json.loads((run / "report.json").read_text())
+        assert results.pop("calibration.temperature_at_bound") == 0
+        (tmp_path / "old.json").write_text(json.dumps(results))
+        capsys.readouterr()
+        assert main(["report", "--results", str(tmp_path / "old.json"), "--out", str(tmp_path / "render")]) == 0
+        assert (tmp_path / "render" / "report.txt").read_bytes() == (run / "report.txt").read_bytes()
+        assert "(at the search bound)" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["2", "-1", "0.5", "1.0", "null"])
+    def test_bound_flag_other_than_0_or_1_rejected_in_one_line(self, tmp_path, capsys, value):
+        path, out = tmp_path / "results.json", tmp_path / "render"
+        path.write_text('{"calibration.nll_before": 1.0, "calibration.nll_after": 0.9, "calibration.ece_before": 0.2, '
+                        '"calibration.ece_after": 0.1, "calibration.temperature": 2.0, '
+                        f'"calibration.temperature_at_bound": {value}}}')
+        assert main(["report", "--results", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: 'calibration.temperature_at_bound' must be 0 or 1, got {json.loads(value)!r}\n")
+        assert not out.exists()
+
     def test_help_lists_only_results_out_and_config(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["report", "--help"])
@@ -833,8 +906,9 @@ class TestConfigFile:
         """Any subset of simulate and infer settings, given as config lines
         (either key spelling, any case of a boolean word) or as flags, gives
         the same exit code, config.txt echo and output bytes. A transition
-        run with --sweep or --temperature auto is rejected both ways and
-        writes nothing; a confidence run gets --val only for those two."""
+        run with --sweep or --temperature auto, and a run with --sweep and
+        --threshold, are rejected both ways and write nothing; a confidence
+        run gets --val only for those two."""
         val, test = small_dataset
 
         def draw(settings, switch_off):
@@ -867,7 +941,8 @@ class TestConfigFile:
             tuned = "--sweep" in flags or "auto" in flags
             if strategy == "confidence":
                 paths += ["--base", str(test / "baseline.csv"), *(["--val", str(val)] if tuned else [])]
-            expected = 2 if strategy == "transition" and tuned else 0
+            swept_threshold = "--sweep" in flags and "--threshold" in flags
+            expected = 2 if strategy == "transition" and tuned or swept_threshold else 0
             for how, extra in (("flags", flags), ("file", ["--config", str(root / "infer.cfg")])):
                 assert main(["infer", *paths, *extra, "--trace", str(root / how / "inf" / "trace.csv"),
                              "--out", str(root / how / "inf" / "pred.csv")]) == expected
@@ -1219,6 +1294,20 @@ def _tiny_splits(root: Path) -> tuple[Path, Path]:
     return val, test
 
 
+def _bound_splits(root: Path) -> tuple[Path, Path]:
+    """_tiny_splits whose validation baseline and bank pairs each fit T on
+    a search bound: the low one where the model is always right (the
+    baseline and the odd pairs), the high one where it is always wrong."""
+    val, test = _tiny_splits(root)
+    (val / "baseline.csv").write_text("video_id,frame_idx,label,z1,z2\n" +
+                                      "".join(f"v,{frame},1,0.01,0.0\n" for frame in range(4)))
+    for i in range(1, 7):
+        scores = "0.01,0.0" if i % 2 else "0.0,0.01"
+        rows = "".join(f"v,{frame},{i},{scores}\n" for frame in range(4))
+        (val / "bank" / f"trans_{i}_{i + 1}.csv").write_text("video_id,frame_idx,label,z1,z2\n" + rows)
+    return val, test
+
+
 def _with_out(argv, out):
     return argv if "--out" in argv else [*argv, "--out", str(out)]
 
@@ -1312,31 +1401,27 @@ class TestForkedReads:
         assert capsys.readouterr().out == two.out.replace(str(tmp_path / "two"), str(tmp_path / "one"))
         assert _tree(tmp_path / "one") == _tree(tmp_path / "two")
 
-    def test_fit_warnings_are_issued_in_serial_order(self, tmp_path, capsys):
-        """Each fit hits a search bound, the low one where the model is always
-        right and the high one where it is always wrong; the warnings, issued
-        in the child or here, arrive as a serial run has them: the validation
-        fit's first, as the first job's."""
-        val, test = _tiny_splits(tmp_path)
-        (val / "baseline.csv").write_text("video_id,frame_idx,label,z1,z2\n" +
-                                          "".join(f"v,{frame},1,0.01,0.0\n" for frame in range(4)))
-        for i in range(1, 7):
-            scores = "0.01,0.0" if i % 2 else "0.0,0.01"
-            rows = "".join(f"v,{frame},{i},{scores}\n" for frame in range(4))
-            (val / "bank" / f"trans_{i}_{i + 1}.csv").write_text("video_id,frame_idx,label,z1,z2\n" + rows)
-        argv = ["calibrate", "--val", str(val), "--test", str(test), "--include-bank", "--out", str(tmp_path / "cal")]
-        caught = {}
+    def test_fits_on_a_bound_give_what_an_inline_run_gives(self, tmp_path, capsys):
+        """Every fit of calibrate --include-bank stops on a search bound. Forked
+        or inline, with every warning an error, the command prints and writes
+        the same bytes, flags each fit, and prints nothing to stderr."""
+        val, test = _bound_splits(tmp_path)
+        runs = {}
         for how in ("forked", "inline"):
-            with warnings.catch_warnings(record=True) as caught[how], pytest.MonkeyPatch.context() as patch:
-                warnings.simplefilter("always")
+            with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+                warnings.simplefilter("error")
                 if how == "inline":
                     patch.delattr(os, "fork")
-                assert main(argv) == 0
-        assert capsys.readouterr().err == ""
-        messages = [[(w.category, str(w.message)) for w in caught[how]] for how in ("forked", "inline")]
-        assert messages[0] == messages[1]
-        assert [message.split(";")[0] for _, message in messages[0]] == [
-            f"temperature fit hit the search bound T={bound}" for bound in (0.01, *(0.01, 100.0) * 3)]
+                assert main(["calibrate", "--val", str(val), "--test", str(test), "--include-bank",
+                             "--out", str(tmp_path / how)]) == 0
+            runs[how] = capsys.readouterr(), _tree(tmp_path / how)
+        assert runs["forked"] == runs["inline"]
+        assert runs["forked"][0].err == ""
+        results = load_results_json(tmp_path / "forked" / "report.json")
+        assert (results["calibration.temperature"], results["calibration.temperature_at_bound"]) == (0.01, 1)
+        assert [(results[f"calibration.bank.trans_{i}_{i + 1}.temperature"],
+                 results[f"calibration.bank.trans_{i}_{i + 1}.temperature_at_bound"]) for i in range(1, 7)] == [
+            (0.01, 1), (100.0, 1)] * 3
 
     def test_more_videos_than_queue_slots(self, tmp_path, capsys, monkeypatch):
         """300 videos go to the output stage as at most 256 jobs, each a run
@@ -1371,24 +1456,6 @@ class TestForkedReads:
             _wait_for(marker)
         assert log.read_text().split() == ["1", "3", "2", "4", "0"]
         assert results == [0, 10, 20, 30, 40]
-
-    def test_warnings_of_jobs_after_the_first_failure_are_dropped(self, tmp_path):
-        """The child runs job 2, which warns, then fails job 1; job 0, which
-        warns, runs in either process. A serial run warns once and raises job 1's error."""
-        marker = tmp_path / "failed"
-
-        def warn(text):
-            warnings.warn(text, UserWarning)
-
-        def fail():
-            marker.touch()
-            raise ValueError("job 1 failed")
-
-        with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError, match="job 1 failed"):
-            warnings.simplefilter("always")
-            with cli._shared([partial(warn, "job 0"), fail, partial(warn, "job 2")], sizes=[1, 2, 3]):
-                _wait_for(marker)
-        assert [str(w.message) for w in caught] == ["job 0"]
 
     def test_an_unclaimed_earlier_bad_file_is_still_the_error(self, tmp_path, capsys, monkeypatch):
         """Each process first claims one of the two largest files, bad bank
@@ -1539,15 +1606,15 @@ def _drawn_job(i: int, kind, warns: bool):
     raise kind(f"job {i}")
 
 
-def _run_recorded(run) -> tuple:
-    """What ``run()`` returns, or the type and args of what it raises, and its warning messages."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+def _run_strict(run):
+    """What ``run()`` returns, or the type and args of what it raises, with
+    every warning an error: a job's warning is then that job's exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
-            outcome = run()
+            return run()
         except Exception as exc:
-            outcome = (type(exc), exc.args)
-    return outcome, [str(w.message) for w in caught]
+            return type(exc), exc.args
 
 
 def _shared_results(jobs, sizes) -> list:
@@ -1572,12 +1639,12 @@ class TestSharedOracle:
     @given(shared_cases())
     def test_shared_gives_what_a_serial_run_gives(self, case):
         """The forked jobs give the serial run's results, or its exception
-        type and args, and its warnings in the same order."""
+        type and args; a job that warns fails with its warning, in either process."""
         jobs, sizes, first = case
-        serial = _run_recorded(lambda: [job() for job in jobs])
+        serial = _run_strict(lambda: [job() for job in jobs])
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             _order_claims(patch, "child", Path(tmp) / "claimed", head=first)
-            assert _run_recorded(partial(_shared_results, jobs, sizes)) == serial
+            assert _run_strict(partial(_shared_results, jobs, sizes)) == serial
 
 
 FUZZED = ["data/baseline.csv", "data/bank/trans_3_4.csv", "data/gt.csv", "replay/pred.csv", "replay/trace.csv",
@@ -1644,11 +1711,10 @@ class TestFuzz:
             ]
             for argv in commands:
                 err = io.StringIO()
-                with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
                         contextlib.redirect_stdout(io.StringIO()):
-                    warnings.simplefilter("always")  # every warning is recorded, to be checked below
+                    warnings.simplefilter("error")  # the forked child inherits it: any warning fails the example
                     rc = main(argv)
-                assert [w for w in caught if "hit the search bound" not in str(w.message)] == [], argv
                 if rc != 0:
                     assert rc == 2 and err.getvalue().count("\n") == 1, (argv, err.getvalue())
                     assert str(path) in err.getvalue(), (argv, err.getvalue())

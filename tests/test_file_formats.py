@@ -21,7 +21,8 @@ from phasekit import workflow
 from phasekit.cli import main
 from phasekit.inference import TRACE_HEADER, InferenceTrace, load_traces, save_traces
 from phasekit.logits import LogitSequence, load_logits, save_logits
-from phasekit.workflow import PhaseTimeline, load_timelines, save_timelines
+from phasekit.report import load_results_json
+from phasekit.workflow import PhaseTimeline, all_transition_pairs, load_timelines, save_timelines
 
 MODELS = ["baseline", "trans_1_2", "trans_3_4", "trans_6_7"]
 BAD_CELLS = ["x", "", "1.5.", "--1", "1e", "inf", "-inf", "nan", "1e400", "99999999999999999999",
@@ -347,9 +348,12 @@ class TestArtifacts:
         run = tmp_path / "run"
         assert main(["pipeline", "--frames-mean", "280", "--val-videos", "1", "--test-videos", "1",
                      "--out", str(run)]) == 0
-        with pytest.warns(RuntimeWarning, match="search bound"):  # a bank pair of this short split fits on a bound
-            assert main(["calibrate", "--val", str(run / "val"), "--test", str(run / "test"), "--include-bank",
-                         "--out", str(tmp_path / "cal")]) == 0
+        assert main(["calibrate", "--val", str(run / "val"), "--test", str(run / "test"), "--include-bank",
+                     "--out", str(tmp_path / "cal")]) == 0
+        results = load_results_json(tmp_path / "cal" / "report.json")
+        # a bank pair of this short split fits on a bound, and the flag is a plain 0 or 1
+        flags = [results[f"calibration.bank.{pair.name}.temperature_at_bound"] for pair in all_transition_pairs()]
+        assert 1 in flags and {type(flag) for flag in flags} == {int}
         files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
         assert sum(p.name.startswith("reliability_") for p in files) == 4
         for path in files:
