@@ -177,12 +177,13 @@ def _per_video(job, frames: dict) -> list:
 
 
 @contextmanager
-def _naming(path):
-    """Prefix a ValueError raised inside the block with ``path``."""
+def _naming(*paths):
+    """Prefix a ValueError raised inside the block with ``paths``: the file at
+    fault, or the files that disagree, either of which may be at fault."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{' and '.join(map(str, paths))}: {exc}") from None
 
 
 def _format_value(value) -> str:
@@ -449,7 +450,7 @@ def _tuned(args) -> tuple[calibration.Temperature | None, tuple[float, list] | N
     if not args.sweep:
         return fit, None
     bank = assemble_bank(pairs)
-    with _naming(val / "baseline.csv"):
+    with _naming(val / "baseline.csv", val / "gt.csv"):
         metrics.require_ground_truth(base, gts)
     cfg = inference.InferenceConfig(buffer_size=args.buffer, temperature=fit.value if fit else args.temperature)
     return fit, inference.sweep_threshold(base, bank, gts, cfg)
@@ -561,12 +562,14 @@ def cmd_evaluate(args) -> int:
         reads.append(partial(inference.load_traces, args.trace))
     parsed = _results(reads, [_size(path) for path in (args.pred, args.gt, args.trace) if path])
     preds, gts = parsed.popleft(), parsed.popleft()
+    with _naming(args.pred, args.gt):
+        metrics.require_ground_truth(preds, gts)
     with _naming(args.pred):
         results = metrics.evaluate_predictions(preds, gts)
     traces = {}
     if args.trace:
         traces = parsed.popleft()
-        with _naming(args.trace):
+        with _naming(args.trace, args.gt):
             metrics.require_ground_truth(traces, gts)
 
     out = Path(args.out)

@@ -440,7 +440,7 @@ class TestInfer:
                    "--out", str(tmp_path / "pred.csv")])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: {partial / 'baseline.csv'}: missing ground truth for videos: video01\n")
+            f"error: {partial / 'baseline.csv'} and {partial / 'gt.csv'}: missing ground truth for videos: video01\n")
         assert not (tmp_path / "pred.csv").exists()
 
     def test_sweep_names_video_with_short_ground_truth(self, small_dataset, tmp_path, capsys):
@@ -453,7 +453,8 @@ class TestInfer:
                    "--bank", str(test / "bank"), "--sweep", "--val", str(partial),
                    "--out", str(tmp_path / "pred.csv")])
         assert rc == 2
-        assert capsys.readouterr().err == (f"error: {partial / 'baseline.csv'}: frame counts differ from ground truth: "
+        assert capsys.readouterr().err == (f"error: {partial / 'baseline.csv'} and {partial / 'gt.csv'}: "
+                                           "frame counts differ from ground truth: "
                                            f"video01: {frames} frames, ground truth 100\n")
         assert not (tmp_path / "pred.csv").exists()
 
@@ -537,7 +538,7 @@ class TestEvaluate:
         rc = main(["evaluate", "--pred", str(pred), "--gt", str(gt), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: {pred}: frame counts differ from ground truth: video00: {frames} frames, ground truth 100\n")
+            f"error: {pred} and {gt}: frame counts differ from ground truth: video00: {frames} frames, ground truth 100\n")
         assert not out.exists()
 
     def test_prediction_without_ground_truth_named_and_writes_nothing(self, small_dataset, tmp_path, capsys):
@@ -548,7 +549,7 @@ class TestEvaluate:
         out = tmp_path / "eval"
         rc = main(["evaluate", "--pred", str(pred), "--gt", str(test / "gt.csv"), "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {pred}: missing ground truth for videos: zz\n"
+        assert capsys.readouterr().err == f"error: {pred} and {test / 'gt.csv'}: missing ground truth for videos: zz\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
@@ -570,7 +571,7 @@ class TestEvaluate:
         rc = main(["evaluate", "--pred", str(pred), "--gt", str(test / "gt.csv"),
                    "--trace", str(trace), "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {trace}: {message.format(frames=frames)}\n"
+        assert capsys.readouterr().err == f"error: {trace} and {test / 'gt.csv'}: {message.format(frames=frames)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [",", " , ,", ""])
