@@ -7,19 +7,16 @@ Exit codes: 0 success, 2 input or config error.
 from __future__ import annotations
 
 import argparse
-import os
-import pickle
 import sys
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration, inference, metrics, report, simulate
+from .fork import _per_video, _results, _shared, _size
 from .logits import (LogitSequence, TransitionLogitBank, assemble_bank, bank_files, check_bank_shapes, load_logits,
                      positive_temperature)
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
@@ -44,136 +41,6 @@ def _stage(name: str):
         yield
     except (ValueError, KeyError, OSError) as exc:
         raise StageError(f"error in stage {name}: {exc}") from exc
-
-
-class _ChildTraceback(Exception):
-    """The formatted traceback of an exception raised in a forked child,
-    chained as the cause of that exception when the parent re-raises it."""
-
-
-class _Outcome:
-    """What a call did: its value or the exception it raised, kept so that
-    ``get`` can give it later, in the place a serial run has it, and in
-    another process."""
-
-    text = None  # the traceback of an error raised in a forked child
-
-    def __init__(self, call):
-        try:
-            self.value, self.error = call(), None
-        except Exception as exc:
-            self.value, self.error = None, exc
-
-    def get(self):
-        """Return the call's value or raise its error."""
-        if self.error is None:
-            return self.value
-        if self.text is None:
-            raise self.error
-        raise self.error from _ChildTraceback(self.text)
-
-
-def _claim(jobs, claims) -> dict:
-    """Run the jobs whose indices this process reads from ``claims`` until it
-    is empty: {index: the job's _Outcome}."""
-    done = {}
-    while claimed := claims.read(1):
-        done[claimed[0]] = _Outcome(jobs[claimed[0]])
-    return done
-
-
-def _one_cpu() -> bool:
-    """Whether this process may run on one CPU only (unknown counts as more)."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) == 1
-
-
-@contextmanager
-def _shared(jobs, sizes=None):
-    """Run the zero-argument ``jobs`` (at most 256) in this process and one
-    forked child, which claim job indices from one queue: the largest
-    ``sizes`` first, or in job order without them. Yields a list that holds
-    the results in job order once the block has exited.
-
-    The child claims from the start; this process runs the block, then claims
-    what is left, even when the block raised, and reaps the child. Every job
-    runs once, in the process that claimed it, and a warning is issued in
-    that process. In job order, each job's result is taken up to the first
-    failed job, whose error is raised: the one a serial run raises. It replaces any
-    exception of the block, chained to the child's traceback if the child
-    raised it. The child's death is a ChildProcessError. The child ends with
-    ``os._exit``, so it never flushes this process's buffers or runs its exit
-    handlers. Where ``os.fork`` does not exist or this process has one CPU,
-    the jobs run first, inline.
-    """
-    results = []
-    if not hasattr(os, "fork") or _one_cpu():
-        results.extend(job() for job in jobs)
-        yield results
-        return
-    order = range(len(jobs)) if sizes is None else sorted(range(len(jobs)), key=lambda i: -sizes[i])
-    queue, fill = os.pipe()  # each byte in the pipe is one job index, claimed by one reader
-    with open(queue, "rb", buffering=0) as claims:
-        with open(fill, "wb") as pipe:
-            pipe.write(bytes(order))
-        read_fd, write_fd = os.pipe()
-        with open(read_fd, "rb") as sent:
-            with open(write_fd, "wb") as pipe:
-                pid = os.fork()
-                if pid == 0:  # the child
-                    status = 1
-                    try:
-                        theirs = _claim(jobs, claims)
-                        for outcome in theirs.values():
-                            if outcome.error is not None:
-                                import traceback  # here, so that importing cli loads no module for it
-                                outcome.text = "".join(traceback.format_exception(outcome.error))
-                        pickle.dump(theirs, pipe, protocol=5)
-                        pipe.close()
-                        status = 0
-                    finally:
-                        os._exit(status)
-            try:
-                yield results
-            finally:
-                try:
-                    done = _claim(jobs, claims)
-                finally:
-                    try:  # streamed, not read whole, so one copy of the child's results is held
-                        theirs = pickle.load(sent)  # the child's own bytes, so this is safe
-                    except Exception:  # a child that died sent at most part of them
-                        theirs = None
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code < 0:
-                    import signal
-                    raise ChildProcessError(f"child process {pid} was killed by {signal.Signals(-code).name}")
-                if code or theirs is None:
-                    raise ChildProcessError(f"child process {pid} exited with status {code}")
-                done.update(theirs)
-                results.extend(done[i].get() for i in range(len(jobs)))
-
-
-def _results(jobs, sizes=None) -> deque:
-    """The results of the ``jobs`` (see _shared), in job order. Taking each
-    from the left lets go of it, so memory is freed as it is used."""
-    with _shared(list(jobs), sizes) as results:
-        pass
-    return deque(results)
-
-
-def _size(*paths) -> int:
-    """The bytes in the files at ``paths``; a missing one, which its job names, counts as empty."""
-    return sum(os.path.getsize(path) for path in paths if os.path.isfile(path))
-
-
-def _per_video(job, frames: dict) -> list:
-    """The items of the lists that ``job`` returns for runs of consecutive
-    videos of ``frames`` ({video id: frame count}), in video id order. Each
-    run is one job of a _shared, at most 256 of them, the most frames first."""
-    vids = sorted(frames)
-    step = -(-len(vids) // 256) or 1
-    runs = [vids[i:i + step] for i in range(0, len(vids), step)]
-    return [item for items in _results(map(partial, repeat(job), runs), [sum(map(frames.get, run)) for run in runs])
-            for item in items]
 
 
 @contextmanager
@@ -245,7 +112,10 @@ def _parse_with_config(parser, subparser, argv: list[str], path) -> argparse.Nam
 
 
 def _pair_acc(text: str) -> tuple[float, ...]:
-    parts = [float(v) for v in text.split(",")]
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"takes 1 or {NUM_PHASES - 1} comma-separated numbers, got {text!r}") from None
     if len(parts) == 1:
         return tuple(parts * (NUM_PHASES - 1))
     if len(parts) != NUM_PHASES - 1:
@@ -471,6 +341,8 @@ def cmd_infer(args) -> int:
     confidence = args.strategy == "confidence"
     if not confidence:  # name the first flag the transition strategy would ignore
         for flag, given in (("--sweep", args.sweep), ("--temperature auto", args.temperature == "auto"),
+                            ("--temperature", args.temperature is not None),
+                            ("--threshold", args.threshold is not None),
                             ("--base", args.base is not None), ("--val", args.val is not None)):
             if given:
                 raise ValueError(f"{flag} applies only to --strategy confidence")
@@ -478,6 +350,8 @@ def cmd_infer(args) -> int:
         raise ValueError("--threshold applies only without --sweep")
     if args.threshold is None:  # not given: the default, which config.txt echoes
         args.threshold = inference.InferenceConfig.conf_threshold
+    if args.temperature is None:
+        args.temperature = inference.InferenceConfig.temperature
     fit_on_val = args.sweep or args.temperature == "auto"
     if args.val and not fit_on_val:
         raise ValueError("--val applies only with --temperature auto or --sweep")
@@ -765,8 +639,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--strategy", choices=("transition", "confidence"), required=True)
     p.add_argument("--base", help="baseline K=7 logit file (confidence strategy)")
     p.add_argument("--bank", required=True, help="transition bank directory")
-    p.add_argument("--temperature", type=_temperature, default="1.0",
-                   help="softmax temperature, or 'auto' to fit on --val")
+    p.add_argument("--temperature", type=_temperature, default=None,
+                   help="softmax temperature (default 1.0), or 'auto' to fit on --val")
     p.add_argument("--val", help="labeled validation dataset directory (for auto/sweep)")
     p.add_argument("--sweep", action="store_true",
                    help="pick the threshold by accuracy over a 0.1..0.9 grid on --val")

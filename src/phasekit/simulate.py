@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.hermite_e import hermegauss
 
 from .attention import scaled_dot_attention
+from .fork import _results
 from .logits import LogitSequence, TransitionLogitBank, bank_layout, save_logits, softmax
 from .workflow import (
     NUM_PHASES,
@@ -358,10 +359,10 @@ def simulate_videos(
 
 
 def dataset_writes(videos: list[SimulatedVideo], out_dir) -> list:
-    """The files of a dataset directory (see save_dataset), one zero-argument
-    writer each: ``baseline.csv``, ``bank/trans_<i>_<i+1>.csv`` in pair order,
-    then ``gt.csv``. The directories are made now; the writers may then run in
-    any order, in any process."""
+    """The files of a dataset directory, one zero-argument writer each:
+    ``baseline.csv`` (K=7 logits), ``bank/trans_<i>_<i+1>.csv`` in pair order,
+    then ``gt.csv`` (timelines). The directories are made now; the writers may
+    then run in any order, in any process."""
     out_dir = Path(out_dir)
     bank_dir = out_dir / "bank"
     bank_dir.mkdir(parents=True, exist_ok=True)
@@ -373,13 +374,6 @@ def dataset_writes(videos: list[SimulatedVideo], out_dir) -> list:
     ]
 
 
-def save_dataset(videos: list[SimulatedVideo], out_dir) -> None:
-    """Write simulated videos as a dataset directory: ``gt.csv`` (timelines),
-    ``baseline.csv`` (K=7 logits) and ``bank/trans_<i>_<i+1>.csv``."""
-    for write in dataset_writes(videos, out_dir):
-        write()
-
-
 def generate_dataset(
     out_dir,
     num_videos: int,
@@ -389,9 +383,10 @@ def generate_dataset(
     smoothing_window: int = 0,
 ) -> list[SimulatedVideo]:
     """Simulate ``num_videos`` videos and write them as a dataset directory
-    (see save_dataset). Nothing is written unless every video simulates.
-    Returns the written videos, in file order.
+    (see dataset_writes) through the job queue, which raises the first
+    failed write's error in file order. Nothing is written unless every
+    video simulates. Returns the written videos, in file order.
     """
     videos = simulate_videos(num_videos, workflow, noise, id_prefix, smoothing_window)
-    save_dataset(videos, out_dir)
+    _results(dataset_writes(videos, out_dir))
     return videos

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from oracles import attention_smooth_loop
 from phasekit import cli
+from phasekit import fork as fork_layer
 from phasekit.calibration import fit_temperature, reliability_bins
 from phasekit.cli import main
 from phasekit.inference import baseline_argmax, load_traces
@@ -74,6 +75,15 @@ class TestSimulate:
         count = value.count(",") + 1
         assert capsys.readouterr().err == (
             f"error: argument --pair-acc: takes 1 or 6 comma-separated values, got {count}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0.9,,0.9"])
+    def test_pair_acc_not_a_number_rejected_and_writes_nothing(self, tmp_path, capsys, value):
+        out = tmp_path / "data"
+        rc = main(["simulate", "--videos", "1", "--frames-mean", "140", "--pair-acc", value, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: argument --pair-acc: takes 1 or 6 comma-separated numbers, got {value!r}\n")
         assert not out.exists()
 
     def test_negative_attention_smooth_rejected_and_writes_nothing(self, tmp_path, capsys):
@@ -131,6 +141,64 @@ class TestSimulate:
         assert sorted(gts) == ["video00", "video01"]
         for vid, gt in gts.items():
             assert bases[vid].num_frames == len(gt) == bank.frame_count(vid)
+
+    SMALL = ["simulate", "--videos", "3", "--frames-mean", "140", "--seed", "7"]
+
+    def test_forked_writer_matches_inline_writer(self, tmp_path, capsys, monkeypatch):
+        """The dataset files go through the job queue: one fork, and the tree
+        and output of writing them in this process, where os.fork is missing."""
+        out = tmp_path / "data"
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert main([*self.SMALL, "--out", str(out)]) == 0
+        forked, tree = capsys.readouterr(), _tree(out)
+        assert forks == [1]
+        shutil.rmtree(out)
+        monkeypatch.delattr(os, "fork")
+        assert main([*self.SMALL, "--out", str(out)]) == 0
+        assert capsys.readouterr() == forked
+        assert _tree(out) == tree
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="one process writes every file")
+    def test_each_dataset_file_is_written_once_by_one_process(self, tmp_path, monkeypatch):
+        """Both processes claim files from the queue, and no file is claimed
+        twice. The child holds its first file until the parent has claimed one."""
+        parent, log, parent_claimed = os.getpid(), tmp_path / "writes.log", tmp_path / "parent_claimed"
+
+        def wrap(write):
+            def logged_writer(items, path):
+                if os.getpid() == parent:
+                    parent_claimed.touch()
+                else:
+                    _wait_for(parent_claimed)
+                _append_line(log, f"{os.getpid()} {path}")
+                write(items, path)
+            return logged_writer
+
+        TestPipeline._wrap_writers(monkeypatch, wrap)
+        out = tmp_path / "data"
+        assert main([*self.SMALL, "--out", str(out)]) == 0
+        claims = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        files = sorted(str(f) for f in out.rglob("*.csv"))
+        assert len(files) == 8
+        assert sorted(path for _, path in claims) == files
+        pids = {pid for pid, _ in claims}
+        assert len(pids) == 2 and str(parent) in pids
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="one process writes every file")
+    def test_failed_write_names_the_file_and_the_others_are_written(self, tmp_path, capsys):
+        """A directory in the place of one bank file fails its write only."""
+        out = tmp_path / "data"
+        in_the_way = out / "bank" / "trans_3_4.csv"
+        in_the_way.mkdir(parents=True)
+        assert main([*self.SMALL, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert str(in_the_way) in captured.err
+        assert captured.out == ""
+        written = {f.relative_to(out).as_posix() for f in out.rglob("*.csv") if f.is_file()}
+        assert written == {"baseline.csv", "gt.csv", *(f"bank/trans_{i}_{i + 1}.csv" for i in (1, 2, 4, 5, 6))}
+        assert not (out / "config.txt").exists()
 
 
 class TestCalibrate:
@@ -285,10 +353,11 @@ class TestInfer:
         assert not out.exists()
 
     def test_sweep_with_transition_strategy_rejected_and_writes_nothing(self, small_dataset, tmp_path, capsys):
-        """--sweep, --temperature auto, --base and --val each apply only to the confidence strategy."""
+        """--sweep, --temperature, --threshold, --base and --val each apply only to the confidence strategy."""
         val, test = small_dataset
         out = tmp_path / "inf"
         for flags, named in ((["--sweep"], "--sweep"), (["--temperature", "auto"], "--temperature auto"),
+                             (["--temperature", "3"], "--temperature"), (["--threshold", "0.9"], "--threshold"),
                              (["--base", str(tmp_path / "X")], "--base"), ([], "--val")):
             rc = main(["infer", "--strategy", "transition", "--bank", str(test / "bank"), *flags, "--val", str(val),
                        "--out", str(out / "pred.csv")])
@@ -833,9 +902,12 @@ class TestConfigFile:
         (b"videos = 1\nseed 5\n", "{cfg}:2: expected 'key = value'"),
         (b"videos = 1\npair_acc = 0.9,0.9\n",
          "{cfg}:2: argument --pair-acc: takes 1 or 6 comma-separated values, got 2"),
+        (b"videos = 1\npair_acc = abc\n",
+         "{cfg}:2: argument --pair-acc: takes 1 or 6 comma-separated numbers, got 'abc'"),
         (b"videos = 1\nseed = \xff\n", "{cfg}:2: 'utf-8' codec can't decode byte 0xff in position 18: "
                                         "invalid start byte"),
-    ], ids=["boolean", "float", "prefix", "unknown_key", "no_equals", "pair_acc", "not_utf8"])
+    ], ids=["boolean", "float", "prefix", "unknown_key", "no_equals", "pair_acc", "pair_acc_not_a_number",
+            "not_utf8"])
     def test_bad_line_named_and_writes_nothing(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(content)
@@ -907,9 +979,9 @@ class TestConfigFile:
         """Any subset of simulate and infer settings, given as config lines
         (either key spelling, any case of a boolean word) or as flags, gives
         the same exit code, config.txt echo and output bytes. A transition
-        run with --sweep or --temperature auto, and a run with --sweep and
-        --threshold, are rejected both ways and write nothing; a confidence
-        run gets --val only for those two."""
+        run with --sweep, --temperature or --threshold, and a run with --sweep
+        and --threshold, are rejected both ways and write nothing; a
+        confidence run gets --val only for --sweep or --temperature auto."""
         val, test = small_dataset
 
         def draw(settings, switch_off):
@@ -943,7 +1015,8 @@ class TestConfigFile:
             if strategy == "confidence":
                 paths += ["--base", str(test / "baseline.csv"), *(["--val", str(val)] if tuned else [])]
             swept_threshold = "--sweep" in flags and "--threshold" in flags
-            expected = 2 if strategy == "transition" and tuned or swept_threshold else 0
+            confidence_only = {"--sweep", "--temperature", "--threshold"}.intersection(flags)
+            expected = 2 if strategy == "transition" and confidence_only or swept_threshold else 0
             for how, extra in (("flags", flags), ("file", ["--config", str(root / "infer.cfg")])):
                 assert main(["infer", *paths, *extra, "--trace", str(root / how / "inf" / "trace.csv"),
                              "--out", str(root / how / "inf" / "pred.csv")]) == expected
@@ -1317,7 +1390,7 @@ def _order_claims(monkeypatch, first: str, marker: Path, head: int = 1) -> None:
     """Let the ``first`` process ("parent" or "child") start ``head`` jobs,
     or stop claiming, before the other claims any. ``marker`` signals the
     ``head``-th start, and ``marker`` with the suffix ``.done`` the stop."""
-    parent, claim, done = os.getpid(), cli._claim, marker.with_suffix(".done")
+    parent, claim, done = os.getpid(), fork_layer._claim, marker.with_suffix(".done")
 
     def ordered(jobs, claims):
         if (os.getpid() == parent) != (first == "parent"):
@@ -1336,7 +1409,7 @@ def _order_claims(monkeypatch, first: str, marker: Path, head: int = 1) -> None:
         finally:
             done.touch()
 
-    monkeypatch.setattr(cli, "_claim", ordered)
+    monkeypatch.setattr(fork_layer, "_claim", ordered)
 
 
 def _bad_row(path: Path, dst: Path, line: int) -> Path:
@@ -1453,7 +1526,7 @@ class TestForkedReads:
                 marker.touch()
             return i * 10
 
-        with cli._shared([partial(job, i) for i in range(5)], sizes=[1, 5, 3, 5, 2]) as results:
+        with fork_layer._shared([partial(job, i) for i in range(5)], sizes=[1, 5, 3, 5, 2]) as results:
             _wait_for(marker)
         assert log.read_text().split() == ["1", "3", "2", "4", "0"]
         assert results == [0, 10, 20, 30, 40]
@@ -1620,7 +1693,7 @@ def _run_strict(run):
 
 def _shared_results(jobs, sizes) -> list:
     """The results of one real ``_shared`` over ``jobs``, with an empty block."""
-    with cli._shared(jobs, sizes) as results:
+    with fork_layer._shared(jobs, sizes) as results:
         pass
     return results
 
@@ -1664,7 +1737,7 @@ def fuzz_base(tmp_path_factory):
     assert main(["evaluate", "--pred", str(root / "replay" / "pred.csv"), "--gt", str(root / "data" / "gt.csv"),
                  "--trace", str(root / "replay" / "trace.csv"), "--format", "json",
                  "--out", str(root / "replay" / "eval")]) == 0
-    (root / "infer.cfg").write_text("# a shorter buffer\nbuffer = 12\nthreshold = 0.6\n", encoding="utf-8")
+    (root / "infer.cfg").write_text("# a shorter buffer\nbuffer = 12\nstrategy = transition\n", encoding="utf-8")
     return root
 
 

@@ -118,6 +118,25 @@ class TestMarginSolve:
         child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert child.stdout.strip() == "False"
 
+    def test_fork_layer_imports_only_the_standard_library(self):
+        """The job queue's module, executed on its own in a fresh interpreter,
+        loads neither numpy nor any phasekit module. (``import phasekit.fork``
+        would run the package root first, and that loads phasekit.logits.)"""
+        path = Path(phasekit.__file__).with_name("fork.py")
+        code = ("import importlib.util, sys; "
+                f"spec = importlib.util.spec_from_file_location('fork', {str(path)!r}); "
+                "spec.loader.exec_module(importlib.util.module_from_spec(spec)); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'phasekit')))")
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert child.stdout.strip() == "[]"
+
+    def test_simulate_import_leaves_the_cli_out(self):
+        """The simulator queues its file writes on the fork layer, not through the CLI."""
+        code = "import sys, phasekit.simulate; print('phasekit.cli' in sys.modules, 'phasekit.fork' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(phasekit.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert child.stdout.strip() == "False True"
+
 
 class TestGroundTruth:
     def test_degenerate_dwell_gives_exact_blocks(self):
