@@ -7,10 +7,12 @@ Exit codes: 0 success, 2 input or config error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -116,11 +118,12 @@ def _pair_acc(text: str) -> tuple[float, ...]:
         parts = [float(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"takes 1 or {NUM_PHASES - 1} comma-separated numbers, got {text!r}") from None
-    if len(parts) == 1:
-        return tuple(parts * (NUM_PHASES - 1))
-    if len(parts) != NUM_PHASES - 1:
+    if len(parts) not in (1, NUM_PHASES - 1):
         raise argparse.ArgumentTypeError(f"takes 1 or {NUM_PHASES - 1} comma-separated values, got {len(parts)}")
-    return tuple(parts)
+    for part in parts:
+        if not 0.5 < part <= 1:
+            raise argparse.ArgumentTypeError(f"takes accuracies in (0.5, 1], got {part!r}")
+    return tuple(parts * (NUM_PHASES - 1) if len(parts) == 1 else parts)
 
 
 def _formats(text: str) -> tuple[str, ...]:
@@ -147,15 +150,20 @@ def _int_at_least(low: int, high: float = float("inf")):
     return parse
 
 
-def _number_in(low: int, high: int):
-    """An argparse type for finite numbers in [``low``, ``high``]."""
+def _number_in(low: float, high: float, low_open: bool = False, low_text: str | None = None):
+    """An argparse type for finite numbers in [``low``, ``high``], or in
+    (``low``, ``high``] when ``low_open``, an error showing ``low`` as
+    ``low_text`` if given; an infinite ``high`` is excluded."""
+    interval = f"{'(' if low_open else '['}{low_text or low}, {high}{')' if math.isinf(high) else ']'}"
+
     def parse(text: str) -> float:
         try:
-            if low <= float(text) <= high:
-                return float(text)
+            value = float(text)
+            if (low < value if low_open else low <= value) and value <= high and math.isfinite(value):
+                return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"must be a number in [{low}, {high}], got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a number in {interval}, got {text!r}")
     return parse
 
 
@@ -171,6 +179,9 @@ def _temperature(text: str) -> float | str:
 
 def _workflow_spec(args) -> WorkflowSpec:
     dwell_mean = args.frames_mean / NUM_PHASES
+    if args.dwell_min is not None and args.dwell_min > dwell_mean:
+        raise ValueError(f"argument --dwell-min: must be at most the mean dwell, --frames-mean / {NUM_PHASES} = "
+                         f"{dwell_mean!r}, got {args.dwell_min}")
     dwell_min = max(1, round(dwell_mean / 4)) if args.dwell_min is None else args.dwell_min
     return WorkflowSpec(dwell_mean=dwell_mean, dwell_min=dwell_min, monotone=args.monotone)
 
@@ -477,25 +488,26 @@ def cmd_report(args) -> int:
 def cmd_pipeline(args) -> int:
     """simulate -> calibrate -> infer (all four strategies) -> evaluate -> report.
 
-    The whole configuration is checked, every video simulated and every
-    dataset directory made before any file is written. Each stage writes its
+    The whole configuration is checked, every video simulated (by this
+    process and one forked child, from one job queue) and every dataset
+    directory made before any file is written. Each stage writes its
     artifacts once and hands its in-memory results to the next, so no
-    artifact is read back. The two datasets' 16 files are queued: one forked
-    child claims and writes them from the start, while this process runs the
-    later stages and then claims what is left. Identical configuration and
-    seed yield byte-identical trees. Raises StageError naming the failing
-    stage; a failed dataset write is named ``simulate`` even though the later
-    stages have run by then, and of two failed writes the one queued first wins.
+    artifact is read back. The two datasets' 16 files are queued too: a
+    second forked child claims and writes them from the start, while this
+    process runs the later stages and then claims what is left. Identical
+    configuration and seed yield byte-identical trees. Raises StageError
+    naming the failing stage; a failed dataset write is named ``simulate``
+    even though the later stages have run by then, and of two failed writes
+    the one queued first wins.
     """
+    workflow = _workflow_spec(args)
     with _stage("simulate"):
-        workflow = _workflow_spec(args)
-        videos = {
-            split: simulate.simulate_videos(
-                count, workflow, _noise_spec(args, derive_video_seed(args.seed, key)),
-                id_prefix=split, smoothing_window=args.attention_smooth,
-            )
-            for split, key, count in (("val", 101, args.val_videos), ("test", 202, args.test_videos))
-        }
+        # val then test, on one queue: both processes simulate
+        splits = [(split, count, _noise_spec(args, derive_video_seed(args.seed, key)))
+                  for split, key, count in (("val", 101, args.val_videos), ("test", 202, args.test_videos))]
+        simulated = list(chain.from_iterable(_results(simulate.simulation_jobs(workflow, splits,
+                                                                               args.attention_smooth))))
+        videos = {"val": simulated[:args.val_videos], "test": simulated[args.val_videos:]}
         out = Path(args.out)
         echo = _simulation_echo(args, workflow)
         del echo["command"]  # keeps pipeline echoes byte-identical to earlier versions
@@ -574,10 +586,11 @@ def _add_simulation_flags(p: argparse.ArgumentParser, frames_default: float) -> 
                    help="minimum frames per phase (default: mean dwell / 4)")
     p.add_argument("--monotone", action=argparse.BooleanOptionalAction, default=True,
                    help="phases 1..7 strictly in order")
-    p.add_argument("--base-acc", type=float, default=0.85, help="baseline argmax accuracy target")
+    p.add_argument("--base-acc", type=_number_in(1 / NUM_PHASES, 1, True, f"1/{NUM_PHASES}"), default=0.85,
+                   help="baseline argmax accuracy target")
     p.add_argument("--pair-acc", type=_pair_acc, default=DEFAULT_PAIR_ACCURACY,
                    help="six comma-separated per-pair accuracy targets")
-    p.add_argument("--overconfidence", type=float, default=2.5,
+    p.add_argument("--overconfidence", type=_number_in(1, math.inf), default=2.5,
                    help="true miscalibration factor multiplied into the logits")
     p.add_argument("--jitter", type=_int_at_least(0), default=10,
                    help="frames around each phase change with concentrated errors")

@@ -70,12 +70,15 @@ def _shared(jobs, sizes=None):
     raised it. The child's death is a ChildProcessError. The child ends with
     ``os._exit``, so it never flushes this process's buffers or runs its exit
     handlers. Where ``os.fork`` does not exist or this process has one CPU,
-    the jobs run first, inline.
+    every job runs first, inline, and the results are taken as above.
     """
     results = []
     if not hasattr(os, "fork") or _one_cpu():
-        results.extend(job() for job in jobs)
-        yield results
+        done = list(map(_Outcome, jobs))
+        try:
+            yield results
+        finally:
+            results.extend(outcome.get() for outcome in done)
         return
     order = range(len(jobs)) if sizes is None else sorted(range(len(jobs)), key=lambda i: -sizes[i])
     queue, fill = os.pipe()  # each byte in the pipe is one job index, claimed by one reader
@@ -132,12 +135,17 @@ def _size(*paths) -> int:
     return sum(os.path.getsize(path) for path in paths if os.path.isfile(path))
 
 
+def _runs(items: list) -> list[list]:
+    """``items`` cut into runs of consecutive items of one length (the last
+    may be shorter): at most 256 of them, the jobs a _shared takes."""
+    step = -(-len(items) // 256) or 1
+    return [items[i:i + step] for i in range(0, len(items), step)]
+
+
 def _per_video(job, frames: dict) -> list:
     """The items of the lists that ``job`` returns for runs of consecutive
     videos of ``frames`` ({video id: frame count}), in video id order. Each
-    run is one job of a _shared, at most 256 of them, the most frames first."""
-    vids = sorted(frames)
-    step = -(-len(vids) // 256) or 1
-    runs = [vids[i:i + step] for i in range(0, len(vids), step)]
+    run is one job of a _shared (see _runs), the most frames first."""
+    runs = _runs(sorted(frames))
     return [item for items in _results(map(partial, repeat(job), runs), [sum(map(frames.get, run)) for run in runs])
             for item in items]

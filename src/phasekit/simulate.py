@@ -23,6 +23,7 @@ import functools
 import math
 import statistics
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.hermite_e import hermegauss
 
 from .attention import scaled_dot_attention
-from .fork import _results
+from .fork import _results, _runs
 from .logits import LogitSequence, TransitionLogitBank, bank_layout, save_logits, softmax
 from .workflow import (
     NUM_PHASES,
@@ -342,6 +343,22 @@ def simulate_video(
     return SimulatedVideo(gt, baseline, bank)
 
 
+def _simulate_run(workflow: WorkflowSpec, smoothing_window: int, run: list) -> list[SimulatedVideo]:
+    """Simulate the videos of ``run``, each a (video id, index, noise)."""
+    return [simulate_video(workflow, noise, vid, index, smoothing_window) for vid, index, noise in run]
+
+
+def simulation_jobs(workflow: WorkflowSpec, splits, smoothing_window: int = 0) -> list:
+    """The videos of ``splits``, each an (id prefix, video count, noise), as
+    zero-argument jobs for the job queue: videos ``<id prefix>00``,
+    ``<id prefix>01``, ... of each split in turn, with the indices
+    simulate_video derives their seeds from. Each job simulates a run of
+    consecutive videos (see fork._runs) and returns them as a list; since each
+    video has its own seed, it may run in any process."""
+    videos = [(f"{prefix}{i:02d}", i, noise) for prefix, count, noise in splits for i in range(count)]
+    return [functools.partial(_simulate_run, workflow, smoothing_window, run) for run in _runs(videos)]
+
+
 def simulate_videos(
     num_videos: int,
     workflow: WorkflowSpec,
@@ -349,13 +366,13 @@ def simulate_videos(
     id_prefix: str = "video",
     smoothing_window: int = 0,
 ) -> list[SimulatedVideo]:
-    """Simulate videos ``<id_prefix>00``, ``<id_prefix>01``, ... in memory."""
+    """Simulate videos ``<id_prefix>00``, ``<id_prefix>01``, ... in memory,
+    through the job queue (see simulation_jobs), which raises the first
+    failed video's error."""
     if num_videos < 1:
         raise ValueError("num_videos must be >= 1")
-    return [
-        simulate_video(workflow, noise, f"{id_prefix}{i:02d}", index=i, smoothing_window=smoothing_window)
-        for i in range(num_videos)
-    ]
+    return list(chain.from_iterable(_results(simulation_jobs(workflow, [(id_prefix, num_videos, noise)],
+                                                             smoothing_window))))
 
 
 def dataset_writes(videos: list[SimulatedVideo], out_dir) -> list:

@@ -104,13 +104,26 @@ class TestSimulate:
         ("simulate", "--frames-mean", "1000001",
          "error: argument --frames-mean: must be a number in [7, 1000000], got '1000001'"),
         ("simulate", "--seed", "-1", "error: argument --seed: must be an integer >= 0, got '-1'"),
-        ("simulate", "--overconfidence", "inf", "error: overconfidence must be finite and >= 1, got inf"),
+        ("simulate", "--overconfidence", "inf",
+         "error: argument --overconfidence: must be a number in [1, inf), got 'inf'"),
         ("pipeline", "--overconfidence", "nan",
-         "error in stage simulate: overconfidence must be finite and >= 1, got nan"),
+         "error: argument --overconfidence: must be a number in [1, inf), got 'nan'"),
         ("pipeline", "--seed", "-1", "error: argument --seed: must be an integer >= 0, got '-1'"),
+        ("simulate", "--overconfidence", "0.5",
+         "error: argument --overconfidence: must be a number in [1, inf), got '0.5'"),
+        ("simulate", "--base-acc", "0.1", "error: argument --base-acc: must be a number in (1/7, 1], got '0.1'"),
+        ("pipeline", "--base-acc", "1.5", "error: argument --base-acc: must be a number in (1/7, 1], got '1.5'"),
+        ("simulate", "--pair-acc", "0.5", "error: argument --pair-acc: takes accuracies in (0.5, 1], got 0.5"),
+        ("pipeline", "--pair-acc", "0.9,0.9,0.9,nan,0.9,0.9",
+         "error: argument --pair-acc: takes accuracies in (0.5, 1], got nan"),
+        ("simulate", "--dwell-min", "1000",
+         "error: argument --dwell-min: must be at most the mean dwell, --frames-mean / 7 = 20.0, got 1000"),
+        ("pipeline", "--dwell-min", "21",
+         "error: argument --dwell-min: must be at most the mean dwell, --frames-mean / 7 = 20.0, got 21"),
     ], ids=["frames_mean_inf", "frames_mean_1e308", "frames_mean_0", "frames_mean_6.9", "frames_mean_1000001",
             "negative_seed", "overconfidence_inf", "pipeline_overconfidence_nan",
-            "pipeline_negative_seed"])
+            "pipeline_negative_seed", "overconfidence_below_1", "base_acc_0.1", "pipeline_base_acc_1.5",
+            "pair_acc_0.5", "pipeline_pair_acc_nan", "dwell_min_1000", "pipeline_dwell_min_21"])
     def test_bad_simulation_value_rejected_and_writes_nothing(self, tmp_path, capsys, command, flag, value, message):
         out = tmp_path / "data"
         rc = main([command, "--frames-mean", "140", flag, value, "--out", str(out)])
@@ -145,14 +158,15 @@ class TestSimulate:
     SMALL = ["simulate", "--videos", "3", "--frames-mean", "140", "--seed", "7"]
 
     def test_forked_writer_matches_inline_writer(self, tmp_path, capsys, monkeypatch):
-        """The dataset files go through the job queue: one fork, and the tree
-        and output of writing them in this process, where os.fork is missing."""
+        """The videos and then the dataset files go through the job queue: two
+        forks, and the tree and output of simulating and writing them in this
+        process, where os.fork is missing."""
         out = tmp_path / "data"
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         assert main([*self.SMALL, "--out", str(out)]) == 0
         forked, tree = capsys.readouterr(), _tree(out)
-        assert forks == [1]
+        assert forks == [1, 1]
         shutil.rmtree(out)
         monkeypatch.delattr(os, "fork")
         assert main([*self.SMALL, "--out", str(out)]) == 0
@@ -199,6 +213,28 @@ class TestSimulate:
         written = {f.relative_to(out).as_posix() for f in out.rglob("*.csv") if f.is_file()}
         assert written == {"baseline.csv", "gt.csv", *(f"bank/trans_{i}_{i + 1}.csv" for i in (1, 2, 4, 5, 6))}
         assert not (out / "config.txt").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_failed_writes_without_fork_stop_no_other_write(self, tmp_path, capsys, monkeypatch, command):
+        """Where os.fork is missing, every dataset file is still written but
+        the two with a directory in their place, and the error is the first of
+        them in queue order, as with a fork."""
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "data"
+        if command == "simulate":
+            argv, first, second = [*self.SMALL, "--out", str(out)], "bank/trans_3_4.csv", "bank/trans_5_6.csv"
+        else:  # the queue interleaves the splits, test first
+            argv, first, second = (["pipeline", *TestPipeline.TINY, "--out", str(out)], "test/bank/trans_3_4.csv",
+                                   "val/bank/trans_5_6.csv")
+        for blocked in (second, first):
+            (out / blocked).mkdir(parents=True)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out / first) in err and str(out / second) not in err, err
+        written = {f.relative_to(out).as_posix() for f in out.rglob("*.csv") if f.is_file()}
+        dataset = {f"{split}{name}" for split in (("",) if command == "simulate" else ("val/", "test/"))
+                   for name in ("baseline.csv", "gt.csv", *(f"bank/trans_{i}_{i + 1}.csv" for i in range(1, 7)))}
+        assert {f for f in written if f in dataset} == dataset - {first, second}
 
 
 class TestCalibrate:
@@ -1065,13 +1101,14 @@ class TestPipeline:
     @pytest.mark.parametrize("flags", [[], ["--no-monotone", "--attention-smooth", "30", "--frames-mean", "600"]],
                              ids=["default", "smooth"])
     def test_forked_writer_matches_inline_writer(self, tmp_path, capsys, monkeypatch, flags):
-        """A forked child writing the datasets gives the tree and output of
-        writing them first in this process, the path where os.fork is missing."""
+        """A forked child simulating videos, and then one writing the datasets,
+        give the tree and output of doing both first in this process, the
+        path where os.fork is missing."""
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         assert main(["pipeline", *flags, "--out", str(tmp_path / "forked")]) == 0
         forked = capsys.readouterr()
-        assert forks == [1]
+        assert forks == [1, 1]  # one child simulates, the next writes
         monkeypatch.delattr(os, "fork")
         assert main(["pipeline", *flags, "--out", str(tmp_path / "inline")]) == 0
         assert capsys.readouterr() == forked
@@ -1241,9 +1278,39 @@ class TestPipeline:
         assert set(os.listdir("/proc/self/fd")) == before
 
     def test_stage_error_is_named(self, tmp_path, capsys):
-        rc = main(["pipeline", "--out", str(tmp_path / "run"), "--base-acc", "0.05"])
+        rc = main(["pipeline", "--out", str(tmp_path / "run"), "--overconfidence", "1e200", "--attention-smooth", "5"])
         assert rc == 2
-        assert "simulate" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error in stage simulate: ")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="every video is simulated in this process")
+    def test_video_failing_in_the_child_is_the_inline_error(self, tmp_path, capsys, monkeypatch):
+        """The child simulates val00 first and fails on it, as this process
+        fails on every later video: one line naming val00, as inline, and
+        nothing is written."""
+        argv = ["pipeline", *self.TINY, "--attention-smooth", "5", "--overconfidence", "1e200"]
+        with pytest.MonkeyPatch.context() as patch:
+            _order_claims(patch, "child", tmp_path / "child_claimed")
+            assert main([*argv, "--out", str(tmp_path / "forked")]) == 2
+        forked = capsys.readouterr()
+        monkeypatch.delattr(os, "fork")
+        assert main([*argv, "--out", str(tmp_path / "inline")]) == 2
+        assert capsys.readouterr() == forked
+        assert re.fullmatch(r"error in stage simulate: attention scores overflow in video 'val00': .*\n", forked.err)
+        assert not (tmp_path / "forked").exists() and not (tmp_path / "inline").exists()
+
+    def test_more_videos_than_queue_slots(self, tmp_path, capsys, monkeypatch):
+        """260 videos over both splits are simulated as at most 256 jobs, each
+        a run of consecutive videos: the tree and output of one process."""
+        argv = ["pipeline", "--val-videos", "250", "--test-videos", "10", "--frames-mean", "7", "--format", "json"]
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert main([*argv, "--out", str(tmp_path / "forked")]) == 0
+        forked = capsys.readouterr()
+        assert forks == [1, 1]
+        monkeypatch.delattr(os, "fork")
+        assert main([*argv, "--out", str(tmp_path / "inline")]) == 0
+        assert capsys.readouterr() == forked
+        assert _tree(tmp_path / "forked") == _tree(tmp_path / "inline")
 
     @pytest.mark.parametrize("flag, value", [("--buffer", "0"), ("--threshold", "2")])
     def test_bad_inference_config_writes_nothing(self, tmp_path, capsys, flag, value):
@@ -1287,6 +1354,7 @@ class TestPipeline:
             return attention_smooth_loop(seq, window)
 
         monkeypatch.setattr("phasekit.simulate.attention_smooth", loop)
+        monkeypatch.delattr(os, "fork")  # so that every video is smoothed, and recorded, in this process
         assert main([*argv, "--out", str(tmp_path / "loop")]) == 0
         assert videos == ["val00", "test00", "test01"]
         assert _tree(tmp_path / "array") == _tree(tmp_path / "loop")

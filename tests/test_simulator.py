@@ -103,6 +103,7 @@ class TestMarginSolve:
 
         cached.cache_clear()
         monkeypatch.setattr(simulate, "_margin_for_accuracy", asked)
+        monkeypatch.delattr(os, "fork", raising=False)  # every video is simulated, and its keys asked, here
         simulate_videos(30, WorkflowSpec(dwell_mean=60, dwell_min=15), NoiseSpec(rng_seed=11))
         info = cached.cache_info()
         assert info.misses == len(set(keys)) < len(keys)  # each miss is one bisection
