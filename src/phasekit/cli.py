@@ -311,13 +311,6 @@ def _run_strategy(strategy: str, baselines: dict[str, LogitSequence], bank, cfg,
     return inference.confidence_inference(baselines[vid], bank, cfg)
 
 
-def _infer(strategy: str, baselines: dict[str, LogitSequence], bank, cfg) -> tuple[dict, dict]:
-    """Run one strategy over every video in id order: ({vid: timeline}, {vid: trace})."""
-    vids = bank.videos() if strategy == "transition" else sorted(baselines)
-    runs = {vid: _run_strategy(strategy, baselines, bank, cfg, vid) for vid in vids}
-    return {vid: t for vid, (t, _) in runs.items()}, {vid: tr for vid, (_, tr) in runs.items()}
-
-
 def _tuned(args) -> tuple[calibration.Temperature | None, tuple[float, list] | None]:
     """Parse the validation split of ``infer`` and tune on it: the
     ``--temperature auto`` fit, then the ``--sweep``'s (threshold, table),
@@ -536,31 +529,27 @@ def cmd_pipeline(args) -> int:
             uncal_cfg = inference.InferenceConfig(args.buffer, args.threshold)
             cal_cfg = replace(uncal_cfg, temperature=results["calibration.temperature"])
             strategies = {"baseline": {vid: inference.baseline_argmax(base_test[vid]) for vid in sorted(base_test)}}
-            traces = {}
+            save_timelines(list(strategies["baseline"].values()), inf_dir / "baseline.csv")
             for name, strategy, cfg in (
                 ("transition", "transition", cal_cfg),
                 ("confidence_uncalibrated", "confidence", uncal_cfg),
                 ("confidence_calibrated", "confidence", cal_cfg),
             ):
-                strategies[name], traces[name] = _infer(strategy, base_test, bank, cfg)
-            for name, by_vid in strategies.items():
-                save_timelines(list(by_vid.values()), inf_dir / f"{name}.csv")
-            for name, by_vid in traces.items():
-                inference.save_traces(list(by_vid.values()), inf_dir / f"{name}_trace.csv")
+                runs = {vid: _run_strategy(strategy, base_test, bank, cfg, vid) for vid in sorted(base_test)}
+                strategies[name] = {vid: timeline for vid, (timeline, _) in runs.items()}
+                save_timelines(list(strategies[name].values()), inf_dir / f"{name}.csv")
+                inference.save_traces([trace for _, trace in runs.values()], inf_dir / f"{name}_trace.csv")
+                # each trace and its ground truth come from one simulated video, so this cannot fail
+                cascades = [metrics.detect_cascades(trace, gts[vid]) for vid, (_, trace) in runs.items()]
+                del runs  # the traces go; the timelines stay for the evaluate stage
+                results[f"strategy.{name}.cascade.count"] = sum(len(cas.runs) for cas in cascades)
+                results[f"strategy.{name}.cascade.frames"] = sum(cas.total_frames() for cas in cascades)
             write_config_echo(inf_dir, echo)
 
         with _stage("evaluate"):
             for name in report.STRATEGY_ORDER:
                 ev = metrics.evaluate_predictions(strategies[name], gts)
                 results.update({f"strategy.{name}.{k}": v for k, v in ev.items()})
-            for name, by_vid in traces.items():
-                count = frames = 0
-                for vid, trace in by_vid.items():
-                    cas = metrics.detect_cascades(trace, gts[vid])
-                    count += len(cas.runs)
-                    frames += cas.total_frames()
-                results[f"strategy.{name}.cascade.count"] = count
-                results[f"strategy.{name}.cascade.frames"] = frames
             results.update(metrics.bank_restricted_accuracies(bank, gts))
             strategy_family = {k: v for k, v in results.items() if k.startswith("strategy.")}
             _write_results(out / "evaluation", results, args.format,

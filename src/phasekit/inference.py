@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .logits import LogitSequence, TransitionLogitBank, argmax_confidence_rows, positive_temperature
-from .workflow import (NUM_PHASES, PhaseTimeline, all_transition_pairs, float_text, int_text, phase_cells, read_rows,
-                       row_block, write_rows)
+from .workflow import (NUM_PHASES, PhaseTimeline, all_transition_pairs, float_text, frozen, int_text, phase_cells,
+                       read_rows, row_block, write_rows)
 
 BASELINE_MODEL = "baseline"
 # A trace's model code indexes this: 0 is the baseline, k is pair (k, k + 1).
@@ -77,18 +77,19 @@ class InferenceTrace:
     prediction: np.ndarray
 
     def __post_init__(self):
-        present = np.array(self.has_confidence, dtype=bool)
+        present = frozen(self.has_confidence, bool)
         columns = {
-            "model": np.array(self.model, dtype=np.int64),
-            "state": np.array(self.state, dtype=np.int64),
-            "confidence": np.where(present, np.asarray(self.confidence, dtype=np.float64), 0.0),
+            "model": frozen(self.model, np.int64),
+            "state": frozen(self.state, np.int64),
+            "confidence": (frozen(self.confidence, np.float64) if present.all()
+                           else np.where(present, np.asarray(self.confidence, dtype=np.float64), 0.0)),
             "has_confidence": present,
-            "prediction": np.array(self.prediction, dtype=np.int64),
+            "prediction": frozen(self.prediction, np.int64),
         }
         if present.ndim != 1 or any(col.shape != present.shape for col in columns.values()):
             raise ValueError(f"trace columns for {self.video_id!r} must be 1-D and of equal length")
         for name, col in columns.items():
-            col.flags.writeable = False
+            col.flags.writeable = False  # np.where's confidences are the one column frozen did not make
             object.__setattr__(self, name, col)
 
     def __len__(self) -> int:

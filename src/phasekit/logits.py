@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .workflow import (PHASE_MAX, PHASE_MIN, TransitionPair, all_transition_pairs, float_text, int_cells, int_text,
-                       read_rows, row_block, write_rows)
+from .workflow import (PHASE_MAX, PHASE_MIN, TransitionPair, all_transition_pairs, float_text, frozen, int_cells,
+                       int_text, read_rows, row_block, write_rows)
 
 BANK_FILE_SUFFIX = ".csv"
 LOGIT_HEADER = "video_id,frame_idx,label"
@@ -32,6 +32,12 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     the result is invariant (to ~1e-12) to adding a constant to all entries.
     Rejects non-finite input and non-positive temperature.
     """
+    e = _shifted_exp(logits, temperature)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
+
+
+def _shifted_exp(logits, temperature) -> np.ndarray:
+    """``exp(z / t - rowmax)`` for softmax, in one new buffer; 1.0 at each row's maximum."""
     t = positive_temperature(temperature)
     z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
@@ -39,10 +45,9 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax input contains non-finite entries")
     with np.errstate(over="ignore"):  # a score far below its row maximum gives exp(-inf) = 0
-        y = z / t
-        y = y - y.max(axis=-1, keepdims=True)
-        e = np.exp(y)
-    return e / e.sum(axis=-1, keepdims=True)
+        e = z / t
+        e -= e.max(axis=-1, keepdims=True)
+        return np.exp(e, out=e)
 
 
 def argmax_confidence_rows(logits, temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -56,10 +61,8 @@ def argmax_confidence_rows(logits, temperature: float = 1.0) -> tuple[np.ndarray
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("expected an (n, K) array of logits")
-    probs = softmax(z, temperature)
-    idx = np.argmax(z, axis=1)
-    conf = probs[np.arange(z.shape[0]), idx]
-    return idx + 1, conf
+    e = _shifted_exp(z, temperature)  # z / t peaks where z does, so softmax's entry there is 1 / sum, bit for bit
+    return np.argmax(z, axis=1) + 1, 1.0 / e.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ class LogitSequence:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        z = np.array(self.logits, dtype=np.float64)
+        z = frozen(self.logits, np.float64)
         if z.ndim != 2:
             raise ValueError(f"logits for {self.video_id!r} must be 2-D, got {z.ndim}-D")
         if z.shape[0] < 1:
@@ -85,16 +88,14 @@ class LogitSequence:
             raise ValueError(f"logits for {self.video_id!r} need K >= 2, got K={z.shape[1]}")
         if not np.all(np.isfinite(z)):
             raise ValueError(f"logits for {self.video_id!r} contain non-finite entries")
-        z.flags.writeable = False
         object.__setattr__(self, "logits", z)
         if self.labels is not None:
-            y = np.array(self.labels, dtype=np.int64)
+            y = frozen(self.labels, np.int64)
             if y.shape != (z.shape[0],):
                 raise ValueError(f"labels for {self.video_id!r} do not match the frame count")
             hi = max(PHASE_MAX, z.shape[1])
             if y.min() < PHASE_MIN or y.max() > hi:
                 raise ValueError(f"labels for {self.video_id!r} outside [{PHASE_MIN}, {hi}]")
-            y.flags.writeable = False
             object.__setattr__(self, "labels", y)
 
     @property
@@ -196,13 +197,9 @@ def load_logits(path) -> dict[str, LogitSequence]:
     """
     out: dict[str, LogitSequence] = {}
     for vid, (labs, z) in read_rows(path, LOGIT_HEADER, _logit_columns, open_ended=True).items():
-        if not any(labs):
-            lab_arr = None
-        elif not all(labs):
+        if any(labs) and not all(labs):
             raise ValueError(f"{path}: video {vid!r} mixes labeled and unlabeled (0) rows")
-        else:
-            lab_arr = np.array(labs, dtype=np.int64)
-        out[vid] = LogitSequence(vid, z, labels=lab_arr)
+        out[vid] = LogitSequence(vid, z, labels=labs if any(labs) else None)
     return out
 
 

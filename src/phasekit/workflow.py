@@ -60,19 +60,29 @@ def pair_for_phase(phase: int) -> TransitionPair:
     return TransitionPair(low, low + 1)  # the pair rejects a phase outside [1, 7]
 
 
+def frozen(values, dtype) -> np.ndarray:
+    """``values`` itself if it is a read-only array of ``dtype`` that owns its
+    data, so that containers share it; else a read-only copy as ``dtype``."""
+    if type(values) is np.ndarray and values.dtype == dtype and values.base is None and not values.flags.writeable:
+        return values
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class PhaseTimeline:
     """Per-frame phase labels for one video at 1 fps.
 
     ``labels`` is a non-empty 1-D int array with every entry in [1, 7];
-    it is stored read-only so timelines can be shared freely.
+    it is stored read-only (see frozen) so timelines can be shared freely.
     """
 
     video_id: str
     labels: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.labels, dtype=np.int64)
+        arr = frozen(self.labels, np.int64)
         if arr.ndim != 1:
             raise ValueError("timeline labels must be a 1-D sequence")
         if arr.size == 0:
@@ -81,7 +91,6 @@ class PhaseTimeline:
             raise ValueError(
                 f"timeline for {self.video_id!r} has phases outside [{PHASE_MIN}, {PHASE_MAX}]"
             )
-        arr.flags.writeable = False
         object.__setattr__(self, "labels", arr)
 
     def __len__(self) -> int:
@@ -165,7 +174,7 @@ def check_utf8(path) -> None:
 
 def read_rows(path, header: str, convert, *, open_ended: bool = False) -> dict[str, tuple]:
     """Parse a comma-separated file keyed by ``video_id,frame_idx`` into
-    {video_id: (column, ...)}, one list or array per column after frame_idx.
+    {video_id: (column, ...)}, one list or read-only array per column after frame_idx.
 
     Blank lines and lines beginning with ``#`` are skipped. The first other
     line must equal ``header``; with ``open_ended`` it must instead start with
@@ -260,7 +269,11 @@ def _canonical_frames(start: int, stop: int) -> list[str]:
 
 
 def _joined(parts):
-    return np.concatenate(parts) if isinstance(parts[0], np.ndarray) else list(chain.from_iterable(parts))
+    if not isinstance(parts[0], np.ndarray):
+        return list(chain.from_iterable(parts))
+    column = np.concatenate(parts)
+    column.flags.writeable = False  # so that a container keeps it rather than a copy (see frozen)
+    return column
 
 
 def int_cells(cells) -> list[int]:

@@ -9,8 +9,11 @@ import shutil
 import signal
 import tempfile
 import time
+import tracemalloc
 import warnings
+import weakref
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -1378,6 +1381,42 @@ class TestPipeline:
         pairs += [(inf / f, out / "inference" / f) for f in ("transition.csv", "transition_trace.csv")]
         for mine, piped in pairs:
             assert filecmp.cmp(mine, piped, shallow=False), piped.name
+
+    def test_each_strategys_traces_are_freed_once_written(self, tmp_path, monkeypatch):
+        """When a strategy's traces are written, no trace of the strategy
+        before is alive: each is dropped once written and its cascades
+        counted."""
+        watched, save = [], cli.inference.save_traces
+
+        def save_and_watch(traces, path):
+            gc.collect()
+            if watched:
+                assert all(ref() is None for ref in watched[-1]), path.name
+            watched.append([weakref.ref(trace) for trace in traces])
+            save(traces, path)
+
+        monkeypatch.setattr(cli.inference, "save_traces", save_and_watch)
+        assert main(["pipeline", "--frames-mean", "140", "--val-videos", "1", "--test-videos", "2",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert [len(refs) for refs in watched] == [2, 2, 2]
+
+    def test_peak_memory_per_simulated_frame(self, tmp_path, monkeypatch):
+        """An inline run allocates at its peak under 380 B per simulated
+        frame: a video's sequences share one label array, softmax works in
+        one buffer, and each strategy's traces are freed once written."""
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            rc = main(["pipeline", "--val-videos", "4", "--test-videos", "8", "--frames-mean", "1800", "--seed", "3",
+                       "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        frames = sum(map(len, chain(load_timelines(out / "val" / "gt.csv").values(),
+                                    load_timelines(out / "test" / "gt.csv").values())))
+        assert peak < 380 * frames, (peak, frames)
 
     def test_default_demo_orders_calibrated_at_or_above_baseline(self, tmp_path):
         out = tmp_path / "run"

@@ -153,6 +153,30 @@ def test_writers_match_row_writers_past_the_canonical_cap(kind, tmp_path):
     _assert_written_as_oracle(kind, values, tmp_path)
 
 
+@pytest.mark.parametrize("kind", ["logits", "trace"])
+def test_readers_hand_their_arrays_to_the_containers(kind, tmp_path, monkeypatch):
+    """The row reader joins each array column read-only, so the container
+    keeps it rather than a copy."""
+    joined, join = [], workflow._joined
+
+    def record(parts):
+        joined.append(join(parts))
+        return joined[-1]
+
+    monkeypatch.setattr(workflow, "_joined", record)
+    path = tmp_path / "f.csv"
+    if kind == "logits":
+        save_logits([LogitSequence("a", [[0.5, 1.0]] * 3, labels=[1, 2, 2]), LogitSequence("b", [[2.0, -1.0]])], path)
+        held = [seq.logits for seq in load_logits(path).values()]
+    else:
+        save_traces(InferenceTrace("a", model=[0, 3], state=[1, 3], confidence=[0.75, 0.1],
+                                   has_confidence=[True, True], prediction=[3, 4]), path)
+        trace = load_traces(path)["a"]
+        held = [getattr(trace, name) for name in ("model", "state", "confidence", "has_confidence", "prediction")]
+    arrays = [a for a in joined if isinstance(a, np.ndarray)]
+    assert len(arrays) == len(held) and all(a is b for a, b in zip(arrays, held))
+
+
 @pytest.mark.parametrize("kind", ["logits", "timeline"])
 def test_writer_streams_one_video_at_a_time(kind, tmp_path):
     """Writing 20 videos x 2,000 frames allocates at its peak less than the

@@ -115,6 +115,20 @@ class TestArgmaxConfidence:
         assert 1 <= cls <= k
         assert 1 / k - 1e-12 <= conf < 1.0
 
+    @given(st.data(), st.integers(1, 30), st.integers(2, 9),
+           st.sampled_from([1e-200, 1e-30, 1.0]) | st.floats(1e-3, 1e3))
+    def test_confidence_is_softmax_at_the_argmax_bit_for_bit(self, data, n, k, t):
+        """Ties, signed zeros, subnormals and logits whose z / t overflows
+        included; where softmax's entry is NaN, so is the confidence."""
+        cells = st.sampled_from([0.0, -0.0, 1.0, -3.5, 5e-324, 1e300, -1e300]) | st.floats(-1e6, 1e6)
+        z = np.array(data.draw(st.lists(st.lists(cells, min_size=k, max_size=k), min_size=n, max_size=n)))
+        with np.errstate(invalid="ignore"):  # inf - inf where a scaled row maximum overflows
+            classes, confs = argmax_confidence_rows(z, t)
+            probs = softmax(z, t)
+        idx = np.argmax(z, axis=1)
+        assert np.array_equal(classes, idx + 1)
+        assert np.array_equal(confs, probs[np.arange(n), idx], equal_nan=True)
+
     @given(finite_logits)
     def test_class_stable_across_temperatures(self, z):
         cls1, _ = argmax_confidence(z, 1.0)

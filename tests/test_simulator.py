@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import phasekit
 from oracles import attention_smooth_loop, oracle_margin, oracle_pair_predictions
-from phasekit import simulate
+from phasekit import fork, simulate
 from phasekit.calibration import fit_temperature
 from phasekit.cli import main
 from phasekit.logits import LogitSequence, load_bank, load_logits
@@ -359,3 +360,32 @@ class TestDataset:
         assert a == b
         bases = load_logits(tmp_path / "a" / "baseline.csv")
         assert not np.array_equal(bases["video00"].logits[:50], bases["video01"].logits[:50])
+
+
+def _label_arrays(video) -> list:
+    """The ground truth's, the baseline's and the six pair sequences' labels."""
+    pairs = video.bank.sequences[video.ground_truth.video_id].values()
+    return [video.ground_truth.labels, video.baseline.labels, *(seq.labels for seq in pairs)]
+
+
+class TestOneLabelArray:
+    """A simulated video's eight sequences share one label array, so it is
+    held and pickled once."""
+
+    @pytest.mark.parametrize("window", [0, 5])
+    def test_inline(self, window):
+        video = simulate_video(WorkflowSpec(dwell_mean=60, dwell_min=10), NoiseSpec(rng_seed=3), "v", 0, window)
+        labels = _label_arrays(video)
+        assert len(labels) == 8 and all(y is labels[0] for y in labels)
+        # 56 B of baseline logits, 96 B of pair logits and 8 B of labels per frame
+        assert len(pickle.dumps(video, protocol=5)) < 170 * len(video.ground_truth)
+
+    def test_after_the_child_simulates_every_video(self, monkeypatch):
+        parent, claim = os.getpid(), fork._claim
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(fork, "_claim", lambda jobs, claims: {} if os.getpid() == parent else claim(jobs, claims))
+        videos = simulate_videos(3, WorkflowSpec(dwell_mean=60, dwell_min=10), NoiseSpec(rng_seed=3))
+        assert [v.ground_truth.video_id for v in videos] == ["video00", "video01", "video02"]
+        for video in videos:
+            labels = _label_arrays(video)
+            assert all(np.shares_memory(labels[0], y) for y in labels[1:])

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phasekit.inference import InferenceTrace
+from phasekit.logits import LogitSequence
 from phasekit.workflow import (
     PhaseTimeline,
     TransitionPair,
@@ -71,6 +73,67 @@ class TestPhaseTimeline:
         t = PhaseTimeline("v", [1, 2, 3])
         with pytest.raises(ValueError):
             t.labels[0] = 5
+
+
+# Each container, and fresh writable arrays for the array fields of a valid one.
+CONTAINERS = {
+    "timeline": (PhaseTimeline, lambda: {"labels": np.array([1, 1, 2, 3])}),
+    "logits": (LogitSequence, lambda: {"logits": np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]),
+                                       "labels": np.array([1, 1, 2, 2])}),
+    "trace": (InferenceTrace, lambda: {
+        "model": np.array([0, 1, 1, 0]), "state": np.array([1, 1, 2, 3]),
+        "confidence": np.array([0.9, 0.4, 0.3, 0.8]), "has_confidence": np.ones(4, dtype=bool),
+        "prediction": np.array([1, 2, 2, 3]),
+    }),
+}
+OTHER_DTYPE = {np.dtype(np.int64): np.int32, np.dtype(np.float64): np.float32, np.dtype(bool): np.uint8}
+
+
+@pytest.mark.parametrize("kind", CONTAINERS)
+class TestContainerArrays:
+    """A container keeps an input that is a read-only array of its dtype and
+    owns its data, so that containers share it; it stores a read-only copy
+    of any other input."""
+
+    def test_read_only_owned_array_is_kept(self, kind):
+        cls, columns = CONTAINERS[kind]
+        arrays = columns()
+        for a in arrays.values():
+            a.flags.writeable = False
+        held = cls("v", **arrays)
+        for name, a in arrays.items():
+            assert getattr(held, name) is a, name
+
+    def test_writable_array_is_copied(self, kind):
+        cls, columns = CONTAINERS[kind]
+        arrays = columns()
+        held = cls("v", **arrays)
+        stored = {name: getattr(held, name).copy() for name in arrays}
+        for a in arrays.values():
+            a.flat[0] = 0 if a.flat[0] else 1
+        for name in arrays:
+            assert np.array_equal(getattr(held, name), stored[name]), name
+            assert not getattr(held, name).flags.writeable, name
+
+    @pytest.mark.parametrize("change", ["view", "buffer", "dtype"])
+    def test_read_only_view_or_other_dtype_is_copied(self, kind, change):
+        cls, columns = CONTAINERS[kind]
+        arrays = columns()
+        inputs = {}
+        for name, a in arrays.items():
+            if change == "view":  # a read-only view of a writable base
+                inputs[name] = a.view()
+            elif change == "buffer":
+                inputs[name] = np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
+            else:
+                inputs[name] = a.astype(OTHER_DTYPE[a.dtype])
+            inputs[name].flags.writeable = False
+        held = cls("v", **inputs)
+        for name, a in arrays.items():
+            stored = getattr(held, name)
+            assert stored is not inputs[name] and not np.shares_memory(stored, a), name
+            assert stored.dtype == a.dtype and not stored.flags.writeable, name
+            assert np.array_equal(stored, inputs[name]), name
 
 
 class TestSegmentBoundaries:
