@@ -24,6 +24,8 @@ DEFAULT_NUM_BINS = 15
 TEMPERATURE_SEARCH_RANGE = (0.01, 100.0)
 # bracket width of the golden-section search on log T
 TEMPERATURE_LOG_TOL = 1e-4
+# rows of consecutive sequences that one NLL probe scales into its buffer at once
+_RUN_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -62,13 +64,14 @@ class CalibrationReport:
                 raise ValueError(f"{name} must be <= 1")
 
 
-def as_arrays(logits, labels=None) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize calibration inputs to a (n, K) float array and a 1-based int
-    label array.
+def _pieces(logits, labels=None) -> list[tuple[np.ndarray, np.ndarray, slice]]:
+    """Calibration inputs as ``(z, y, rows)`` pieces in the given order,
+    without concatenating them: an (n_i, K) float array, its 1-based int
+    labels, and the rows the piece takes in the concatenated set.
 
     Accepts exactly two shapes: a labeled LogitSequence, or a list or tuple
-    of them concatenated in the given order, with ``labels`` None; or an
-    (n, K) logit array with a matching label array.
+    of them, with ``labels`` None; or an (n, K) logit array with a matching
+    label array. Every piece must have the same K.
     """
     if isinstance(logits, LogitSequence):
         logits = [logits]
@@ -78,38 +81,64 @@ def as_arrays(logits, labels=None) -> tuple[np.ndarray, np.ndarray]:
         for s in logits:
             if s.labels is None:
                 raise ValueError(f"sequence {s.video_id!r} carries no labels")
-        z = np.concatenate([s.logits for s in logits], axis=0)
-        y = np.concatenate([s.labels for s in logits])
+        arrays = [(s.logits, s.labels) for s in logits]
     else:
         if labels is None:
             raise ValueError("labels are required with plain logit arrays")
-        z = np.asarray(logits, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2:
-        raise ValueError("logits must form an (n, K) array")
-    if y.shape != (z.shape[0],):
-        raise ValueError(f"label count {y.shape} does not match frame count {z.shape[0]}")
-    if y.min() < 1 or y.max() > z.shape[1]:
-        raise ValueError(f"labels must lie in [1, {z.shape[1]}]")
-    return z, y
+        arrays = [(np.asarray(logits, dtype=np.float64), np.asarray(labels, dtype=np.int64))]
+    pieces, start = [], 0
+    for z, y in arrays:
+        if z.ndim != 2:
+            raise ValueError("logits must form an (n, K) array")
+        k = arrays[0][0].shape[1]
+        if z.shape[1] != k:
+            raise ValueError(f"logits of K={k} and K={z.shape[1]} cannot be pooled")
+        if y.shape != (z.shape[0],):
+            raise ValueError(f"label count {y.shape} does not match frame count {z.shape[0]}")
+        if y.min() < 1 or y.max() > k:
+            raise ValueError(f"labels must lie in [1, {k}]")
+        pieces.append((z, y, slice(start, start + len(y))))
+        start += len(y)
+    return pieces
 
 
-def _nll_at(z: np.ndarray, y: np.ndarray):
-    """The mean NLL of (z, y) as a function of the temperature, for many
-    probes of one set: the true-class logits are gathered once, and every
-    probe reuses one (n, K) buffer and one (n, 1) buffer."""
-    true = z[np.arange(z.shape[0]), y - 1]
-    v = np.empty_like(z)
-    m = np.empty_like(z[:, :1])
+def _nll_at(pieces):
+    """The mean NLL of the ``pieces`` (see _pieces) as a function of the
+    temperature, for many probes of one set. The true-class logits are
+    gathered once. Each probe scales a run of consecutive pieces of at most
+    _RUN_ROWS rows (or one longer piece) into one buffer, and writes the
+    run's per-row terms into one (n,) vector, whose mean is the value: the
+    bits of the concatenated set, since every step before the mean is
+    row-wise. The buffer is column-major, so the value does not depend on
+    the input's layout; only for K >= 8 would a row-major concatenation
+    differ, as numpy sums a row-major row of 8 or more in pairwise blocks."""
+    true = np.empty(pieces[-1][2].stop)
+    terms = np.empty_like(true)
+    runs, size = [], 0  # runs: (first row, [z, ...])
+    for z, y, rows in pieces:
+        if not runs or rows.stop - runs[-1][0] > _RUN_ROWS:
+            runs.append((rows.start, []))
+        runs[-1][1].append(z)
+        true[rows] = z[np.arange(len(y)), y - 1]
+        size = max(size, rows.stop - runs[-1][0])
+    # each row's max and sum run down the K columns: several times faster than along a row-major row
+    v = np.empty((pieces[0][0].shape[1], size)).T
+    m = np.empty_like(v[:, :1])
 
     def value_at(t: float) -> float:
         # v - m may overflow to -inf, whose exp is the right limit 0; a scaled logit of inf gives inf or NaN, raised below
         with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(z, t, out=v)
-            np.max(v, axis=1, keepdims=True, out=m)
-            np.subtract(v, m, out=v)
-            lse = (m + np.log(np.exp(v, out=v).sum(axis=1, keepdims=True)))[:, 0]
-            value = float((lse - true / t).mean())
+            for first, zs in runs:
+                rows = 0
+                for z in zs:
+                    np.divide(z, t, out=v[rows:rows + len(z)])
+                    rows += len(z)
+                w, mw = v[:rows], m[:rows]
+                np.max(w, axis=1, keepdims=True, out=mw)
+                np.subtract(w, mw, out=w)
+                lse = (mw + np.log(np.exp(w, out=w).sum(axis=1, keepdims=True)))[:, 0]
+                np.subtract(lse, true[first:first + rows] / t, out=terms[first:first + rows])
+            value = float(terms.mean())
         if not math.isfinite(value):
             raise ValueError(f"NLL is not finite at temperature {t!r}: the scaled logits overflow")
         return value
@@ -130,13 +159,18 @@ def reliability_bins(
     """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
-    z, y = as_arrays(logits, labels)
-    pred, conf = argmax_confidence_rows(z, positive_temperature(temperature))
+    pieces = _pieces(logits, labels)
+    t = positive_temperature(temperature)
+    # each piece's confidences and hits go into one (n,) vector each, as if concatenated
+    conf, hits = np.empty((2, pieces[-1][2].stop))
+    for z, y, rows in pieces:
+        pred, conf[rows] = argmax_confidence_rows(z, t)
+        hits[rows] = pred == y
     # floor(conf * B) puts edge values in the higher bin; clamp keeps 1.0 on top
     b = np.minimum((conf * num_bins).astype(np.int64), num_bins - 1)
     counts = np.bincount(b, minlength=num_bins)
     conf_sum = np.bincount(b, weights=conf, minlength=num_bins)
-    hit_sum = np.bincount(b, weights=(pred == y).astype(np.float64), minlength=num_bins)
+    hit_sum = np.bincount(b, weights=hits, minlength=num_bins)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), np.nan)
         acc = np.where(counts > 0, hit_sum / np.maximum(counts, 1), np.nan)
@@ -195,11 +229,9 @@ def fit_temperature(logits, labels=None) -> Temperature:
     prediction wrong), the bound is returned with ``at_bound`` set, unless T=1
     is better. Raises ValueError when the scaled logits overflow at any probe.
     """
-    z, y = as_arrays(logits, labels)
+    nll_at = _nll_at(_pieces(logits, labels))
     lo, hi = TEMPERATURE_SEARCH_RANGE
     log_lo, log_hi = math.log(lo), math.log(hi)
-
-    nll_at = _nll_at(z, y)
     best_log = golden_section_minimize(lambda log_t: nll_at(math.exp(log_t)), log_lo, log_hi, TEMPERATURE_LOG_TOL)
     fitted = math.exp(best_log)
     if min(best_log - log_lo, log_hi - best_log) < 3 * TEMPERATURE_LOG_TOL:
@@ -214,7 +246,7 @@ def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, test_name: str
     """Fit T on the validation split, evaluate NLL/ECE on the test split.
 
     ``val`` and ``test`` are each a labeled LogitSequence or a list or tuple
-    of them (see as_arrays). A ``fitted`` temperature, when given, is used as
+    of them, all of one K. A ``fitted`` temperature, when given, is used as
     it is and ``val`` is not read. An NLL that overflows raises a ValueError
     naming its split, ``validation split`` or ``test_name``.
     """
@@ -224,10 +256,9 @@ def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, test_name: str
         except ValueError as exc:
             raise ValueError(f"validation split: {exc}") from None
     try:
-        test_z, test_y = as_arrays(test)
         # the objective's buffers go with the map, before the binning passes allocate
-        nll_before, nll_after = map(_nll_at(test_z, test_y), (1.0, fitted.value))
+        nll_before, nll_after = map(_nll_at(_pieces(test)), (1.0, fitted.value))
     except ValueError as exc:
         raise ValueError(f"{test_name}: {exc}") from None
-    bins = tuple(reliability_bins(test_z, test_y, t, num_bins) for t in (1.0, fitted.value))
+    bins = tuple(reliability_bins(test, None, t, num_bins) for t in (1.0, fitted.value))
     return CalibrationReport(nll_before, nll_after, *map(_binned_ece, bins), fitted, reliability=bins)

@@ -478,6 +478,17 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------- pipeline
 
+def _streamed_traces(run, gts: dict, timelines: dict, cascades: list):
+    """For each video of ``gts`` in id order: run ``run(video_id)``, keep its
+    timeline in ``timelines`` and its cascades in ``cascades``, and yield its
+    trace, so that one trace is alive at a time."""
+    for vid in sorted(gts):
+        timelines[vid], trace = run(vid)
+        # each trace and its ground truth come from one simulated video, so this cannot fail
+        cascades.append(metrics.detect_cascades(trace, gts[vid]))
+        yield trace
+
+
 def cmd_pipeline(args) -> int:
     """simulate -> calibrate -> infer (all four strategies) -> evaluate -> report.
 
@@ -535,13 +546,10 @@ def cmd_pipeline(args) -> int:
                 ("confidence_uncalibrated", "confidence", uncal_cfg),
                 ("confidence_calibrated", "confidence", cal_cfg),
             ):
-                runs = {vid: _run_strategy(strategy, base_test, bank, cfg, vid) for vid in sorted(base_test)}
-                strategies[name] = {vid: timeline for vid, (timeline, _) in runs.items()}
+                strategies[name], cascades = {}, []  # the timelines stay for the evaluate stage
+                inference.save_traces(_streamed_traces(partial(_run_strategy, strategy, base_test, bank, cfg), gts,
+                                                       strategies[name], cascades), inf_dir / f"{name}_trace.csv")
                 save_timelines(list(strategies[name].values()), inf_dir / f"{name}.csv")
-                inference.save_traces([trace for _, trace in runs.values()], inf_dir / f"{name}_trace.csv")
-                # each trace and its ground truth come from one simulated video, so this cannot fail
-                cascades = [metrics.detect_cascades(trace, gts[vid]) for vid, (_, trace) in runs.items()]
-                del runs  # the traces go; the timelines stay for the evaluate stage
                 results[f"strategy.{name}.cascade.count"] = sum(len(cas.runs) for cas in cascades)
                 results[f"strategy.{name}.cascade.frames"] = sum(cas.total_frames() for cas in cascades)
             write_config_echo(inf_dir, echo)

@@ -112,11 +112,15 @@ class InferenceTrace:
         return tuple(map(_Record, range(len(self)), names, self.state.tolist(), conf, self.prediction.tolist()))
 
 
+def _pair_argmax(bank: TransitionLogitBank, video_id: str, pair) -> np.ndarray:
+    """The (n,) phase labels of ``pair``'s binary argmax; ties go to the low phase."""
+    z = bank.sequences[video_id][pair].logits
+    return pair.low + (z[:, 0] < z[:, 1])
+
+
 def _pair_predictions(bank: TransitionLogitBank, video_id: str) -> np.ndarray:
-    """(6, n) phase labels whose row k - 1 is pair (k, k + 1)'s binary argmax;
-    ties go to the low phase."""
-    z = np.stack([bank.sequences[video_id][pair].logits for pair in all_transition_pairs()])
-    return _PHASES[:-1, None] + (z[:, :, 0] < z[:, :, 1])
+    """(6, n) phase labels whose row k - 1 is pair (k, k + 1)'s binary argmax."""
+    return np.stack([_pair_argmax(bank, video_id, pair) for pair in all_transition_pairs()])
 
 
 def transition_inference(
@@ -161,7 +165,7 @@ def transition_inference(
         step = int(moved[0]) + 1 if moved.size else ahead
         state[t:t + step] = m
         t, m = t + step, int(majority[step])
-    out = pushed[size:]
+    out = frozen(pushed[size:], np.int64)  # one read-only copy, which the timeline and the trace share
     trace = InferenceTrace(video_id, _PAIR_CODE[state - 1], state, np.zeros(n), np.zeros(n, dtype=bool), out)
     return PhaseTimeline(video_id, out), trace
 
@@ -212,6 +216,7 @@ def confidence_inference(
     _check_baseline(base, bank)
     preds, confs = argmax_confidence_rows(base.logits, cfg.temperature)
     out, accepted = _switched_predictions(preds, confs, _pair_predictions(bank, base.video_id), cfg.conf_threshold)
+    out.flags.writeable = False  # so the timeline and the trace share it
     p_last = np.concatenate([[1], out[:-1]])
     model = np.where(accepted, 0, _PAIR_CODE[p_last - 1])
     trace = InferenceTrace(base.video_id, model, p_last, confs, np.ones(len(out), dtype=bool), out)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import InferenceTrace, _pair_predictions
+from .inference import InferenceTrace, _pair_argmax
 from .logits import TransitionLogitBank
 from .workflow import NUM_PHASES, PhaseTimeline, TransitionPair, all_transition_pairs
 
@@ -92,11 +92,10 @@ def bank_restricted_accuracies(bank: TransitionLogitBank, gts: dict[str, PhaseTi
     videos = [v for v in bank.videos() if v in gts]
     if not videos:
         raise ValueError("bank and ground truth share no videos")
-    preds = [_pair_predictions(bank, v) for v in videos]
     g_all = np.concatenate([gts[v].labels for v in videos])
     out = {}
-    for pair in all_transition_pairs():
-        p_all = np.concatenate([p[pair.low - 1] for p in preds])
+    for pair in all_transition_pairs():  # one pair's predictions at a time
+        p_all = np.concatenate([_pair_argmax(bank, v, pair) for v in videos])
         out[f"pair.{pair.name}.accuracy"] = restricted_pair_accuracy(p_all, g_all, pair)
     return out
 

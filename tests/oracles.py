@@ -13,7 +13,8 @@ prediction) tuple. Attention smoothing makes one kernel call per frame over
 its trailing window, as the stacked-matmul version replaced it. The ribbon
 draws one rect per frame, as the one-rect-per-run version replaced it. The
 NLL objective allocates its temporaries at each probe, as the buffered
-version replaced it.
+version replaced it; it and the reliability bins take one concatenated
+(n, K) set, as the per-sequence versions replaced them.
 """
 
 from __future__ import annotations
@@ -53,12 +54,15 @@ def oracle_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> fl
     return float(np.mean(lse - true))
 
 
-def oracle_nll_arrays(z: np.ndarray, y: np.ndarray, t: float) -> float:
+def oracle_nll_arrays(z: np.ndarray, y: np.ndarray, t: float, order: str = "F") -> float:
     """The mean NLL with fresh temporaries at each call, as the buffered
-    objective of ``calibration._nll_at`` replaced it."""
+    objective of ``calibration._nll_at`` replaced it. It works on a copy in
+    ``order``: column-major by default, as the objective does. For K <= 7
+    either order gives the same bits; for K >= 8 numpy sums a row-major row
+    in pairwise blocks, so the last bits can differ."""
     # v - m may overflow to -inf, whose exp is the right limit 0; a scaled logit of inf gives inf or NaN, raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        v = z / t
+        v = np.asarray(z, order=order) / t
         m = v.max(axis=1, keepdims=True)
         lse = (m + np.log(np.exp(v - m).sum(axis=1, keepdims=True)))[:, 0]
         true = v[np.arange(z.shape[0]), y - 1]
@@ -66,6 +70,20 @@ def oracle_nll_arrays(z: np.ndarray, y: np.ndarray, t: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"NLL is not finite at temperature {t!r}: the scaled logits overflow")
     return value
+
+
+def oracle_reliability_arrays(z: np.ndarray, y: np.ndarray, t: float, num_bins: int) -> tuple[np.ndarray, ...]:
+    """``(counts, mean_confidence, accuracy)`` of one (n, K) set, binned as
+    ``calibration.reliability_bins`` bins it, with the whole set's confidences
+    computed in one call."""
+    pred, conf = argmax_confidence_rows(z, t)
+    b = np.minimum((conf * num_bins).astype(np.int64), num_bins - 1)
+    counts = np.bincount(b, minlength=num_bins)
+    conf_sum = np.bincount(b, weights=conf, minlength=num_bins)
+    hit_sum = np.bincount(b, weights=(pred == y).astype(np.float64), minlength=num_bins)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (counts, np.where(counts > 0, conf_sum / np.maximum(counts, 1), np.nan),
+                np.where(counts > 0, hit_sum / np.maximum(counts, 1), np.nan))
 
 
 def grid_search_temperature(

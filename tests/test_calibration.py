@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from functools import partial
 from unittest import mock
@@ -8,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_search_temperature, oracle_ece, oracle_nll, oracle_nll_arrays
+from oracles import grid_search_temperature, oracle_ece, oracle_nll, oracle_nll_arrays, oracle_reliability_arrays
 from phasekit import calibration
 from phasekit.calibration import (
     TEMPERATURE_SEARCH_RANGE,
     CalibrationReport,
     Temperature,
-    as_arrays,
     calibrate_report,
     ece,
     fit_temperature,
@@ -51,9 +51,8 @@ class TestTemperature:
 
 def nll(logits, labels=None, temperature=1.0) -> float:
     """The mean NLL of the true class at ``temperature``: the objective the
-    fit minimizes, on the inputs as_arrays accepts."""
-    z, y = as_arrays(logits, labels)
-    return calibration._nll_at(z, y)(positive_temperature(temperature))
+    fit minimizes, on the inputs fit_temperature accepts."""
+    return calibration._nll_at(calibration._pieces(logits, labels))(positive_temperature(temperature))
 
 
 class TestNll:
@@ -134,21 +133,31 @@ def _outcome(fn, *args) -> str:
         return repr(exc)
 
 
+def concatenated(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """The ``calibration._pieces`` ``pieces``, or labeled sequences, as one
+    (n, K) array and one label array."""
+    pieces = [(s.logits, s.labels) if isinstance(s, LogitSequence) else s[:2] for s in pieces]
+    return np.concatenate([z for z, _ in pieces]), np.concatenate([y for _, y in pieces])
+
+
 def allocating_nll():
-    """Make the fit probe ``oracle_nll_arrays`` in place of the buffered objective."""
-    return mock.patch.object(calibration, "_nll_at", lambda z, y: partial(oracle_nll_arrays, z, y))
+    """Make the fit and the report probe ``oracle_nll_arrays`` on the
+    concatenated pieces in place of the per-piece buffered objective."""
+    return mock.patch.object(calibration, "_nll_at", lambda pieces: partial(oracle_nll_arrays, *concatenated(pieces)))
 
 
 class TestNllBuffers:
     """The objective that reuses its buffers over probes gives the bits of
-    the one that allocates at each probe."""
+    the one that allocates at each probe, row-major or column-major while
+    K <= 7."""
 
     @given(nll_sets(), st.lists(st.floats(0.01, 100), min_size=1, max_size=6))
     def test_objective_values_match_bit_for_bit(self, data, temperatures):
         z, y = data
-        nll_at = calibration._nll_at(z, y)
+        nll_at = calibration._nll_at(calibration._pieces(z, y))
         for t in temperatures:
             assert _outcome(nll_at, t) == _outcome(oracle_nll_arrays, z, y, t)
+            assert _outcome(nll_at, t) == _outcome(oracle_nll_arrays, z, y, t, "C")
 
     @settings(max_examples=30)
     @given(nll_sets())
@@ -165,6 +174,95 @@ class TestNllBuffers:
         buffered = fit_temperature(z, y).value
         with allocating_nll():
             assert repr(buffered) == repr(fit_temperature(z, y).value)
+
+
+@st.composite
+def sequence_sets(draw, overflowing: bool = True):
+    """2-5 labeled sequences of unequal lengths and one K in 2..9, all
+    row-major (as simulated) or all column-major (as loaded from a file). A
+    small set draws its cells, mixing ordinary logits with extreme ones
+    (which overflow the scaled NLL at some temperatures when
+    ``overflowing``); a large set, of 4,000 rows or more so that numpy's
+    pairwise sums split them into blocks, draws them from a seeded
+    generator."""
+    k = draw(st.integers(2, 9))
+    large = draw(st.booleans())
+    lengths = draw(st.lists(st.integers(1, 3000 if large else 12), min_size=2, max_size=5, unique=True)
+                   .filter(lambda sizes: not large or sum(sizes) >= 4000))
+    if large:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = draw(st.floats(0.1, 30))
+        data = [(rng.normal(scale=scale, size=(n, k)), rng.integers(1, k + 1, size=n)) for n in lengths]
+    else:
+        extreme = [0.0, -0.0, 5e-324, 1e300, -1e300, *([1e308, -1e308] if overflowing else [])]
+        cell = st.one_of(st.floats(-60, 60), st.sampled_from(extreme))
+        row = st.lists(cell, min_size=k, max_size=k)
+        data = [(draw(st.lists(row, min_size=n, max_size=n)), draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
+                for n in lengths]
+    order = draw(st.sampled_from("CF"))
+    return [LogitSequence(f"v{i}", np.asarray(z, order=order), labels=y) for i, (z, y) in enumerate(data)]
+
+
+class TestSequenceSets:
+    """Each statistic, computed one sequence at a time, gives the bits of the
+    concatenating oracle."""
+
+    @given(sequence_sets(), st.lists(st.floats(0.01, 100), min_size=1, max_size=4))
+    def test_objective_matches_the_concatenation(self, seqs, temperatures):
+        nll_at = calibration._nll_at(calibration._pieces(seqs))
+        z, y = concatenated(seqs)
+        for t in temperatures:
+            assert _outcome(nll_at, t) == _outcome(oracle_nll_arrays, z, y, t)
+
+    @settings(max_examples=30)
+    @given(sequence_sets())
+    def test_fitted_temperature_matches_the_concatenation(self, seqs):
+        got = _outcome(fit_temperature, seqs)
+        with allocating_nll():
+            assert got == _outcome(fit_temperature, seqs)
+
+    @given(sequence_sets(overflowing=False), st.floats(0.01, 100), st.integers(1, 40))
+    def test_reliability_bins_match_the_concatenation(self, seqs, t, num_bins):
+        want = oracle_reliability_arrays(*concatenated(seqs), t, num_bins)
+        for got, oracle in zip(reliability_bins(seqs, temperature=t, num_bins=num_bins), want, strict=True):
+            assert np.array_equal(got, oracle, equal_nan=True)
+        assert ece(seqs, temperature=t, num_bins=num_bins) == calibration._binned_ece(want)
+
+    @settings(max_examples=30)
+    @given(sequence_sets(overflowing=False), sequence_sets(overflowing=False))
+    def test_report_matches_the_concatenation(self, val, test):
+        got = calibrate_report(val, test, num_bins=10)
+        with allocating_nll():
+            assert repr(got) == repr(calibrate_report(val, test, num_bins=10))
+        for bins, t in zip(got.reliability, (1.0, got.fitted.value), strict=True):
+            for a, b in zip(bins, oracle_reliability_arrays(*concatenated(test), t, 10), strict=True):
+                assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("call, prefix", [
+        (fit_temperature, ""),
+        (ece, ""),
+        (lambda seqs: calibrate_report(seqs, seqs[:1]), "validation split: "),
+        (lambda seqs: calibrate_report(seqs[:1], seqs), "test split: "),
+    ], ids=["fit_temperature", "ece", "calibrate_report_val", "calibrate_report_test"])
+    def test_mixed_class_counts_rejected_naming_both(self, call, prefix):
+        seqs = [LogitSequence("a", np.zeros((3, 7)), labels=[1, 2, 3]), LogitSequence("b", np.zeros((2, 2)), labels=[1, 2])]
+        with pytest.raises(ValueError, match=f"^{prefix}logits of K=7 and K=2 cannot be pooled$"):
+            call(seqs)
+
+    def test_no_working_copy_of_the_whole_set(self):
+        """Over 16 x 1800-frame sequences, the fit and the report each peak
+        below the size of one (n, K) float64 array of the set."""
+        rng = np.random.default_rng(3)
+        seqs = [LogitSequence(f"v{i:02d}", rng.normal(scale=3, size=(1800, 7)), labels=rng.integers(1, 8, size=1800))
+                for i in range(16)]
+        for call in (partial(fit_temperature, seqs), partial(calibrate_report, seqs[:8], seqs)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 1800 * 7 * 8, (call.func.__name__, peak)
 
 
 class TestEce:

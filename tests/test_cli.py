@@ -1383,22 +1383,25 @@ class TestPipeline:
             assert filecmp.cmp(mine, piped, shallow=False), piped.name
 
     def test_each_strategys_traces_are_freed_once_written(self, tmp_path, monkeypatch):
-        """When a strategy's traces are written, no trace of the strategy
-        before is alive: each is dropped once written and its cascades
+        """Each strategy's traces reach the writer one at a time: when a
+        trace is yielded, the trace yielded before it, of this strategy or
+        the one before, is dead, dropped once written and its cascades
         counted."""
-        watched, save = [], cli.inference.save_traces
+        written, save = [], cli.inference.save_traces
 
-        def save_and_watch(traces, path):
-            gc.collect()
-            if watched:
-                assert all(ref() is None for ref in watched[-1]), path.name
-            watched.append([weakref.ref(trace) for trace in traces])
-            save(traces, path)
+        def watched(traces, path):
+            for trace in traces:
+                gc.collect()
+                assert not written or written[-1][1]() is None, (path.name, trace.video_id)
+                written.append((path.name, weakref.ref(trace)))
+                yield trace
 
-        monkeypatch.setattr(cli.inference, "save_traces", save_and_watch)
+        monkeypatch.setattr(cli.inference, "save_traces", lambda traces, path: save(watched(traces, path), path))
         assert main(["pipeline", "--frames-mean", "140", "--val-videos", "1", "--test-videos", "2",
                      "--out", str(tmp_path / "run")]) == 0
-        assert [len(refs) for refs in watched] == [2, 2, 2]
+        assert [name for name, _ in written] == [f"{name}_trace.csv" for name in
+                                                ("transition", "confidence_uncalibrated", "confidence_calibrated")
+                                                for _ in range(2)]
 
     def test_peak_memory_per_simulated_frame(self, tmp_path, monkeypatch):
         """An inline run allocates at its peak under 380 B per simulated

@@ -220,6 +220,17 @@ class TestConfidenceInference:
         assert a[1] == b[1]
 
 
+@pytest.mark.parametrize("strategy", ["transition", "confidence"])
+def test_timeline_and_trace_share_one_read_only_prediction(strategy):
+    video = simulate_video(WorkflowSpec(dwell_mean=60, dwell_min=10), NoiseSpec(rng_seed=3), "v")
+    if strategy == "transition":
+        timeline, trace = transition_inference(video.bank, "v")
+    else:
+        timeline, trace = confidence_inference(video.baseline, video.bank)
+    assert np.shares_memory(timeline.labels, trace.prediction)
+    assert not trace.prediction.flags.writeable
+
+
 class TestSweep:
     def test_sweep_reports_grid_and_best(self):
         rng = np.random.default_rng(4)
