@@ -24,8 +24,6 @@ DEFAULT_NUM_BINS = 15
 TEMPERATURE_SEARCH_RANGE = (0.01, 100.0)
 # bracket width of the golden-section search on log T
 TEMPERATURE_LOG_TOL = 1e-4
-# rows of consecutive sequences that one NLL probe scales into its buffer at once
-_RUN_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -105,39 +103,32 @@ def _pieces(logits, labels=None) -> list[tuple[np.ndarray, np.ndarray, slice]]:
 def _nll_at(pieces):
     """The mean NLL of the ``pieces`` (see _pieces) as a function of the
     temperature, for many probes of one set. The true-class logits are
-    gathered once. Each probe scales a run of consecutive pieces of at most
-    _RUN_ROWS rows (or one longer piece) into one buffer, and writes the
-    run's per-row terms into one (n,) vector, whose mean is the value: the
-    bits of the concatenated set, since every step before the mean is
-    row-wise. The buffer is column-major, so the value does not depend on
-    the input's layout; only for K >= 8 would a row-major concatenation
-    differ, as numpy sums a row-major row of 8 or more in pairwise blocks."""
+    gathered once. Each probe scales one piece at a time into a buffer the
+    size of the largest piece, and writes its per-row terms into one (n,)
+    vector, whose mean is the value: the bits of the concatenated set, since
+    every step before the mean is row-wise."""
+    k = pieces[0][0].shape[1]
     true = np.empty(pieces[-1][2].stop)
     terms = np.empty_like(true)
-    runs, size = [], 0  # runs: (first row, [z, ...])
     for z, y, rows in pieces:
-        if not runs or rows.stop - runs[-1][0] > _RUN_ROWS:
-            runs.append((rows.start, []))
-        runs[-1][1].append(z)
         true[rows] = z[np.arange(len(y)), y - 1]
-        size = max(size, rows.stop - runs[-1][0])
-    # each row's max and sum run down the K columns: several times faster than along a row-major row
-    v = np.empty((pieces[0][0].shape[1], size)).T
-    m = np.empty_like(v[:, :1])
+    size = max(len(y) for _, y, _ in pieces)
+    # from K = 8 numpy sums a contiguous row in pairwise blocks, so there the buffer takes the concatenation's
+    # layout; below, both give the same bits, and the column-major max and sum down the K columns are faster
+    column_major = k < 8 or all(z.flags.f_contiguous for z, _, _ in pieces)
+    v = np.empty((size, k), order="F" if column_major else "C")
+    m = np.empty((size, 1))
 
     def value_at(t: float) -> float:
         # v - m may overflow to -inf, whose exp is the right limit 0; a scaled logit of inf gives inf or NaN, raised below
         with np.errstate(over="ignore", invalid="ignore"):
-            for first, zs in runs:
-                rows = 0
-                for z in zs:
-                    np.divide(z, t, out=v[rows:rows + len(z)])
-                    rows += len(z)
-                w, mw = v[:rows], m[:rows]
+            for z, _, rows in pieces:
+                w, mw = v[:len(z)], m[:len(z)]
+                np.divide(z, t, out=w)
                 np.max(w, axis=1, keepdims=True, out=mw)
                 np.subtract(w, mw, out=w)
                 lse = (mw + np.log(np.exp(w, out=w).sum(axis=1, keepdims=True)))[:, 0]
-                np.subtract(lse, true[first:first + rows] / t, out=terms[first:first + rows])
+                np.subtract(lse, true[rows] / t, out=terms[rows])
             value = float(terms.mean())
         if not math.isfinite(value):
             raise ValueError(f"NLL is not finite at temperature {t!r}: the scaled logits overflow")

@@ -54,15 +54,12 @@ def oracle_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> fl
     return float(np.mean(lse - true))
 
 
-def oracle_nll_arrays(z: np.ndarray, y: np.ndarray, t: float, order: str = "F") -> float:
+def oracle_nll_arrays(z: np.ndarray, y: np.ndarray, t: float) -> float:
     """The mean NLL with fresh temporaries at each call, as the buffered
-    objective of ``calibration._nll_at`` replaced it. It works on a copy in
-    ``order``: column-major by default, as the objective does. For K <= 7
-    either order gives the same bits; for K >= 8 numpy sums a row-major row
-    in pairwise blocks, so the last bits can differ."""
+    objective of ``calibration._nll_at`` replaced it."""
     # v - m may overflow to -inf, whose exp is the right limit 0; a scaled logit of inf gives inf or NaN, raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.asarray(z, order=order) / t
+        v = z / t
         m = v.max(axis=1, keepdims=True)
         lse = (m + np.log(np.exp(v - m).sum(axis=1, keepdims=True)))[:, 0]
         true = v[np.arange(z.shape[0]), y - 1]
