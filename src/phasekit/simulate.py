@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.hermite_e import hermegauss
 
 from .attention import scaled_dot_attention
 from .fork import _results, _runs
@@ -48,10 +46,17 @@ _NOISELESS_MARGIN = 4.0
 
 DEFAULT_PAIR_ACCURACY = (0.9604, 0.9519, 0.9471, 0.9785, 0.9348, 0.8347)
 
-# Probabilists' Gauss-Hermite rule (Abramowitz & Stegun 25.4.46), weights
-# normalised so that sum(w * f(u)) approximates E[f(u)] for u ~ N(0, 1).
-_GH_NODES, _GH_WEIGHTS = hermegauss(96)
-_GH_RULE = tuple(zip(_GH_NODES.tolist(), (_GH_WEIGHTS / math.sqrt(2.0 * math.pi)).tolist()))
+
+@functools.cache
+def _gauss_hermite_rule() -> tuple:
+    """The probabilists' Gauss-Hermite rule of 96 nodes (Abramowitz & Stegun
+    25.4.46) as (node, weight) pairs, weights normalised so that
+    sum(w * f(u)) approximates E[f(u)] for u ~ N(0, 1). simulation_jobs
+    builds it before any fork, so no child makes this LAPACK call."""
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = hermegauss(96)
+    return tuple(zip(nodes.tolist(), (weights / math.sqrt(2.0 * math.pi)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -119,11 +124,14 @@ def _margin_for_accuracy(target: float, num_classes: int) -> float:
     times over, and each K > 2 solve is a 38-step bisection in Python."""
     rivals = num_classes - 1
     if rivals == 1:
-        return math.sqrt(2.0) * statistics.NormalDist().inv_cdf(target)
+        from statistics import NormalDist
+
+        return math.sqrt(2.0) * NormalDist().inv_cdf(target)
+    rule = _gauss_hermite_rule()
 
     def accuracy(m: float) -> float:
         # E[Phi(m + u)^(K-1)] with Phi(x) = erfc(-x / sqrt 2) / 2
-        return sum(w * (0.5 * math.erfc(-(m + u) / math.sqrt(2.0))) ** rivals for u, w in _GH_RULE)
+        return sum(w * (0.5 * math.erfc(-(m + u) / math.sqrt(2.0))) ** rivals for u, w in rule)
 
     lo, hi = 0.0, 16.0
     while hi - lo > 1e-10:
@@ -354,7 +362,9 @@ def simulation_jobs(workflow: WorkflowSpec, splits, smoothing_window: int = 0) -
     ``<id prefix>01``, ... of each split in turn, with the indices
     simulate_video derives their seeds from. Each job simulates a run of
     consecutive videos (see fork._runs) and returns them as a list; since each
-    video has its own seed, it may run in any process."""
+    video has its own seed, it may run in any process. The margin solve's
+    quadrature rule is built here, before the jobs can be forked."""
+    _gauss_hermite_rule()
     videos = [(f"{prefix}{i:02d}", i, noise) for prefix, count, noise in splits for i in range(count)]
     return [functools.partial(_simulate_run, workflow, smoothing_window, run) for run in _runs(videos)]
 

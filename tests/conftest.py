@@ -2,6 +2,9 @@ import os
 import sys
 from pathlib import Path
 
+# before numpy, as in the console script: phasekit sets OPENBLAS_NUM_THREADS,
+# so this process has one thread when a test forks in it
+import phasekit  # noqa: F401
 import numpy as np
 import pytest
 from hypothesis import settings

@@ -7,6 +7,8 @@ import os
 import re
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -1829,6 +1831,38 @@ class TestSharedOracle:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             _order_claims(patch, "child", Path(tmp) / "claimed", head=first)
             assert _run_strict(partial(_shared_results, jobs, sizes)) == serial
+
+
+FORK_THREADS = """
+import json, os, sys
+from pathlib import Path
+import phasekit.cli
+
+counts = []
+os.register_at_fork(before=lambda: counts.append(len(os.listdir("/proc/self/task"))))
+os.sched_getaffinity = lambda pid: {0, 1}  # fork as on a host with two CPUs
+run = Path(sys.argv[1])
+assert phasekit.cli.main(["pipeline", "--frames-mean", "140", "--val-videos", "1", "--test-videos", "1",
+                          "--out", str(run / "run")]) == 0
+assert phasekit.cli.main(["calibrate", "--val", str(run / "run" / "val"), "--test", str(run / "run" / "test"),
+                          "--out", str(run / "calibration")]) == 0
+print(json.dumps(counts), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"),
+                    reason="no os.fork or no /proc listing of threads")
+def test_every_fork_forks_a_one_thread_process(tmp_path):
+    """A fresh CLI process, with no OPENBLAS_NUM_THREADS of its own, has one
+    thread at each fork of pipeline and calibrate: BLAS starts no worker, so
+    Python 3.12+ has no fork-with-threads warning to give. Counted before the
+    fork, since OpenBLAS joins its worker in its own fork handler."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    child = subprocess.run([sys.executable, "-c", FORK_THREADS, str(tmp_path)], env=env, capture_output=True,
+                           text=True, check=True)
+    counts = json.loads(child.stderr.splitlines()[-1])
+    assert counts and set(counts) == {1}, counts
 
 
 FUZZED = ["data/baseline.csv", "data/bank/trans_3_4.csv", "data/gt.csv", "replay/pred.csv", "replay/trace.csv",

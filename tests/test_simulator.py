@@ -110,11 +110,23 @@ class TestMarginSolve:
         assert info.misses == len(set(keys)) < len(keys)  # each miss is one bisection
         assert info.hits == len(keys) - len(set(keys))
 
+    def test_simulation_jobs_build_the_quadrature_rule_before_any_fork(self, monkeypatch):
+        """The jobs' margin solves find the rule built, in the process that
+        made the jobs, so a forked child never makes that LAPACK call."""
+        simulate._gauss_hermite_rule.cache_clear()
+        _margin_for_accuracy.cache_clear()
+        jobs = simulate.simulation_jobs(WorkflowSpec(dwell_mean=60, dwell_min=15), [("v", 2, NoiseSpec(rng_seed=3))])
+        assert simulate._gauss_hermite_rule.cache_info().currsize == 1
+        monkeypatch.delattr(os, "fork", raising=False)
+        fork._results(jobs)
+        assert simulate._gauss_hermite_rule.cache_info().misses == 1
+
     @pytest.mark.parametrize("module", ["scipy", "traceback", "signal", "multiprocessing", "concurrent.futures",
-                                        "hypothesis"])
+                                        "hypothesis", "statistics", "numpy.polynomial"])
     def test_cli_import_leaves_scipy_out(self, module):
         """A fresh import of the CLI, which every command pays for, loads
-        none of these; it imports traceback and signal only where it uses them."""
+        none of these; it imports traceback and signal only where it uses
+        them, and the simulator's normal quantile and quadrature rule too."""
         code = f"import sys, phasekit.cli; print({module!r} in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(phasekit.__file__).parents[1])}
         child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
