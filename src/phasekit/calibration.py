@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logits import LogitSequence, argmax_confidence_rows, positive_temperature
+from .logits import LogitSequence, _shifted_exp, argmax_confidence_rows, positive_temperature
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
 _INV_PHI_SQ = (3 - math.sqrt(5)) / 2
@@ -103,10 +103,11 @@ def _pieces(logits, labels=None) -> list[tuple[np.ndarray, np.ndarray, slice]]:
 def _nll_at(pieces):
     """The mean NLL of the ``pieces`` (see _pieces) as a function of the
     temperature, for many probes of one set. The true-class logits are
-    gathered once. Each probe scales one piece at a time into a buffer the
-    size of the largest piece, and writes its per-row terms into one (n,)
-    vector, whose mean is the value: the bits of the concatenated set, since
-    every step before the mean is row-wise."""
+    gathered once. Each probe scales one piece at a time, through softmax's
+    kernel (see logits._shifted_exp), into a buffer the size of the largest
+    piece, and writes its per-row terms into one (n,) vector, whose mean is
+    the value: the bits of the concatenated set, since every step before the
+    mean is row-wise."""
     k = pieces[0][0].shape[1]
     true = np.empty(pieces[-1][2].stop)
     terms = np.empty_like(true)
@@ -117,17 +118,13 @@ def _nll_at(pieces):
     # layout; below, both give the same bits, and the column-major max and sum down the K columns are faster
     column_major = k < 8 or all(z.flags.f_contiguous for z, _, _ in pieces)
     v = np.empty((size, k), order="F" if column_major else "C")
-    m = np.empty((size, 1))
 
     def value_at(t: float) -> float:
-        # v - m may overflow to -inf, whose exp is the right limit 0; a scaled logit of inf gives inf or NaN, raised below
+        # a scaled logit of inf gives inf or NaN, raised below
         with np.errstate(over="ignore", invalid="ignore"):
             for z, _, rows in pieces:
-                w, mw = v[:len(z)], m[:len(z)]
-                np.divide(z, t, out=w)
-                np.max(w, axis=1, keepdims=True, out=mw)
-                np.subtract(w, mw, out=w)
-                lse = (mw + np.log(np.exp(w, out=w).sum(axis=1, keepdims=True)))[:, 0]
+                e, m = _shifted_exp(z, t, out=v[:len(z)])
+                lse = (m + np.log(e.sum(axis=1, keepdims=True)))[:, 0]
                 np.subtract(lse, true[rows] / t, out=terms[rows])
             value = float(terms.mean())
         if not math.isfinite(value):

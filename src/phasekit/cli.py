@@ -12,7 +12,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -237,7 +236,7 @@ def _write_calibration(out_dir: Path, report_path, fitted: calibration.Temperatu
     rendering and the test split's reliability bins before and after. Nothing
     is written unless the report can be computed; an error in the test split
     names ``test_file``. Returns the results."""
-    # video id order fixes the concatenation order, and so the float results
+    # video id order fixes the order of the per-row NLL terms and of the binned sums, and so the float results
     cal = calibration.calibrate_report(None, [test[v] for v in sorted(test)], num_bins=bins,
                                        test_name=str(test_file), fitted=fitted)
     results = {**report.calibration_results(cal), **extra_results}
@@ -395,7 +394,8 @@ def cmd_infer(args) -> int:
     rows = _per_video(partial(_predicted_rows, args.strategy, baselines, bank, cfg,
                               args.base if confidence else args.bank, bool(args.trace)), frames)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    for path in filter(None, (out, args.trace)):  # both directories, before either file is written
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_rows(out, TIMELINE_HEADER, (timeline for timeline, _ in rows))
     if args.trace:
         write_rows(args.trace, inference.TRACE_HEADER, (trace for _, trace in rows))
@@ -509,9 +509,7 @@ def cmd_pipeline(args) -> int:
         # val then test, on one queue: both processes simulate
         splits = [(split, count, _noise_spec(args, derive_video_seed(args.seed, key)))
                   for split, key, count in (("val", 101, args.val_videos), ("test", 202, args.test_videos))]
-        simulated = list(chain.from_iterable(_results(simulate.simulation_jobs(workflow, splits,
-                                                                               args.attention_smooth))))
-        videos = {"val": simulated[:args.val_videos], "test": simulated[args.val_videos:]}
+        videos = dict(zip(("val", "test"), simulate.simulate_videos(workflow, splits, args.attention_smooth)))
         out = Path(args.out)
         echo = _simulation_echo(args, workflow)
         del echo["command"]  # keeps pipeline echoes byte-identical to earlier versions

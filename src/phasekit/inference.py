@@ -225,8 +225,7 @@ def confidence_inference(
 
 def baseline_argmax(base: LogitSequence) -> PhaseTimeline:
     """The plain per-frame argmax of the baseline logits (temperature-free)."""
-    preds, _ = argmax_confidence_rows(base.logits, 1.0)
-    return PhaseTimeline(base.video_id, preds)
+    return PhaseTimeline(base.video_id, np.argmax(base.logits, axis=1) + 1)
 
 
 def sweep_threshold(

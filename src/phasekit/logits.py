@@ -32,22 +32,28 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     the result is invariant (to ~1e-12) to adding a constant to all entries.
     Rejects non-finite input and non-positive temperature.
     """
-    e = _shifted_exp(logits, temperature)
+    e, _ = _shifted_exp(*_checked(logits, temperature))
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
-def _shifted_exp(logits, temperature) -> np.ndarray:
-    """``exp(z / t - rowmax)`` for softmax, in one new buffer; 1.0 at each row's maximum."""
+def _checked(logits, temperature) -> tuple[np.ndarray, float]:
+    """``(z, t)`` for _shifted_exp; a bad temperature or an empty or non-finite ``z`` raises ValueError."""
     t = positive_temperature(temperature)
     z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise ValueError("softmax input is empty")
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax input contains non-finite entries")
+    return z, t
+
+
+def _shifted_exp(z: np.ndarray, t: float, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(exp(z / t - m), m)``, with ``m`` the row maxima of ``z / t``, in
+    ``out`` or one new buffer; 1.0 at each row's maximum. Unchecked: see _checked."""
     with np.errstate(over="ignore"):  # a score far below its row maximum gives exp(-inf) = 0
-        e = z / t
-        e -= e.max(axis=-1, keepdims=True)
-        return np.exp(e, out=e)
+        e = np.divide(z, t, out=out)
+        m = e.max(axis=-1, keepdims=True)
+        return np.exp(np.subtract(e, m, out=e), out=e), m
 
 
 def argmax_confidence_rows(logits, temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -61,7 +67,8 @@ def argmax_confidence_rows(logits, temperature: float = 1.0) -> tuple[np.ndarray
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("expected an (n, K) array of logits")
-    e = _shifted_exp(z, temperature)  # z / t peaks where z does, so softmax's entry there is 1 / sum, bit for bit
+    # z / t peaks where z does, so softmax's entry there is 1 / sum, bit for bit
+    e, _ = _shifted_exp(*_checked(z, temperature))
     return np.argmax(z, axis=1) + 1, 1.0 / e.sum(axis=1)
 
 

@@ -53,8 +53,8 @@ def metric(value: float | None) -> str:
     return f"{value:.3f}"
 
 
-def render_table(headers: list[str], rows: list[list[str]], title: str | None = None) -> str:
-    """Plain-text table with left-aligned first column, right-aligned rest."""
+def render_table(headers: list[str], rows: list[list[str]], title: str) -> str:
+    """Plain-text table under its ``title`` line, with left-aligned first column, right-aligned rest."""
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
@@ -65,11 +65,7 @@ def render_table(headers: list[str], rows: list[list[str]], title: str | None = 
         parts += [c.rjust(w) for c, w in zip(cells[1:], widths[1:])]
         return "  ".join(parts).rstrip()
 
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(fmt(headers))
-    lines.append("  ".join("-" * w for w in widths))
+    lines = [title, fmt(headers), "  ".join("-" * w for w in widths)]
     lines.extend(fmt(row) for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -174,13 +170,12 @@ def calibration_results(report: CalibrationReport) -> dict:
     }
 
 
-def cascade_results(report: CascadeReport, prefix: str = "") -> dict:
-    p = f"{prefix}." if prefix else ""
-    out = {f"{p}cascade.count": len(report.runs), f"{p}cascade.frames": report.total_frames()}
+def cascade_results(report: CascadeReport, prefix: str) -> dict:
+    out = {f"{prefix}.cascade.count": len(report.runs), f"{prefix}.cascade.frames": report.total_frames()}
     for i, run in enumerate(report.runs):
-        out[f"{p}cascade.{i}.start"] = run.start
-        out[f"{p}cascade.{i}.end"] = run.end
-        out[f"{p}cascade.{i}.state"] = run.state
+        out[f"{prefix}.cascade.{i}.start"] = run.start
+        out[f"{prefix}.cascade.{i}.end"] = run.end
+        out[f"{prefix}.cascade.{i}.state"] = run.state
     return out
 
 

@@ -51,7 +51,7 @@ DEFAULT_PAIR_ACCURACY = (0.9604, 0.9519, 0.9471, 0.9785, 0.9348, 0.8347)
 def _gauss_hermite_rule() -> tuple:
     """The probabilists' Gauss-Hermite rule of 96 nodes (Abramowitz & Stegun
     25.4.46) as (node, weight) pairs, weights normalised so that
-    sum(w * f(u)) approximates E[f(u)] for u ~ N(0, 1). simulation_jobs
+    sum(w * f(u)) approximates E[f(u)] for u ~ N(0, 1). simulate_videos
     builds it before any fork, so no child makes this LAPACK call."""
     from numpy.polynomial.hermite_e import hermegauss
 
@@ -356,33 +356,20 @@ def _simulate_run(workflow: WorkflowSpec, smoothing_window: int, run: list) -> l
     return [simulate_video(workflow, noise, vid, index, smoothing_window) for vid, index, noise in run]
 
 
-def simulation_jobs(workflow: WorkflowSpec, splits, smoothing_window: int = 0) -> list:
-    """The videos of ``splits``, each an (id prefix, video count, noise), as
-    zero-argument jobs for the job queue: videos ``<id prefix>00``,
-    ``<id prefix>01``, ... of each split in turn, with the indices
-    simulate_video derives their seeds from. Each job simulates a run of
-    consecutive videos (see fork._runs) and returns them as a list; since each
-    video has its own seed, it may run in any process. The margin solve's
-    quadrature rule is built here, before the jobs can be forked."""
+def simulate_videos(workflow: WorkflowSpec, splits, smoothing_window: int = 0) -> list[list[SimulatedVideo]]:
+    """Simulate the videos of ``splits``, each an (id prefix, video count,
+    noise), in memory: one list per split, in split order, of its videos
+    ``<id prefix>00``, ``<id prefix>01``, ..., with the indices
+    simulate_video derives their seeds from. Each job of the job queue
+    simulates a run of consecutive videos (see fork._runs); since each video
+    has its own seed, it may run in any process. The queue raises the first
+    failed video's error. The margin solve's quadrature rule is built first,
+    before the queue forks."""
     _gauss_hermite_rule()
     videos = [(f"{prefix}{i:02d}", i, noise) for prefix, count, noise in splits for i in range(count)]
-    return [functools.partial(_simulate_run, workflow, smoothing_window, run) for run in _runs(videos)]
-
-
-def simulate_videos(
-    num_videos: int,
-    workflow: WorkflowSpec,
-    noise: NoiseSpec,
-    id_prefix: str = "video",
-    smoothing_window: int = 0,
-) -> list[SimulatedVideo]:
-    """Simulate videos ``<id_prefix>00``, ``<id_prefix>01``, ... in memory,
-    through the job queue (see simulation_jobs), which raises the first
-    failed video's error."""
-    if num_videos < 1:
-        raise ValueError("num_videos must be >= 1")
-    return list(chain.from_iterable(_results(simulation_jobs(workflow, [(id_prefix, num_videos, noise)],
-                                                             smoothing_window))))
+    simulated = chain.from_iterable(_results(functools.partial(_simulate_run, workflow, smoothing_window, run)
+                                             for run in _runs(videos)))
+    return [[next(simulated) for _ in range(count)] for _, count, _ in splits]
 
 
 def dataset_writes(videos: list[SimulatedVideo], out_dir) -> list:
@@ -414,6 +401,8 @@ def generate_dataset(
     failed write's error in file order. Nothing is written unless every
     video simulates. Returns the written videos, in file order.
     """
-    videos = simulate_videos(num_videos, workflow, noise, id_prefix, smoothing_window)
+    if num_videos < 1:
+        raise ValueError("num_videos must be >= 1")
+    [videos] = simulate_videos(workflow, [(id_prefix, num_videos, noise)], smoothing_window)
     _results(dataset_writes(videos, out_dir))
     return videos

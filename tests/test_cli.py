@@ -360,6 +360,16 @@ class TestInfer:
         assert set(load_traces(trace)) == {"video00", "video01"}
         assert "resolved_" not in (tmp_path / "config.txt").read_text()
 
+    def test_trace_into_a_new_directory(self, small_dataset, tmp_path, capsys):
+        """The trace's directory is made as --out's is, though the two differ."""
+        _, test = small_dataset
+        trace, out = tmp_path / "new" / "trace.csv", tmp_path / "other" / "timeline.csv"
+        rc = main(["infer", "--strategy", "transition", "--bank", str(test / "bank"),
+                   "--trace", str(trace), "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert set(load_traces(trace)) == set(load_timelines(out)) == {"video00", "video01"}
+        assert (out.parent / "config.txt").exists()
+
     def test_confidence_with_auto_temperature(self, small_dataset, tmp_path, capsys):
         val, test = small_dataset
         out = tmp_path / "pred.csv"

@@ -46,11 +46,12 @@ class TestFormatting:
 
 class TestTables:
     def test_render_table_aligns_columns(self):
-        out = render_table(["Model", "Accuracy (%)"], [["baseline", "87.44"], ["x", "1.00"]])
+        out = render_table(["Model", "Accuracy (%)"], [["baseline", "87.44"], ["x", "1.00"]], title="Accuracy")
         lines = out.splitlines()
-        assert lines[0].startswith("Model")
-        assert lines[1].startswith("---")
-        assert "87.44" in lines[2]
+        assert lines[0] == "Accuracy"
+        assert lines[1].startswith("Model")
+        assert lines[2].startswith("---")
+        assert "87.44" in lines[3]
 
     def test_strategy_table_shape(self):
         out = render_strategy_table([

@@ -105,20 +105,26 @@ class TestMarginSolve:
         cached.cache_clear()
         monkeypatch.setattr(simulate, "_margin_for_accuracy", asked)
         monkeypatch.delattr(os, "fork", raising=False)  # every video is simulated, and its keys asked, here
-        simulate_videos(30, WorkflowSpec(dwell_mean=60, dwell_min=15), NoiseSpec(rng_seed=11))
+        simulate_videos(WorkflowSpec(dwell_mean=60, dwell_min=15), [("video", 30, NoiseSpec(rng_seed=11))])
         info = cached.cache_info()
         assert info.misses == len(set(keys)) < len(keys)  # each miss is one bisection
         assert info.hits == len(keys) - len(set(keys))
 
-    def test_simulation_jobs_build_the_quadrature_rule_before_any_fork(self, monkeypatch):
+    def test_simulate_videos_builds_the_quadrature_rule_before_any_fork(self, monkeypatch):
         """The jobs' margin solves find the rule built, in the process that
-        made the jobs, so a forked child never makes that LAPACK call."""
+        runs the job queue, so a forked child never makes that LAPACK call."""
+        shared, built = fork._shared, []
+
+        def entered(jobs, sizes=None):
+            built.append(simulate._gauss_hermite_rule.cache_info().currsize)
+            return shared(jobs, sizes)
+
         simulate._gauss_hermite_rule.cache_clear()
         _margin_for_accuracy.cache_clear()
-        jobs = simulate.simulation_jobs(WorkflowSpec(dwell_mean=60, dwell_min=15), [("v", 2, NoiseSpec(rng_seed=3))])
-        assert simulate._gauss_hermite_rule.cache_info().currsize == 1
-        monkeypatch.delattr(os, "fork", raising=False)
-        fork._results(jobs)
+        monkeypatch.setattr(fork, "_shared", entered)
+        monkeypatch.delattr(os, "fork", raising=False)  # every job runs here, where the cache is seen
+        simulate_videos(WorkflowSpec(dwell_mean=60, dwell_min=15), [("v", 2, NoiseSpec(rng_seed=3))])
+        assert built == [1]
         assert simulate._gauss_hermite_rule.cache_info().misses == 1
 
     @pytest.mark.parametrize("module", ["scipy", "traceback", "signal", "multiprocessing", "concurrent.futures",
@@ -325,6 +331,33 @@ class TestAttentionSmooth:
             assert len(calls) == expected
 
 
+class TestSimulateVideos:
+    @pytest.mark.parametrize("where", ["inline", "forked", "child"])
+    def test_one_list_per_split_in_split_order(self, monkeypatch, where):
+        """Each split's videos come back in its own list, with the arrays
+        simulate_video gives them, in whichever process they ran."""
+        spec = WorkflowSpec(dwell_mean=40, dwell_min=5)
+        splits = [("val", 2, NoiseSpec(rng_seed=4)), ("test", 3, NoiseSpec(rng_seed=9))]
+        if where == "inline":
+            monkeypatch.delattr(os, "fork", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if where == "child":
+            parent, claim = os.getpid(), fork._claim
+            monkeypatch.setattr(fork, "_claim",
+                                lambda jobs, claims: {} if os.getpid() == parent else claim(jobs, claims))
+        got = simulate_videos(spec, splits, smoothing_window=4)
+        assert [[v.ground_truth.video_id for v in videos] for videos in got] == [
+            ["val00", "val01"], ["test00", "test01", "test02"]]
+        for (prefix, _, noise), videos in zip(splits, got):
+            for i, video in enumerate(videos):
+                want = simulate_video(spec, noise, f"{prefix}{i:02d}", i, 4)
+                assert np.array_equal(video.ground_truth.labels, want.ground_truth.labels)
+                assert np.array_equal(video.baseline.logits, want.baseline.logits)
+                for pair, seq in want.bank.sequences[want.ground_truth.video_id].items():
+                    assert np.array_equal(video.bank.sequences[video.ground_truth.video_id][pair].logits, seq.logits)
+
+
 class TestDataset:
     def test_writes_and_round_trips(self, tmp_path):
         spec = WorkflowSpec(dwell_mean=30, dwell_min=5)
@@ -396,7 +429,7 @@ class TestOneLabelArray:
         parent, claim = os.getpid(), fork._claim
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(fork, "_claim", lambda jobs, claims: {} if os.getpid() == parent else claim(jobs, claims))
-        videos = simulate_videos(3, WorkflowSpec(dwell_mean=60, dwell_min=10), NoiseSpec(rng_seed=3))
+        [videos] = simulate_videos(WorkflowSpec(dwell_mean=60, dwell_min=10), [("video", 3, NoiseSpec(rng_seed=3))])
         assert [v.ground_truth.video_id for v in videos] == ["video00", "video01", "video02"]
         for video in videos:
             labels = _label_arrays(video)
