@@ -17,12 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, inference, metrics, report, simulate
-from .fork import _per_video, _results, _shared, _size
+from .fork import _results, _shared, _size
 from .logits import (LogitSequence, TransitionLogitBank, assemble_bank, bank_files, check_bank_shapes, load_logits,
                      positive_temperature)
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
-from .workflow import (NUM_PHASES, TIMELINE_HEADER, all_transition_pairs, check_utf8, load_timelines, save_timelines,
-                       timeline_rows, write_rows)
+from .workflow import NUM_PHASES, all_transition_pairs, check_utf8, load_timelines, save_timelines
 
 # Keys never written to config echoes: paths vary between runs without
 # affecting artifact content, and byte-identical reruns are a contract.
@@ -326,18 +325,8 @@ def _tuned(args) -> tuple[calibration.Temperature | None, tuple[float, list] | N
     with _naming(val / "baseline.csv", val / "gt.csv"):
         metrics.require_ground_truth(base, gts)
     cfg = inference.InferenceConfig(buffer_size=args.buffer, temperature=fit.value if fit else args.temperature)
-    return fit, inference.sweep_threshold(base, bank, gts, cfg)
-
-
-def _predicted_rows(strategy: str, baselines: dict, bank, cfg, named, traced: bool, run: list) -> list[tuple]:
-    """The timeline lines and, when ``traced``, the trace lines of each video
-    of ``run``; an error of the strategy names the file ``named``."""
-    rows = []
-    for vid in run:
-        with _naming(named):
-            timeline, trace = _run_strategy(strategy, baselines, bank, cfg, vid)
-        rows.append((timeline_rows(timeline), inference.trace_rows(trace) if traced else None))
-    return rows
+    with _naming(val / "baseline.csv"):
+        return fit, inference.sweep_threshold(base, bank, gts, cfg)
 
 
 def cmd_infer(args) -> int:
@@ -388,23 +377,21 @@ def cmd_infer(args) -> int:
             print(f"  t_conf={t:.1f}  accuracy={100 * a:.2f}%{marker}")
     cfg = inference.InferenceConfig(buffer_size=args.buffer, conf_threshold=threshold, temperature=temperature)
     baselines = parsed.popleft() if confidence else {}
-    # the strategy runs and its lines are formatted in two processes too, a run of videos a job
-    frames = ({vid: seq.num_frames for vid, seq in baselines.items()} if confidence
-              else {vid: bank.frame_count(vid) for vid in bank.videos()})
-    rows = _per_video(partial(_predicted_rows, args.strategy, baselines, bank, cfg,
-                              args.base if confidence else args.bank, bool(args.trace)), frames)
+    with _naming(args.base if confidence else args.bank):  # every video runs before either file is written
+        timelines, traces = zip(*(_run_strategy(args.strategy, baselines, bank, cfg, vid)
+                                  for vid in sorted(baselines if confidence else bank.videos())))
     out = Path(args.out)
     for path in filter(None, (out, args.trace)):  # both directories, before either file is written
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-    write_rows(out, TIMELINE_HEADER, (timeline for timeline, _ in rows))
+    save_timelines(timelines, out)
     if args.trace:
-        write_rows(args.trace, inference.TRACE_HEADER, (trace for _, trace in rows))
+        inference.save_traces(traces, args.trace)
     echo = _echo_values(args)
     if confidence:
         echo["resolved_threshold"] = cfg.conf_threshold
         echo["resolved_temperature"] = cfg.temperature
     write_config_echo(out.parent, echo)
-    print(f"wrote {len(rows)} predicted timelines to {out}")
+    print(f"wrote {len(timelines)} predicted timelines to {out}")
     return 0
 
 
@@ -419,19 +406,6 @@ def _write_results(out: Path, results: dict, formats, texts: dict) -> None:
     if "text" in formats:
         for name, family in texts.items():
             (out / name).write_text(report.render_report_text(family), encoding="utf-8")
-
-
-def _video_results(gts: dict, preds: dict, traces: dict, ribbons, run: list) -> list:
-    """For each video of ``run``: write its ribbon into the directory
-    ``ribbons`` (unless None); return the (key, value) cascade results of the
-    traced ones."""
-    results = []
-    for vid in run:
-        if ribbons is not None and vid in preds:
-            report.write_ribbon_svg(gts[vid], preds[vid], ribbons / f"ribbon_{vid}.svg")
-        if vid in traces:
-            results += report.cascade_results(metrics.detect_cascades(traces[vid], gts[vid]), f"video.{vid}").items()
-    return results
 
 
 def cmd_evaluate(args) -> int:
@@ -452,9 +426,11 @@ def cmd_evaluate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # the ribbons and cascades come from two processes too, a run of videos a job
-    video = partial(_video_results, gts, preds, traces, out if "svg" in args.format else None)
-    results.update(_per_video(video, {vid: len(gts[vid]) for vid in preds.keys() | traces.keys()}))
+    if "svg" in args.format:
+        for vid in sorted(preds):
+            report.write_ribbon_svg(gts[vid], preds[vid], out / f"ribbon_{vid}.svg")
+    for vid in sorted(traces):
+        results.update(report.cascade_results(metrics.detect_cascades(traces[vid], gts[vid]), f"video.{vid}"))
     _write_results(out, results, args.format, {"evaluation.txt": results})
     write_config_echo(out, _echo_values(args))
     print(f"accuracy: pooled {report.pct(results['accuracy.pooled'])}%, "

@@ -1,4 +1,5 @@
-"""The job queue of every command: this process and one forked child claim
+"""The job queue that parses input files, fits on what it parsed, simulates
+videos and writes dataset files: this process and one forked child claim
 zero-argument jobs from one pipe (see _shared). It imports only the
 standard library.
 """
@@ -9,8 +10,6 @@ import os
 import pickle
 from collections import deque
 from contextlib import contextmanager
-from functools import partial
-from itertools import repeat
 
 
 class _ChildTraceback(Exception):
@@ -137,15 +136,7 @@ def _size(*paths) -> int:
 
 def _runs(items: list) -> list[list]:
     """``items`` cut into runs of consecutive items of one length (the last
-    may be shorter): at most 256 of them, the jobs a _shared takes."""
+    may be shorter): at most 256 of them, the jobs a _shared takes, so that
+    the simulator queues any number of videos."""
     step = -(-len(items) // 256) or 1
     return [items[i:i + step] for i in range(0, len(items), step)]
-
-
-def _per_video(job, frames: dict) -> list:
-    """The items of the lists that ``job`` returns for runs of consecutive
-    videos of ``frames`` ({video id: frame count}), in video id order. Each
-    run is one job of a _shared (see _runs), the most frames first."""
-    runs = _runs(sorted(frames))
-    return [item for items in _results(map(partial, repeat(job), runs), [sum(map(frames.get, run)) for run in runs])
-            for item in items]

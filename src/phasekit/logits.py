@@ -30,27 +30,36 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
 
     Computed stably by subtracting the row maximum before exponentiation, so
     the result is invariant (to ~1e-12) to adding a constant to all entries.
-    Rejects non-finite input and non-positive temperature.
+    Rejects non-finite input, non-positive temperature, and a temperature at
+    which a row's scaled maximum overflows.
     """
-    e, _ = _shifted_exp(*_checked(logits, temperature))
+    e = _checked_exp(logits, temperature)
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
-def _checked(logits, temperature) -> tuple[np.ndarray, float]:
-    """``(z, t)`` for _shifted_exp; a bad temperature or an empty or non-finite ``z`` raises ValueError."""
+def _checked_exp(logits, temperature) -> np.ndarray:
+    """_shifted_exp of ``logits / temperature``; a bad temperature, an empty
+    or non-finite input, or a row whose scaled maximum overflows raises ValueError."""
     t = positive_temperature(temperature)
     z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise ValueError("softmax input is empty")
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax input contains non-finite entries")
-    return z, t
+    # from K = 8 numpy sums a contiguous row in pairwise blocks, so there a row-major buffer gives every
+    # layout of z the bits of a row-major one; below, every layout sums a row in column order
+    e, m = _shifted_exp(z, t, None if z.shape[-1] < 8 else np.empty(z.shape))
+    if not np.isfinite(m).all():
+        raise ValueError(f"softmax is not finite at temperature {t!r}: the scaled logits overflow")
+    return e
 
 
 def _shifted_exp(z: np.ndarray, t: float, out=None) -> tuple[np.ndarray, np.ndarray]:
     """``(exp(z / t - m), m)``, with ``m`` the row maxima of ``z / t``, in
-    ``out`` or one new buffer; 1.0 at each row's maximum. Unchecked: see _checked."""
-    with np.errstate(over="ignore"):  # a score far below its row maximum gives exp(-inf) = 0
+    ``out`` or one new buffer; 1.0 at each row's maximum, and NaN across a
+    row whose ``m`` overflows, which the caller checks."""
+    # a score far below its row maximum gives exp(-inf) = 0; an infinite maximum gives inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
         e = np.divide(z, t, out=out)
         m = e.max(axis=-1, keepdims=True)
         return np.exp(np.subtract(e, m, out=e), out=e), m
@@ -68,7 +77,7 @@ def argmax_confidence_rows(logits, temperature: float = 1.0) -> tuple[np.ndarray
     if z.ndim != 2:
         raise ValueError("expected an (n, K) array of logits")
     # z / t peaks where z does, so softmax's entry there is 1 / sum, bit for bit
-    e, _ = _shifted_exp(*_checked(z, temperature))
+    e = _checked_exp(z, temperature)
     return np.argmax(z, axis=1) + 1, 1.0 / e.sum(axis=1)
 
 

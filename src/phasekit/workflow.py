@@ -116,12 +116,7 @@ def save_timelines(timelines, path) -> None:
     """
     if isinstance(timelines, PhaseTimeline):
         timelines = [timelines]
-    write_rows(path, TIMELINE_HEADER, map(timeline_rows, timelines))
-
-
-def timeline_rows(timeline: PhaseTimeline) -> str:
-    """The lines of ``timeline`` in a timeline file (see save_timelines)."""
-    return row_block(timeline.video_id, (int_text(timeline.labels),))
+    write_rows(path, TIMELINE_HEADER, (row_block(t.video_id, (int_text(t.labels),)) for t in timelines))
 
 
 def write_rows(path, header: str, blocks) -> None:

@@ -403,6 +403,28 @@ class TestInfer:
         assert [str(w.message) for w in caught] == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep", [False, True], ids=["base", "sweep"])
+    def test_temperature_overflowing_the_logits_named_and_writes_nothing(self, small_dataset, tmp_path, capsys, sweep):
+        """At --temperature 1e-308 the scaled logits overflow: the error names
+        --base, or --val's baseline.csv, which the sweep scales first, and
+        no file is written, with no warning."""
+        val, test = small_dataset
+        out = tmp_path / "inf"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
+                       "--bank", str(test / "bank"), "--temperature", "1e-308",
+                       *(["--sweep", "--val", str(val)] if sweep else []),
+                       "--trace", str(out / "trace.csv"), "--out", str(out / "pred.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        named = val / "baseline.csv" if sweep else test / "baseline.csv"
+        assert captured.err == (f"error: {named}: softmax is not finite at temperature 1e-308: "
+                                "the scaled logits overflow\n")
+        assert captured.out == ""
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
     def test_sweep_with_transition_strategy_rejected_and_writes_nothing(self, small_dataset, tmp_path, capsys):
         """--sweep, --temperature, --threshold, --base and --val each apply only to the confidence strategy."""
         val, test = small_dataset
@@ -452,20 +474,26 @@ class TestInfer:
             assert np.array_equal(preds[vid].labels, baseline_argmax(seq).labels)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda rows: [r[:5] for r in rows], "baseline logits must have K=7, got K=2"),
-        (lambda rows: [["zz", *r[1:]] if r[0] == "video01" else r for r in rows], "bank does not cover video 'zz'"),
-    ], ids=["k2", "unknown_video"])
+        (lambda rows: [r[:5] for r in rows], re.escape("baseline logits must have K=7, got K=2")),
+        (lambda rows: [["zz", *r[1:]] if r[0] == "video01" else r for r in rows],
+         re.escape("bank does not cover video 'zz'")),
+        # the last video in id order, so a writer that streams would have written the first
+        (lambda rows: rows[:-1], r"bank frame count \d+ does not match baseline frame count \d+ for video 'video01'"),
+    ], ids=["k2", "unknown_video", "last_video_short"])
     def test_baseline_not_matching_bank_named_and_writes_nothing(self, small_dataset, tmp_path, capsys, edit, message):
+        """Neither the --out nor the --trace file is left, whichever video fails."""
         _, test = small_dataset
         rows = [line.split(",") for line in (test / "baseline.csv").read_text().splitlines()]
+        assert rows[-1][0] == "video01"
         base = tmp_path / "baseline.csv"
         base.write_text("\n".join(",".join(r) for r in edit(rows)) + "\n")
-        out = tmp_path / "inf"
+        out, trace = tmp_path / "inf", tmp_path / "trace"
         rc = main(["infer", "--strategy", "confidence", "--base", str(base), "--bank", str(test / "bank"),
-                   "--out", str(out / "pred.csv")])
+                   "--trace", str(trace / "trace.csv"), "--out", str(out / "pred.csv")])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {base}: {message}\n"
-        assert not out.exists()
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {re.escape(str(base))}: {message}\n", err), err
+        assert not out.exists() and not trace.exists()
 
     def test_missing_bank_names_pair_file(self, small_dataset, tmp_path, capsys):
         _, test = small_dataset
@@ -1553,8 +1581,9 @@ class TestForkedReads:
                                       "evaluate_trace", "evaluate_text"])
     def test_forked_reads_match_inline_reads(self, small_dataset, replayed, tmp_path, capsys, monkeypatch, case):
         """Same --out bytes and stdout with and without os.fork: one fork to
-        parse and fit, and one more for infer's and evaluate's output stage.
-        Every loaded array stays read-only, also where it came from the child."""
+        parse and fit, and none for the output, which infer and evaluate
+        make in this process. Every loaded array stays read-only, also where
+        it came from the child."""
         out = tmp_path / "out"
         argv = _with_out(_read_commands(*small_dataset, *replayed, out)[case], out)
         loaded, results = [], cli._results
@@ -1570,7 +1599,7 @@ class TestForkedReads:
         _order_claims(monkeypatch, "child", tmp_path / "child_claimed")
         assert main(argv) == 0
         forked, tree = capsys.readouterr(), _tree(out)
-        assert len(forks) == (1 if argv[0] == "calibrate" else 2)
+        assert forks == [1]
         arrays = [value for by_video in loaded if isinstance(by_video, dict) for item in by_video.values()
                   if hasattr(item, "__dict__") for value in vars(item).values() if isinstance(value, np.ndarray)]
         assert arrays and not any(a.flags.writeable for a in arrays)
@@ -1620,21 +1649,26 @@ class TestForkedReads:
             (0.01, 1), (100.0, 1)] * 3
 
     def test_more_videos_than_queue_slots(self, tmp_path, capsys, monkeypatch):
-        """300 videos go to the output stage as at most 256 jobs, each a run
-        of consecutive videos; the files are those of one process."""
-        data = tmp_path / "data"
-        assert main(["simulate", "--videos", "300", "--frames-mean", "14", "--seed", "5", "--out", str(data)]) == 0
-        argv = {how: [["infer", "--strategy", "transition", "--bank", str(data / "bank"),
-                       "--trace", str(tmp_path / how / "trace.csv"), "--out", str(tmp_path / how / "pred.csv")],
-                      ["evaluate", "--pred", str(tmp_path / how / "pred.csv"), "--gt", str(data / "gt.csv"),
-                       "--trace", str(tmp_path / how / "trace.csv"), "--out", str(tmp_path / how / "eval")]]
-                for how in ("forked", "inline")}
+        """300 videos go to the simulator's queue as at most 256 jobs, each a
+        run of consecutive videos. The dataset, and what infer and evaluate
+        make of it, are the files of one process."""
+        def calls(root):
+            data, pred, trace = root / "data", str(root / "pred.csv"), str(root / "trace.csv")
+            return [["simulate", "--videos", "300", "--frames-mean", "14", "--seed", "5", "--out", str(data)],
+                    ["infer", "--strategy", "transition", "--bank", str(data / "bank"),
+                     "--trace", trace, "--out", pred],
+                    ["evaluate", "--pred", pred, "--gt", str(data / "gt.csv"), "--trace", trace,
+                     "--out", str(root / "eval")]]
+
+        argv = {how: calls(tmp_path / how) for how in ("forked", "inline")}
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        assert [main(call) for call in argv["forked"]] == [0, 0]
-        assert len(forks) == 4
+        assert [main(call) for call in argv["forked"]] == [0, 0, 0]
+        assert len(forks) == 4  # the simulator and the dataset writes, then one each for infer and evaluate
+        forked = capsys.readouterr().out.replace(str(tmp_path / "forked"), str(tmp_path / "inline"))
         monkeypatch.delattr(os, "fork")
-        assert [main(call) for call in argv["inline"]] == [0, 0]
+        assert [main(call) for call in argv["inline"]] == [0, 0, 0]
+        assert capsys.readouterr().out == forked
         assert _tree(tmp_path / "forked") == _tree(tmp_path / "inline")
         assert len(list((tmp_path / "inline" / "eval").glob("ribbon_*.svg"))) == 300
 

@@ -184,11 +184,17 @@ class TestConfidenceInference:
 
     @given(st.data(), st.integers(1, 30), st.sampled_from([1e-200, 1e-30, 1.0]) | st.floats(1e-3, 1e3))
     def test_baseline_argmax_is_the_confidence_paths_class(self, data, n, t):
-        """At any temperature, exact ties and signed zeros included."""
+        """At any temperature, exact ties and signed zeros included; where a
+        row's scaled maximum overflows, there is no confidence and it raises."""
         cells = st.sampled_from([0.0, -0.0, 1.0, -3.5, 5e-324, 1e300, -1e300]) | st.floats(-1e6, 1e6)
         base = LogitSequence("v", data.draw(st.lists(st.lists(cells, min_size=7, max_size=7), min_size=n, max_size=n)))
-        with np.errstate(invalid="ignore"):  # inf - inf where a scaled row maximum overflows
-            classes, _ = argmax_confidence_rows(base.logits, t)
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite((base.logits / t).max(axis=1)).all()
+        if overflows:
+            with pytest.raises(ValueError, match="the scaled logits overflow"):
+                argmax_confidence_rows(base.logits, t)
+            return
+        classes, _ = argmax_confidence_rows(base.logits, t)
         assert np.array_equal(baseline_argmax(base).labels, classes)
 
     def test_threshold_one_never_trusts_baseline(self):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +81,26 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax([1.0, math.inf])
 
+    @pytest.mark.parametrize("z", [[[1.0, 2.0]], [[0.0, 0.0], [1.0, 2.0]], [[-2.0, -3.0]]],
+                             ids=["max_overflows", "second_row", "every_entry_overflows_low"])
+    def test_overflowing_scaled_maximum_rejected_without_warning(self, z):
+        """A row whose z / t maximum is infinite would give NaN (inf - inf);
+        both kernels raise instead, and numpy warns of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (softmax, argmax_confidence_rows):
+                with pytest.raises(ValueError, match=r"^softmax is not finite at temperature 1e-308: "
+                                                     r"the scaled logits overflow$"):
+                    kernel(z, 1e-308)
+
+    def test_scores_far_below_the_maximum_still_give_zero(self):
+        """An entry whose z / t overflows to -inf under a finite maximum is exp(-inf) = 0, not an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert softmax([0.0, -1e300], 1e-10).tolist() == [1.0, 0.0]
+            classes, confs = argmax_confidence_rows([[0.0, -1e300]], 1e-10)
+        assert classes.tolist() == [1] and confs.tolist() == [1.0]
+
 
 def argmax_confidence(z, temperature=1.0):
     """argmax_confidence_rows on a one-row input: (class, confidence)."""
@@ -119,15 +141,31 @@ class TestArgmaxConfidence:
            st.sampled_from([1e-200, 1e-30, 1.0]) | st.floats(1e-3, 1e3))
     def test_confidence_is_softmax_at_the_argmax_bit_for_bit(self, data, n, k, t):
         """Ties, signed zeros, subnormals and logits whose z / t overflows
-        included; where softmax's entry is NaN, so is the confidence."""
+        included; where softmax raises, so does argmax_confidence_rows, with
+        the same message."""
         cells = st.sampled_from([0.0, -0.0, 1.0, -3.5, 5e-324, 1e300, -1e300]) | st.floats(-1e6, 1e6)
         z = np.array(data.draw(st.lists(st.lists(cells, min_size=k, max_size=k), min_size=n, max_size=n)))
-        with np.errstate(invalid="ignore"):  # inf - inf where a scaled row maximum overflows
-            classes, confs = argmax_confidence_rows(z, t)
+        try:
             probs = softmax(z, t)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                argmax_confidence_rows(z, t)
+            return
+        classes, confs = argmax_confidence_rows(z, t)
         idx = np.argmax(z, axis=1)
         assert np.array_equal(classes, idx + 1)
         assert np.array_equal(confs, probs[np.arange(n), idx], equal_nan=True)
+
+    @given(st.data(), st.integers(1, 12), st.integers(2, 12), st.floats(0.05, 20))
+    def test_layout_of_the_logits_leaves_the_bits(self, data, n, k, t):
+        """Row-major and column-major logits (as simulated and as loaded)
+        give the same bits, also from K = 8, where numpy sums a contiguous
+        row in pairwise blocks."""
+        z = np.array(data.draw(st.lists(st.lists(st.floats(-60, 60), min_size=k, max_size=k), min_size=n, max_size=n)))
+        f = np.asfortranarray(z)
+        for by_rows, by_columns in ((softmax(z, t), softmax(f, t)),
+                                    *zip(argmax_confidence_rows(z, t), argmax_confidence_rows(f, t))):
+            assert by_rows.tobytes() == by_columns.tobytes()
 
     @given(finite_logits)
     def test_class_stable_across_temperatures(self, z):
