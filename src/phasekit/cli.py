@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, inference, metrics, report, simulate
-from .fork import _results, _shared, _size
+from .fork import _results, _shared
 from .logits import (LogitSequence, TransitionLogitBank, assemble_bank, bank_files, check_bank_shapes, load_logits,
                      positive_temperature)
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
@@ -256,7 +256,7 @@ def cmd_calibrate(args) -> int:
     jobs = [partial(_parsed_fit, _fit, val_file), partial(load_logits, test_file),
             *(partial(_parsed_fit, partial(_pair_temperature, pair), path)
               for pair, path in zip(all_transition_pairs(), pair_files))]
-    (_, val_fit), test, *pairs = _results(jobs, [_size(path) for path in (val_file, test_file, *pair_files)])
+    (_, val_fit), test, *pairs = _results(jobs)
     if pairs:  # the bank is checked whole after its fits, as assemble_bank would
         check_bank_shapes([shapes for shapes, _ in pairs])
     extra = {}
@@ -353,18 +353,17 @@ def cmd_infer(args) -> int:
         raise ValueError("--sweep requires --val <dir> with labeled data")
     if confidence and not args.base:
         raise ValueError("--strategy confidence requires --base <file>")
-    bank_paths = bank_files(args.bank)
-    jobs, sizes = [partial(load_logits, path) for path in bank_paths], list(map(_size, bank_paths))
-    if fit_on_val:  # one job parses the validation split and tunes on it, for --temperature auto and --sweep
-        val = Path(args.val)
-        jobs.append(partial(_tuned, args))
-        sizes.append(_size(val / "baseline.csv", *([val / "gt.csv", *bank_files(val / "bank")] if args.sweep else [])))
-    if confidence:
-        jobs.append(partial(load_logits, args.base))
-        sizes.append(_size(args.base))
-    parsed = _results(jobs, sizes)
-    bank = assemble_bank([parsed.popleft() for _ in bank_paths])
+    jobs = [partial(load_logits, path) for path in bank_files(args.bank)]  # the pair files, 2 scores a row
+    if args.sweep:  # checked before the fork, as the bank's are
+        bank_files(Path(args.val) / "bank")
+    if confidence:  # the baselines, 7 scores a row, go before them: the largest jobs first
+        jobs.insert(0, partial(load_logits, args.base))
+    if fit_on_val:  # first, one job parses the validation split and tunes on it, for --temperature auto and --sweep
+        jobs.insert(0, partial(_tuned, args))
+    parsed = _results(jobs)
     fit, sweep = parsed.popleft() if fit_on_val else (None, None)
+    baselines = parsed.popleft() if confidence else {}
+    bank = assemble_bank(parsed)
     temperature, threshold = args.temperature, args.threshold
     if fit:
         temperature = fit.value
@@ -376,7 +375,6 @@ def cmd_infer(args) -> int:
             marker = "  <- best" if t == threshold else ""
             print(f"  t_conf={t:.1f}  accuracy={100 * a:.2f}%{marker}")
     cfg = inference.InferenceConfig(buffer_size=args.buffer, conf_threshold=threshold, temperature=temperature)
-    baselines = parsed.popleft() if confidence else {}
     with _naming(args.base if confidence else args.bank):  # every video runs before either file is written
         timelines, traces = zip(*(_run_strategy(args.strategy, baselines, bank, cfg, vid)
                                   for vid in sorted(baselines if confidence else bank.videos())))
@@ -410,17 +408,14 @@ def _write_results(out: Path, results: dict, formats, texts: dict) -> None:
 
 def cmd_evaluate(args) -> int:
     reads = [partial(load_timelines, args.pred), partial(load_timelines, args.gt)]
-    if args.trace:
-        reads.append(partial(inference.load_traces, args.trace))
-    parsed = _results(reads, [_size(path) for path in (args.pred, args.gt, args.trace) if path])
+    if args.trace:  # the largest file first: a trace row has 4 columns, a timeline row 1
+        reads.insert(0, partial(inference.load_traces, args.trace))
+    parsed = _results(reads)
+    traces = parsed.popleft() if args.trace else {}
     preds, gts = parsed.popleft(), parsed.popleft()
     with _naming(args.pred, args.gt):
-        metrics.require_ground_truth(preds, gts)
-    with _naming(args.pred):
         results = metrics.evaluate_predictions(preds, gts)
-    traces = {}
     if args.trace:
-        traces = parsed.popleft()
         with _naming(args.trace, args.gt):
             metrics.require_ground_truth(traces, gts)
 

@@ -54,11 +54,11 @@ def _one_cpu() -> bool:
 
 
 @contextmanager
-def _shared(jobs, sizes=None):
+def _shared(jobs):
     """Run the zero-argument ``jobs`` (at most 256) in this process and one
-    forked child, which claim job indices from one queue: the largest
-    ``sizes`` first, or in job order without them. Yields a list that holds
-    the results in job order once the block has exited.
+    forked child, which claim job indices from one queue in job order, so a
+    caller lists its largest jobs first. Yields a list that holds the results
+    in job order once the block has exited.
 
     The child claims from the start; this process runs the block, then claims
     what is left, even when the block raised, and reaps the child. Every job
@@ -79,11 +79,10 @@ def _shared(jobs, sizes=None):
         finally:
             results.extend(outcome.get() for outcome in done)
         return
-    order = range(len(jobs)) if sizes is None else sorted(range(len(jobs)), key=lambda i: -sizes[i])
     queue, fill = os.pipe()  # each byte in the pipe is one job index, claimed by one reader
     with open(queue, "rb", buffering=0) as claims:
         with open(fill, "wb") as pipe:
-            pipe.write(bytes(order))
+            pipe.write(bytes(range(len(jobs))))
         read_fd, write_fd = os.pipe()
         with open(read_fd, "rb") as sent:
             with open(write_fd, "wb") as pipe:
@@ -121,17 +120,13 @@ def _shared(jobs, sizes=None):
                 results.extend(done[i].get() for i in range(len(jobs)))
 
 
-def _results(jobs, sizes=None) -> deque:
-    """The results of the ``jobs`` (see _shared), in job order. Taking each
-    from the left lets go of it, so memory is freed as it is used."""
-    with _shared(list(jobs), sizes) as results:
+def _results(jobs) -> deque:
+    """The results of the ``jobs`` (see _shared), in job order, which is also
+    the order they are claimed in. Taking each from the left lets go of it,
+    so memory is freed as it is used."""
+    with _shared(list(jobs)) as results:
         pass
     return deque(results)
-
-
-def _size(*paths) -> int:
-    """The bytes in the files at ``paths``; a missing one, which its job names, counts as empty."""
-    return sum(os.path.getsize(path) for path in paths if os.path.isfile(path))
 
 
 def _runs(items: list) -> list[list]:

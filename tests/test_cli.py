@@ -1588,8 +1588,8 @@ class TestForkedReads:
         argv = _with_out(_read_commands(*small_dataset, *replayed, out)[case], out)
         loaded, results = [], cli._results
 
-        def recording(jobs, sizes=None):
-            done = results(jobs, sizes)
+        def recording(jobs):
+            done = results(jobs)
             loaded.extend(done)
             return done
 
@@ -1672,35 +1672,48 @@ class TestForkedReads:
         assert _tree(tmp_path / "forked") == _tree(tmp_path / "inline")
         assert len(list((tmp_path / "inline" / "eval").glob("ribbon_*.svg"))) == 300
 
-    def test_jobs_are_claimed_largest_first_and_returned_in_job_order(self, tmp_path):
+    def test_jobs_are_claimed_and_returned_in_job_order(self, tmp_path):
         """The child claims every job while this process waits in the block."""
         log, marker = tmp_path / "claims.log", tmp_path / "drained"
 
         def job(i):
             _append_line(log, str(i))
-            if i == 0:  # the smallest, so the last one claimed
+            if i == 4:  # the last one claimed
                 marker.touch()
             return i * 10
 
-        with fork_layer._shared([partial(job, i) for i in range(5)], sizes=[1, 5, 3, 5, 2]) as results:
+        with fork_layer._shared([partial(job, i) for i in range(5)]) as results:
             _wait_for(marker)
-        assert log.read_text().split() == ["1", "3", "2", "4", "0"]
+        assert log.read_text().split() == ["0", "1", "2", "3", "4"]
         assert results == [0, 10, 20, 30, 40]
 
     def test_an_unclaimed_earlier_bad_file_is_still_the_error(self, tmp_path, capsys, monkeypatch):
-        """Each process first claims one of the two largest files, bad bank
-        pair files; the small validation baselines, whose bad row a serial
-        run reports first, are claimed after them and give the error."""
+        """The child claims the validation baselines, whose bad row a serial
+        run reports first, and parses them only once this process has failed
+        on a later file, a bad bank pair file: the earlier file's error is
+        the one reported."""
         val, test = _tiny_splits(tmp_path)
         rows = "".join(f"v,{frame},1,1.0,0.0\n" for frame in range(200))
         for i in range(1, 7):
-            extra = {1: 100, 2: 50}.get(i, 0)  # trans_1_2 is the largest file, then trans_2_3
             path = val / "bank" / f"trans_{i}_{i + 1}.csv"
-            path.write_text("video_id,frame_idx,label,z1,z2\n" + rows + rows[:extra * 14])
+            path.write_text("video_id,frame_idx,label,z1,z2\n" + rows)
             if i <= 2:
                 _bad_row(path, path, 4)
         _bad_row(val / "baseline.csv", val / "baseline.csv", 3)
         argv = ["calibrate", "--val", str(val), "--test", str(test), "--include-bank", "--out", str(tmp_path / "out")]
+        parent, load, failed = os.getpid(), cli.load_logits, tmp_path / "later_failed"
+
+        def held(path):
+            if os.getpid() != parent and path == val / "baseline.csv":
+                _wait_for(failed)
+            try:
+                return load(path)
+            except ValueError:
+                if os.getpid() == parent:
+                    failed.touch()
+                raise
+
+        monkeypatch.setattr(cli, "load_logits", held)
         _order_claims(monkeypatch, "child", tmp_path / "child_claimed")
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -1763,22 +1776,58 @@ class TestForkedReads:
         assert capsys.readouterr().err == err
         assert not out.exists()
 
-    @pytest.mark.parametrize("first", ["parent", "child"])
-    def test_of_two_bad_files_the_earlier_is_reported(self, small_dataset, tmp_path, capsys, monkeypatch, first):
-        """calibrate reads the validation baseline before the test baseline:
-        its error is reported, whichever process parsed it."""
+    @pytest.mark.parametrize("case, first", [(case, first) for case in ("calibrate", "infer", "evaluate")
+                                             for first in ("parent", "child")],
+                             ids=["parent", "child", "infer-parent", "infer-child", "evaluate-parent", "evaluate-child"])
+    def test_of_two_bad_files_the_earlier_is_reported(self, small_dataset, replayed, tmp_path, capsys, monkeypatch,
+                                                      case, first):
+        """Of two bad files, the error is that of the one a command lists
+        first, whichever process parsed it, and without os.fork: calibrate
+        lists the validation baseline before the test baseline, infer --base
+        before the bank's pair files, and evaluate --trace before --pred."""
         val, test = small_dataset
-        bad_val = _bad_row(val / "baseline.csv", tmp_path / "val" / "baseline.csv", 3)
-        bad_test = _bad_row(test / "baseline.csv", tmp_path / "test" / "baseline.csv", 5)
-        argv = ["calibrate", "--val", str(bad_val.parent), "--test", str(bad_test.parent),
-                "--out", str(tmp_path / "out")]
+        pred, trace = replayed
+        out = tmp_path / "out"
+        if case == "calibrate":
+            earlier = _bad_row(val / "baseline.csv", tmp_path / "val" / "baseline.csv", 3)
+            later = _bad_row(test / "baseline.csv", tmp_path / "test" / "baseline.csv", 5)
+            argv = ["calibrate", "--val", str(earlier.parent), "--test", str(later.parent), "--out", str(out)]
+        elif case == "infer":
+            earlier = _bad_row(test / "baseline.csv", tmp_path / "baseline.csv", 3)
+            shutil.copytree(test / "bank", tmp_path / "bank")
+            _bad_row(tmp_path / "bank" / "trans_3_4.csv", tmp_path / "bank" / "trans_3_4.csv", 5)
+            argv = ["infer", "--strategy", "confidence", "--base", str(earlier), "--bank", str(tmp_path / "bank"),
+                    "--out", str(out / "pred.csv")]
+        else:
+            earlier = _bad_row(trace, tmp_path / "trace.csv", 3)
+            argv = ["evaluate", "--pred", str(_bad_row(pred, tmp_path / "pred.csv", 5)), "--gt", str(test / "gt.csv"),
+                    "--trace", str(earlier), "--out", str(out)]
         _order_claims(monkeypatch, first, tmp_path / "first_claimed")
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad_val}:3: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {earlier}:3: ") and err.count("\n") == 1, err
         monkeypatch.delattr(os, "fork")
         assert main(argv) == 2
         assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    def test_sweep_names_a_missing_validation_pair_file_before_any_fork(self, small_dataset, tmp_path, capsys,
+                                                                         monkeypatch):
+        """infer --sweep checks the six pair files of --val's bank before it
+        forks, so a missing one is the error, not the bad row of a file that
+        a job would parse first."""
+        val, test = small_dataset
+        bad_val = tmp_path / "val"
+        shutil.copytree(val, bad_val)
+        (bad_val / "bank" / "trans_4_5.csv").unlink()
+        _bad_row(val / "baseline.csv", bad_val / "baseline.csv", 3)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        out = tmp_path / "out"
+        assert main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
+                     "--bank", str(test / "bank"), "--val", str(bad_val), "--sweep", "--out", str(out / "pred.csv")]) == 2
+        assert capsys.readouterr().err == f"error: missing transition file trans_4_5.csv in {bad_val / 'bank'}\n"
+        assert forks == [] and not out.exists()
 
     def test_killed_loader_is_one_error_line(self, small_dataset, tmp_path, capsys, monkeypatch):
         val, test = small_dataset
@@ -1847,20 +1896,19 @@ def _run_strict(run):
             return type(exc), exc.args
 
 
-def _shared_results(jobs, sizes) -> list:
+def _shared_results(jobs) -> list:
     """The results of one real ``_shared`` over ``jobs``, with an empty block."""
-    with fork_layer._shared(jobs, sizes) as results:
+    with fork_layer._shared(jobs) as results:
         pass
     return results
 
 
 @st.composite
 def shared_cases(draw):
-    """(jobs, sizes, how many jobs the child starts before this process claims one)."""
+    """(jobs, how many jobs the child starts before this process claims one)."""
     count = draw(st.integers(0, 40))  # drawn first: a list strategy's lengths lean short
     kinds = draw(st.lists(st.tuples(st.sampled_from(JOB_KINDS), st.booleans()), min_size=count, max_size=count))
-    sizes = draw(st.none() | st.permutations(range(len(kinds))))
-    return ([partial(_drawn_job, i, kind, warns) for i, (kind, warns) in enumerate(kinds)], sizes,
+    return ([partial(_drawn_job, i, kind, warns) for i, (kind, warns) in enumerate(kinds)],
             draw(st.integers(0, len(kinds))))
 
 
@@ -1870,11 +1918,11 @@ class TestSharedOracle:
     def test_shared_gives_what_a_serial_run_gives(self, case):
         """The forked jobs give the serial run's results, or its exception
         type and args; a job that warns fails with its warning, in either process."""
-        jobs, sizes, first = case
+        jobs, first = case
         serial = _run_strict(lambda: [job() for job in jobs])
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             _order_claims(patch, "child", Path(tmp) / "claimed", head=first)
-            assert _run_strict(partial(_shared_results, jobs, sizes)) == serial
+            assert _run_strict(partial(_shared_results, jobs)) == serial
 
 
 FORK_THREADS = """

@@ -115,9 +115,9 @@ class TestMarginSolve:
         runs the job queue, so a forked child never makes that LAPACK call."""
         shared, built = fork._shared, []
 
-        def entered(jobs, sizes=None):
+        def entered(jobs):
             built.append(simulate._gauss_hermite_rule.cache_info().currsize)
-            return shared(jobs, sizes)
+            return shared(jobs)
 
         simulate._gauss_hermite_rule.cache_clear()
         _margin_for_accuracy.cache_clear()
