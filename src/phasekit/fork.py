@@ -39,12 +39,16 @@ class _Outcome:
         raise self.error from _ChildTraceback(self.text)
 
 
+_CLAIMS = 256  # one byte a claim
+
+
 def _claim(jobs, claims) -> dict:
-    """Run the jobs whose indices this process reads from ``claims`` until it
-    is empty: {index: the job's _Outcome}."""
+    """Run the jobs of each claim this process reads from ``claims`` until it
+    is empty, claim b being jobs b, b + _CLAIMS, ...: {index: its _Outcome}."""
     done = {}
     while claimed := claims.read(1):
-        done[claimed[0]] = _Outcome(jobs[claimed[0]])
+        for i in range(claimed[0], len(jobs), _CLAIMS):
+            done[i] = _Outcome(jobs[i])
     return done
 
 
@@ -55,10 +59,10 @@ def _one_cpu() -> bool:
 
 @contextmanager
 def _shared(jobs):
-    """Run the zero-argument ``jobs`` (at most 256) in this process and one
-    forked child, which claim job indices from one queue in job order, so a
-    caller lists its largest jobs first. Yields a list that holds the results
-    in job order once the block has exited.
+    """Run the zero-argument ``jobs`` in this process and one forked child,
+    which take claims (see _claim) from one queue in order, so a caller lists
+    its largest jobs first. Yields a list that holds the results in job order
+    once the block has exited.
 
     The child claims from the start; this process runs the block, then claims
     what is left, even when the block raised, and reaps the child. Every job
@@ -79,10 +83,10 @@ def _shared(jobs):
         finally:
             results.extend(outcome.get() for outcome in done)
         return
-    queue, fill = os.pipe()  # each byte in the pipe is one job index, claimed by one reader
+    queue, fill = os.pipe()  # each byte in the pipe is one claim, taken by one reader
     with open(queue, "rb", buffering=0) as claims:
         with open(fill, "wb") as pipe:
-            pipe.write(bytes(range(len(jobs))))
+            pipe.write(bytes(range(min(len(jobs), _CLAIMS))))
         read_fd, write_fd = os.pipe()
         with open(read_fd, "rb") as sent:
             with open(write_fd, "wb") as pipe:
@@ -121,17 +125,9 @@ def _shared(jobs):
 
 
 def _results(jobs) -> deque:
-    """The results of the ``jobs`` (see _shared), in job order, which is also
-    the order they are claimed in. Taking each from the left lets go of it,
-    so memory is freed as it is used."""
+    """The results of the ``jobs`` (see _shared), in job order. Taking each
+    from the left lets go of it, so memory is freed as it is used."""
     with _shared(list(jobs)) as results:
         pass
     return deque(results)
 
-
-def _runs(items: list) -> list[list]:
-    """``items`` cut into runs of consecutive items of one length (the last
-    may be shorter): at most 256 of them, the jobs a _shared takes, so that
-    the simulator queues any number of videos."""
-    step = -(-len(items) // 256) or 1
-    return [items[i:i + step] for i in range(0, len(items), step)]

@@ -22,14 +22,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import scaled_dot_attention
-from .fork import _results, _runs
+from .fork import _results
 from .logits import LogitSequence, TransitionLogitBank, bank_layout, save_logits, softmax
 from .workflow import (
     NUM_PHASES,
@@ -250,7 +249,10 @@ def generate_baseline_logits(gt: PhaseTimeline, noise: NoiseSpec) -> LogitSequen
         if not group_mask.any():
             continue
         z[group_mask] = _contest_logits(labels[group_mask], 1.0 - err, NUM_PHASES, rng)
-    z *= noise.overconfidence
+    with np.errstate(over="ignore"):
+        z *= noise.overconfidence
+    if not np.isfinite(z).all():
+        raise ValueError(f"overconfidence {noise.overconfidence!r} overflows the logits of video {gt.video_id!r}")
     return LogitSequence(gt.video_id, z, labels=labels)
 
 
@@ -351,25 +353,18 @@ def simulate_video(
     return SimulatedVideo(gt, baseline, bank)
 
 
-def _simulate_run(workflow: WorkflowSpec, smoothing_window: int, run: list) -> list[SimulatedVideo]:
-    """Simulate the videos of ``run``, each a (video id, index, noise)."""
-    return [simulate_video(workflow, noise, vid, index, smoothing_window) for vid, index, noise in run]
-
-
 def simulate_videos(workflow: WorkflowSpec, splits, smoothing_window: int = 0) -> list[list[SimulatedVideo]]:
     """Simulate the videos of ``splits``, each an (id prefix, video count,
     noise), in memory: one list per split, in split order, of its videos
     ``<id prefix>00``, ``<id prefix>01``, ..., with the indices
-    simulate_video derives their seeds from. Each job of the job queue
-    simulates a run of consecutive videos (see fork._runs); since each video
-    has its own seed, it may run in any process. The queue raises the first
-    failed video's error. The margin solve's quadrature rule is built first,
-    before the queue forks."""
+    simulate_video derives their seeds from. The job queue takes one job per
+    video; since each video has its own seed, it may run in any process. The
+    queue raises the first failed video's error. The margin solve's
+    quadrature rule is built first, before the queue forks."""
     _gauss_hermite_rule()
-    videos = [(f"{prefix}{i:02d}", i, noise) for prefix, count, noise in splits for i in range(count)]
-    simulated = chain.from_iterable(_results(functools.partial(_simulate_run, workflow, smoothing_window, run)
-                                             for run in _runs(videos)))
-    return [[next(simulated) for _ in range(count)] for _, count, _ in splits]
+    simulated = _results(functools.partial(simulate_video, workflow, noise, f"{prefix}{i:02d}", i, smoothing_window)
+                         for prefix, count, noise in splits for i in range(count))
+    return [[simulated.popleft() for _ in range(count)] for _, count, _ in splits]
 
 
 def dataset_writes(videos: list[SimulatedVideo], out_dir) -> list:

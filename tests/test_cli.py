@@ -1325,6 +1325,24 @@ class TestPipeline:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error in stage simulate: ")
 
+    @pytest.mark.parametrize("command, first", [("pipeline", "val00"), ("simulate", "video00")])
+    def test_overflowing_overconfidence_is_one_line(self, tmp_path, capsys, monkeypatch, command, first):
+        """An overconfidence factor that overflows the logits is named with
+        the first video, in one line and with no numpy warning, forked and
+        inline, and nothing is written."""
+        argv = [command, "--overconfidence", "1.7976931348623157e308", "--frames-mean", "70",
+                *(["--val-videos", "1", "--test-videos", "1"] if command == "pipeline" else ["--videos", "2"])]
+        message = f"overconfidence 1.7976931348623157e+308 overflows the logits of video '{first}'\n"
+        for how in ("forked", "inline"):
+            if how == "inline":
+                monkeypatch.delattr(os, "fork")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*argv, "--out", str(tmp_path / how)]) == 2
+            err = capsys.readouterr().err
+            assert err == ("error in stage simulate: " if command == "pipeline" else "error: ") + message
+            assert not (tmp_path / how).exists()
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="every video is simulated in this process")
     def test_video_failing_in_the_child_is_the_inline_error(self, tmp_path, capsys, monkeypatch):
         """The child simulates val00 first and fails on it, as this process
@@ -1342,8 +1360,8 @@ class TestPipeline:
         assert not (tmp_path / "forked").exists() and not (tmp_path / "inline").exists()
 
     def test_more_videos_than_queue_slots(self, tmp_path, capsys, monkeypatch):
-        """260 videos over both splits are simulated as at most 256 jobs, each
-        a run of consecutive videos: the tree and output of one process."""
+        """260 videos over both splits, more than the queue has claims, are
+        simulated one job per video: the tree and output of one process."""
         argv = ["pipeline", "--val-videos", "250", "--test-videos", "10", "--frames-mean", "7", "--format", "json"]
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -1649,8 +1667,8 @@ class TestForkedReads:
             (0.01, 1), (100.0, 1)] * 3
 
     def test_more_videos_than_queue_slots(self, tmp_path, capsys, monkeypatch):
-        """300 videos go to the simulator's queue as at most 256 jobs, each a
-        run of consecutive videos. The dataset, and what infer and evaluate
+        """300 videos, more than the queue has claims, go to the simulator's
+        queue one job per video. The dataset, and what infer and evaluate
         make of it, are the files of one process."""
         def calls(root):
             data, pred, trace = root / "data", str(root / "pred.csv"), str(root / "trace.csv")
@@ -1906,7 +1924,7 @@ def _shared_results(jobs) -> list:
 @st.composite
 def shared_cases(draw):
     """(jobs, how many jobs the child starts before this process claims one)."""
-    count = draw(st.integers(0, 40))  # drawn first: a list strategy's lengths lean short
+    count = draw(st.one_of(st.integers(0, 40), st.integers(257, 600)))  # drawn first: list lengths lean short
     kinds = draw(st.lists(st.tuples(st.sampled_from(JOB_KINDS), st.booleans()), min_size=count, max_size=count))
     return ([partial(_drawn_job, i, kind, warns) for i, (kind, warns) in enumerate(kinds)],
             draw(st.integers(0, len(kinds))))
@@ -1923,6 +1941,32 @@ class TestSharedOracle:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             _order_claims(patch, "child", Path(tmp) / "claimed", head=first)
             assert _run_strict(partial(_shared_results, jobs)) == serial
+
+    @pytest.mark.parametrize("how", ["forked", "inline"])
+    @settings(max_examples=5, deadline=None)
+    @given(failing=st.sets(st.integers(0, 599), max_size=4))
+    def test_more_jobs_than_claims_each_run_once(self, how, failing):
+        """600 jobs, more than the queue has claims, each run exactly once,
+        and the error is the one the lowest failing index raised."""
+        def job(log, i):
+            _append_line(log, f"{os.getpid()} {i}")
+            if i in failing:
+                raise ValueError(f"job {i}")
+            return i
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            if how == "inline":
+                patch.delattr(os, "fork")
+            log = Path(tmp) / "jobs.log"
+            jobs = [partial(job, log, i) for i in range(600)]
+            if failing:
+                with pytest.raises(ValueError, match=f"^job {min(failing)}$"):
+                    _shared_results(jobs)
+            else:
+                assert _shared_results(jobs) == list(range(600))
+            pids, indices = zip(*(line.split() for line in log.read_text().splitlines()))
+        assert sorted(map(int, indices)) == list(range(600))
+        assert len(set(pids)) <= 2 if how == "forked" else set(pids) == {str(os.getpid())}
 
 
 FORK_THREADS = """
@@ -2028,6 +2072,48 @@ class TestFuzz:
                 if rc != 0:
                     assert rc == 2 and err.getvalue().count("\n") == 1, (argv, err.getvalue())
                     assert str(path) in err.getvalue(), (argv, err.getvalue())
+
+
+# (flag, values pipeline runs with, values it rejects): each bound and one ulp
+# either side, float and integer extremes, and other spellings of a number
+FLAG_EDGES = [
+    ("--overconfidence", ["1", "1.0000000000000002", " 1", "1_000", "1e2", "1e306"],
+     ["0.9999999999999999", "1e309", "nan", "-0", "5e-324", "0x10", "1.7976931348623157e308"]),
+    ("--base-acc", ["0.1428571428571429", "1"], ["0.14285714285714285", "1.0000000000000002", "nan", "-0"]),
+    ("--threshold", ["0", "-0", "1", "5e-324"], ["1.0000000000000002", "nan"]),
+    ("--pair-acc", ["0.5000000000000001", "1"], ["0.5", "nan"]),
+    ("--jitter", ["0", "1_000", str(2**63)], ["-1", "0x10"]),
+    ("--attention-smooth", ["0", "1", str(2**63)], []),
+    ("--buffer", ["1", str(2**63)], ["0"]),
+    ("--seed", ["0", str(2**63), str(2**70)], ["-1"]),
+    ("--dwell-min", ["1", "10"], ["11", str(2**63)]),
+    ("--frames-mean", ["7"], ["6.999999999999999", "1e309", "nan"]),
+    ("--bins", ["1"], ["0", "1000001"]),
+]
+
+
+class TestFlagEdges:
+    @pytest.mark.parametrize("flag, value, code", [
+        (flag, value, code) for flag, runs, rejected in FLAG_EDGES
+        for values, code in ((runs, 0), (rejected, 2)) for value in values])
+    def test_pipeline_flag_at_its_edge(self, tmp_path, capsys, flag, value, code):
+        """A one-video pipeline with a numeric flag at an edge exits 0 with
+        finite JSON, or exits 2 with one line that names the flag and
+        writes nothing: never a traceback or a numpy warning."""
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the forked child inherits it
+            rc = main(["pipeline", "--val-videos", "1", "--test-videos", "1", "--frames-mean", "70",
+                       "--format", "json", flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == code, err
+        if code == 2:
+            assert err.count("\n") == 1 and flag.lstrip("-") in err, err
+            assert not out.exists()
+        else:
+            for path in out.rglob("*.json"):
+                text = path.read_text(encoding="utf-8")
+                assert "NaN" not in text and "Infinity" not in text, path
 
 
 class TestParseErrors:
