@@ -46,16 +46,40 @@ _NOISELESS_MARGIN = 4.0
 DEFAULT_PAIR_ACCURACY = (0.9604, 0.9519, 0.9471, 0.9785, 0.9348, 0.8347)
 
 
-@functools.cache
-def _gauss_hermite_rule() -> tuple:
-    """The probabilists' Gauss-Hermite rule of 96 nodes (Abramowitz & Stegun
-    25.4.46) as (node, weight) pairs, weights normalised so that
-    sum(w * f(u)) approximates E[f(u)] for u ~ N(0, 1). simulate_videos
-    builds it before any fork, so no child makes this LAPACK call."""
-    from numpy.polynomial.hermite_e import hermegauss
-
-    nodes, weights = hermegauss(96)
-    return tuple(zip(nodes.tolist(), (weights / math.sqrt(2.0 * math.pi)).tolist()))
+# The probabilists' Gauss-Hermite rule of 96 nodes (Abramowitz & Stegun
+# 25.4.46) as (node, weight) pairs in ascending node order, weights normalised
+# so that sum(w * f(u)) approximates E[f(u)] for u ~ N(0, 1). It is data: the
+# 48 positive nodes and their weights are the repr of numpy's hermegauss(96),
+# weights divided by sqrt(2 pi), and the negative half mirrors them exactly,
+# as hermegauss symmetrises its own. So no process builds the rule or makes a
+# LAPACK call, and its bits do not depend on the numpy at hand.
+_GH_NODES = (
+    0.1599035480351621, 0.4797530272721122, 0.7997298022200148, 1.1199192255308021, 1.4404073883134991,
+    1.7612814260056506, 2.082629834989802, 2.4045428034012715, 2.7271125598734236, 3.050433744354203,
+    3.374603805617098, 3.6997234306995206, 4.025897012255864, 4.353233160742004, 4.6818452694924995,
+    5.011852142162335, 5.343378693747909, 5.676556738563255, 6.011525881239924, 6.348434530191148,
+    6.687441057230372, 7.0287151324257815, 7.3724392701639925, 7.718810631277005, 8.068043137632507,
+    8.420369970742689, 8.776046546046572, 9.135354081480578, 9.498603915558515, 9.866142780555059,
+    10.23835930672317, 10.615692133275449, 10.998640145991569, 11.387775573595228, 11.783760994609707,
+    12.187371799424481, 12.599526434338053, 13.021328034672976, 13.454123227963489, 13.899587739349906,
+    14.359855604375674, 14.837722983890602, 15.336987796461976, 15.863057027087041, 16.424140084408315,
+    17.033929049475887, 17.719008048061845, 18.549008962484557,
+)
+_GH_WEIGHTS = (
+    0.12596662157577185, 0.11374796211265745, 0.09274127533110009, 0.06825741431897206, 0.045334861632414604,
+    0.027160033930641536, 0.014669121149733375, 0.007137774056197171, 0.003126530649363787,
+    0.0012317003204237987, 0.0004359469338436625, 0.00013846233153272063, 3.9411082217868695e-05,
+    1.0037951571563156e-05, 2.2839709912385427e-06, 4.633996277892734e-07, 8.366758910238345e-08,
+    1.3412852546444989e-08, 1.9044697436851118e-09, 2.3885495136294677e-10, 2.6381563523338893e-11,
+    2.5576425430021274e-12, 2.1685651916482644e-13, 1.6016029944695353e-14, 1.0257920845523481e-15,
+    5.669570176081598e-17, 2.6893964933142535e-18, 1.0882536241221193e-19, 3.7309581702805294e-21,
+    1.0754921419892883e-22, 2.5843274261892357e-24, 5.1262071745377037e-26, 8.30059160199036e-28,
+    1.083227473490503e-29, 1.1224816337266545e-31, 9.07709505167934e-34, 5.611880983044807e-36,
+    2.588164235426799e-38, 8.642250199792758e-41, 2.0135579608787567e-43, 3.1239542947499478e-46,
+    3.0371580643523696e-49, 1.7051467545730293e-52, 4.927481091514544e-56, 6.168750025244182e-60,
+    2.5211953582873406e-64, 1.9638544529325144e-69, 7.420995175863828e-76,
+)
+_GAUSS_HERMITE_RULE = tuple(zip((*(-u for u in reversed(_GH_NODES)), *_GH_NODES), (*reversed(_GH_WEIGHTS), *_GH_WEIGHTS)))
 
 
 @dataclass(frozen=True)
@@ -126,11 +150,10 @@ def _margin_for_accuracy(target: float, num_classes: int) -> float:
         from statistics import NormalDist
 
         return math.sqrt(2.0) * NormalDist().inv_cdf(target)
-    rule = _gauss_hermite_rule()
 
     def accuracy(m: float) -> float:
         # E[Phi(m + u)^(K-1)] with Phi(x) = erfc(-x / sqrt 2) / 2
-        return sum(w * (0.5 * math.erfc(-(m + u) / math.sqrt(2.0))) ** rivals for u, w in rule)
+        return sum(w * (0.5 * math.erfc(-(m + u) / math.sqrt(2.0))) ** rivals for u, w in _GAUSS_HERMITE_RULE)
 
     lo, hi = 0.0, 16.0
     while hi - lo > 1e-10:
@@ -221,9 +244,10 @@ def _contest_logits(
     """Gaussian class-contest logits for one frame group (see module docstring)."""
     n = labels.size
     onehot = np.eye(num_classes)[labels - 1]
+    accuracy = round(accuracy, 12)  # the margin's memo key; a target that rounds to 1 is noiseless
     if accuracy >= 1.0:
         return _NOISELESS_MARGIN ** 2 * onehot
-    m = _margin_for_accuracy(round(accuracy, 12), num_classes)
+    m = _margin_for_accuracy(accuracy, num_classes)
     x = m * onehot + rng.standard_normal((n, num_classes))
     z = m * x
     if with_prior:
@@ -359,9 +383,12 @@ def simulate_videos(workflow: WorkflowSpec, splits, smoothing_window: int = 0) -
     ``<id prefix>00``, ``<id prefix>01``, ..., with the indices
     simulate_video derives their seeds from. The job queue takes one job per
     video; since each video has its own seed, it may run in any process. The
-    queue raises the first failed video's error. The margin solve's
-    quadrature rule is built first, before the queue forks."""
-    _gauss_hermite_rule()
+    queue raises the first failed video's error. What the jobs import on
+    first use, numpy's generators and the K=2 margin solve's normal quantile,
+    is imported first, before the queue forks, so the forked child inherits
+    it and imports nothing."""
+    import numpy.random  # noqa: F401 (for the jobs, not here)
+    from statistics import NormalDist  # noqa: F401
     simulated = _results(functools.partial(simulate_video, workflow, noise, f"{prefix}{i:02d}", i, smoothing_window)
                          for prefix, count, noise in splits for i in range(count))
     return [[simulated.popleft() for _ in range(count)] for _, count, _ in splits]

@@ -2079,9 +2079,10 @@ class TestFuzz:
 FLAG_EDGES = [
     ("--overconfidence", ["1", "1.0000000000000002", " 1", "1_000", "1e2", "1e306"],
      ["0.9999999999999999", "1e309", "nan", "-0", "5e-324", "0x10", "1.7976931348623157e308"]),
-    ("--base-acc", ["0.1428571428571429", "1"], ["0.14285714285714285", "1.0000000000000002", "nan", "-0"]),
+    ("--base-acc", ["0.1428571428571429", "0.9999999999999999", "1"],
+     ["0.14285714285714285", "1.0000000000000002", "nan", "-0"]),
     ("--threshold", ["0", "-0", "1", "5e-324"], ["1.0000000000000002", "nan"]),
-    ("--pair-acc", ["0.5000000000000001", "1"], ["0.5", "nan"]),
+    ("--pair-acc", ["0.5000000000000001", "0.9999999999999999", "1"], ["0.5", "nan"]),
     ("--jitter", ["0", "1_000", str(2**63)], ["-1", "0x10"]),
     ("--attention-smooth", ["0", "1", str(2**63)], []),
     ("--buffer", ["1", str(2**63)], ["0"]),

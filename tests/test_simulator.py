@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import subprocess
@@ -110,22 +111,41 @@ class TestMarginSolve:
         assert info.misses == len(set(keys)) < len(keys)  # each miss is one bisection
         assert info.hits == len(keys) - len(set(keys))
 
-    def test_simulate_videos_builds_the_quadrature_rule_before_any_fork(self, monkeypatch):
-        """The jobs' margin solves find the rule built, in the process that
-        runs the job queue, so a forked child never makes that LAPACK call."""
-        shared, built = fork._shared, []
+    def test_quadrature_rule_is_hermegauss_bit_for_bit(self):
+        """The literal rule is numpy's 96-node rule, weights divided by
+        sqrt(2 pi), in its node order: the order the margin solve sums in."""
+        from numpy.polynomial.hermite_e import hermegauss
 
-        def entered(jobs):
-            built.append(simulate._gauss_hermite_rule.cache_info().currsize)
-            return shared(jobs)
+        nodes, weights = hermegauss(96)
+        rule = simulate._GAUSS_HERMITE_RULE
+        assert len(rule) == 96
+        assert [u for u, _ in rule] == nodes.tolist()
+        assert [w for _, w in rule] == (weights / math.sqrt(2.0 * math.pi)).tolist()
 
-        simulate._gauss_hermite_rule.cache_clear()
-        _margin_for_accuracy.cache_clear()
-        monkeypatch.setattr(fork, "_shared", entered)
-        monkeypatch.delattr(os, "fork", raising=False)  # every job runs here, where the cache is seen
-        simulate_videos(WorkflowSpec(dwell_mean=60, dwell_min=15), [("v", 2, NoiseSpec(rng_seed=3))])
-        assert built == [1]
-        assert simulate._gauss_hermite_rule.cache_info().misses == 1
+    @pytest.mark.parametrize("target, num_classes, margin", [
+        *zip(DEFAULT_PAIR_ACCURACY, [2] * 6, ["2.482435300317645", "2.352631879424926", "2.287296346084039",
+                                              "2.8619581154901645", "2.139035358314219", "1.375896924627697"]),
+        (0.3, 7, "0.6369064784666989"),
+        (0.85, 7, "2.4994463396433275"),
+        (0.9999, 7, "5.858942545513855"),
+    ])
+    def test_margin_bits_are_pinned(self, target, num_classes, margin):
+        """The solved margins, to the last bit, for the default pair targets
+        and three baseline targets; every simulated logit scales by one."""
+        assert repr(_margin_for_accuracy(target, num_classes)) == margin
+
+    @pytest.mark.parametrize("num_classes", [2, 7])
+    def test_target_that_rounds_to_one_is_noiseless(self, num_classes):
+        """A target within 5e-13 of 1 takes the path of a target of exactly
+        1: no margin solve, no draw from the generator."""
+        labels = np.arange(1, num_classes + 1).repeat(3)
+        drawn = {}
+        for target in (1.0, 0.9999999999999999, 1 - 4e-13):
+            rng = np.random.default_rng(0)
+            drawn[target] = (simulate._contest_logits(labels, target, num_classes, rng), rng.random())
+        (exact, after), *rest = drawn.values()
+        for logits, next_draw in rest:
+            assert np.array_equal(logits, exact) and next_draw == after
 
     @pytest.mark.parametrize("module", ["scipy", "traceback", "signal", "multiprocessing", "concurrent.futures",
                                         "hypothesis", "statistics", "numpy.polynomial"])
@@ -137,6 +157,42 @@ class TestMarginSolve:
         env = {**os.environ, "PYTHONPATH": str(Path(phasekit.__file__).parents[1])}
         child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert child.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--val-videos", "1", "--test-videos", "1"],
+        ["simulate", "--videos", "2"],
+    ], ids=["pipeline", "simulate"])
+    def test_simulating_run_loads_no_rule_builder_and_its_child_imports_nothing(self, tmp_path, argv):
+        """A simulating run, in a fresh interpreter, never loads
+        numpy.polynomial, and its forked simulating child, which here runs
+        every video, adds no module to sys.modules after the fork."""
+        code = """if True:
+            import os, sys
+            from phasekit import cli, fork, simulate
+
+            parent, claim, at_fork = os.getpid(), fork._claim, []
+            os.register_at_fork(after_in_child=lambda: at_fork.append(set(sys.modules)))
+            os.sched_getaffinity = lambda pid: {0, 1}  # fork on one CPU too
+
+            def claimed(jobs, claims):
+                simulating = getattr(jobs[0], "func", None) is simulate.simulate_video
+                if os.getpid() == parent:
+                    return {} if simulating else claim(jobs, claims)
+                done = claim(jobs, claims)
+                if simulating:
+                    print(len(done), sorted(set(sys.modules) - at_fork[-1]), file=sys.stderr, flush=True)
+                return done
+
+            fork._claim = claimed
+            code = cli.main(sys.argv[1:])
+            print("numpy.polynomial" in sys.modules, file=sys.stderr)
+            sys.exit(code)
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(phasekit.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-c", code, *argv, "--frames-mean", "70", "--out", str(tmp_path / "out")],
+                               env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        assert child.stderr.splitlines() == ["2 []", "False"]
 
     def test_fork_layer_imports_only_the_standard_library(self):
         """The job queue's module, executed on its own in a fresh interpreter,
