@@ -229,24 +229,23 @@ def fit_temperature(logits, labels=None) -> Temperature:
     return Temperature(fitted, at_bound=fitted in TEMPERATURE_SEARCH_RANGE)
 
 
-def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS, test_name: str = "test split",
-                     fitted: Temperature | None = None) -> CalibrationReport:
-    """Fit T on the validation split, evaluate NLL/ECE on the test split.
-
-    ``val`` and ``test`` are each a labeled LogitSequence or a list or tuple
-    of them, all of one K. A ``fitted`` temperature, when given, is used as
-    it is and ``val`` is not read. An NLL that overflows raises a ValueError
-    naming its split, ``validation split`` or ``test_name``.
-    """
-    if fitted is None:
-        try:
-            fitted = fit_temperature(val)
-        except ValueError as exc:
-            raise ValueError(f"validation split: {exc}") from None
-    try:
-        # the objective's buffers go with the map, before the binning passes allocate
-        nll_before, nll_after = map(_nll_at(_pieces(test)), (1.0, fitted.value))
-    except ValueError as exc:
-        raise ValueError(f"{test_name}: {exc}") from None
+def held_out_report(fitted: Temperature, test, num_bins: int = DEFAULT_NUM_BINS) -> CalibrationReport:
+    """NLL/ECE on the held-out ``test`` split (labeled sequences of one K) at
+    T=1 and at ``fitted``, with the reliability bins behind each ECE."""
+    # the objective's buffers go with the map, before the binning passes allocate
+    nll_before, nll_after = map(_nll_at(_pieces(test)), (1.0, fitted.value))
     bins = tuple(reliability_bins(test, None, t, num_bins) for t in (1.0, fitted.value))
     return CalibrationReport(nll_before, nll_after, *map(_binned_ece, bins), fitted, reliability=bins)
+
+
+def calibrate_report(val, test, num_bins: int = DEFAULT_NUM_BINS) -> CalibrationReport:
+    """Fit T on the validation split and report on the test split (see
+    held_out_report), naming the split of an error."""
+    try:
+        fitted = fit_temperature(val)
+    except ValueError as exc:
+        raise ValueError(f"validation split: {exc}") from None
+    try:
+        return held_out_report(fitted, test, num_bins)
+    except ValueError as exc:
+        raise ValueError(f"test split: {exc}") from None

@@ -236,8 +236,8 @@ def _write_calibration(out_dir: Path, report_path, fitted: calibration.Temperatu
     is written unless the report can be computed; an error in the test split
     names ``test_file``. Returns the results."""
     # video id order fixes the order of the per-row NLL terms and of the binned sums, and so the float results
-    cal = calibration.calibrate_report(None, [test[v] for v in sorted(test)], num_bins=bins,
-                                       test_name=str(test_file), fitted=fitted)
+    with _naming(test_file):
+        cal = calibration.held_out_report(fitted, [test[v] for v in sorted(test)], bins)
     results = {**report.calibration_results(cal), **extra_results}
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write_results_json(results, report_path)
@@ -324,9 +324,8 @@ def _tuned(args) -> tuple[calibration.Temperature | None, tuple[float, list] | N
     bank = assemble_bank(pairs)
     with _naming(val / "baseline.csv", val / "gt.csv"):
         metrics.require_ground_truth(base, gts)
-    cfg = inference.InferenceConfig(buffer_size=args.buffer, temperature=fit.value if fit else args.temperature)
     with _naming(val / "baseline.csv"):
-        return fit, inference.sweep_threshold(base, bank, gts, cfg)
+        return fit, inference.sweep_threshold(base, bank, gts, fit.value if fit else args.temperature)
 
 
 def cmd_infer(args) -> int:
@@ -353,6 +352,11 @@ def cmd_infer(args) -> int:
         raise ValueError("--sweep requires --val <dir> with labeled data")
     if confidence and not args.base:
         raise ValueError("--strategy confidence requires --base <file>")
+    out, first = Path(args.out), {}
+    for name, path in (("--out", out), ("--trace", args.trace), ("the configuration echo", out.parent / "config.txt")):
+        other = first.setdefault(Path(path).resolve(), name) if path else name
+        if other != name:  # one output would overwrite another, however their paths are spelled
+            raise ValueError(f"{other} and {name} both name {path}")
     jobs = [partial(load_logits, path) for path in bank_files(args.bank)]  # the pair files, 2 scores a row
     if args.sweep:  # checked before the fork, as the bank's are
         bank_files(Path(args.val) / "bank")
@@ -378,7 +382,6 @@ def cmd_infer(args) -> int:
     with _naming(args.base if confidence else args.bank):  # every video runs before either file is written
         timelines, traces = zip(*(_run_strategy(args.strategy, baselines, bank, cfg, vid)
                                   for vid in sorted(baselines if confidence else bank.videos())))
-    out = Path(args.out)
     for path in filter(None, (out, args.trace)):  # both directories, before either file is written
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     save_timelines(timelines, out)
@@ -601,7 +604,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         return p
 
     p = command("simulate", cmd_simulate, "generate a synthetic dataset directory")
-    p.add_argument("--videos", type=_int_at_least(1), default=8)
+    # at most, as --bins: the simulator queues one job per video before the first runs, so the queue stays allocatable
+    p.add_argument("--videos", type=_int_at_least(1, 1_000_000), default=8)
     p.add_argument("--prefix", type=_video_prefix, default="video", help="video id prefix")
     _add_simulation_flags(p, frames_default=1800.0)
     p.add_argument("--out", required=True, help="dataset directory to write")
@@ -638,8 +642,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = command("pipeline", cmd_pipeline, "run the full synthetic pipeline end to end",
                 "--buffer", "--threshold", "--bins", "--format")
-    p.add_argument("--val-videos", type=_int_at_least(1), default=2)
-    p.add_argument("--test-videos", type=_int_at_least(1), default=3)
+    # capped as --videos
+    p.add_argument("--val-videos", type=_int_at_least(1, 1_000_000), default=2)
+    p.add_argument("--test-videos", type=_int_at_least(1, 1_000_000), default=3)
     _add_simulation_flags(p, frames_default=1200.0)
     p.add_argument("--out", required=True, help="artifact directory")
     return parser, parsers

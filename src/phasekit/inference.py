@@ -232,20 +232,21 @@ def sweep_threshold(
     baselines: dict[str, LogitSequence],
     bank: TransitionLogitBank,
     references: dict[str, PhaseTimeline],
-    cfg: InferenceConfig,
+    temperature: float,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Pick the confidence threshold with the most correct frames.
 
-    Runs the confidence strategy at every SWEEP_GRID threshold on each video
-    in ``baselines`` and pools its integer hit count against ``references``
-    over all of their frames. Returns (best_threshold, [(threshold,
-    accuracy), ...]); ties resolve to the smallest threshold. Confidences
-    and pair predictions are computed once per video for all thresholds.
+    Runs the confidence strategy at every SWEEP_GRID threshold, with
+    confidences at ``temperature``, on each video in ``baselines`` and pools
+    its integer hit count against ``references`` over all of their frames.
+    Returns (best_threshold, [(threshold, accuracy), ...]); ties resolve to
+    the smallest threshold. Confidences and pair predictions are computed
+    once per video for all thresholds.
     """
     videos = []
     for vid in sorted(baselines):
         _check_baseline(baselines[vid], bank)
-        preds, confs = argmax_confidence_rows(baselines[vid].logits, cfg.temperature)
+        preds, confs = argmax_confidence_rows(baselines[vid].logits, temperature)
         videos.append((preds, confs, _pair_predictions(bank, vid), references[vid].labels))
     n_frames = sum(base.num_frames for base in baselines.values())
     rows = []

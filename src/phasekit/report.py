@@ -47,12 +47,6 @@ def pct(value: float | None) -> str:
     return f"{100.0 * value:.2f}"
 
 
-def metric(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return UNDEFINED
-    return f"{value:.3f}"
-
-
 def render_table(headers: list[str], rows: list[list[str]], title: str) -> str:
     """Plain-text table under its ``title`` line, with left-aligned first column, right-aligned rest."""
     widths = [len(h) for h in headers]
@@ -92,8 +86,8 @@ def render_pair_table(baseline_accuracy: float | None, pair_accuracies: dict[str
 
 def render_calibration_table(report: CalibrationReport) -> str:
     body = [
-        ["baseline", metric(report.nll_before), metric(report.ece_before)],
-        ["calibrated", metric(report.nll_after), metric(report.ece_after)],
+        ["baseline", f"{report.nll_before:.3f}", f"{report.ece_before:.3f}"],
+        ["calibrated", f"{report.nll_after:.3f}", f"{report.ece_after:.3f}"],
     ]
     table = render_table(["Model", "NLL", "ECE"], body, title="Confidence calibration")
     return table + f"fitted temperature = {report.fitted.value!r}{AT_BOUND if report.fitted.at_bound else ''}\n"

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from functools import partial
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from phasekit.calibration import (
     ece,
     fit_temperature,
     golden_section_minimize,
+    held_out_report,
     reliability_bins,
 )
 from phasekit.logits import LogitSequence, argmax_confidence_rows, positive_temperature
@@ -460,6 +462,28 @@ class TestCalibrateReport:
         assert report == CalibrationReport(report.nll_before, report.nll_after, report.ece_before, report.ece_after,
                                            report.fitted)
         assert "reliability" not in repr(report)
+
+    @settings(max_examples=30)
+    @given(st.sampled_from([2, 7]), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 20))
+    def test_held_out_report_at_the_fit_is_calibrate_report(self, k, seed, on_bound, num_bins):
+        """calibrate_report is held_out_report at fit_temperature(val): every
+        field, and the reliability arrays bit for bit, for a fit inside the
+        search range or on its bound (a validation split confidently wrong
+        on every frame, whose NLL falls all the way to the upper bound)."""
+        rng = np.random.default_rng(seed)
+
+        def split(name):
+            return [LogitSequence(f"{name}{i}", rng.normal(scale=rng.uniform(0.5, 8), size=(n, k)),
+                                  labels=rng.integers(1, k + 1, size=n)) for i, n in enumerate(rng.integers(1, 400, 3))]
+
+        val = [LogitSequence("val", np.tile(10.0 * np.eye(k)[0], (50, 1)), labels=np.full(50, 2))] if on_bound else split("v")
+        test = split("t")
+        fitted = fit_temperature(val)
+        assert fitted.at_bound or not on_bound
+        got, want = held_out_report(fitted, test, num_bins), calibrate_report(val, test, num_bins)
+        assert got == want and repr(got) == repr(want)
+        for a, b in zip(chain(*got.reliability), chain(*want.reliability), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_overflowing_nll_rejected(self):
         val = LogitSequence("val", [[2.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 0.0]], labels=[1, 2, 2, 1])

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import filecmp
 import gc
@@ -369,6 +370,28 @@ class TestInfer:
         assert rc == 0, capsys.readouterr().err
         assert set(load_traces(trace)) == set(load_timelines(out)) == {"video00", "video01"}
         assert (out.parent / "config.txt").exists()
+
+    @pytest.mark.parametrize("out, trace, message", [
+        ("p.csv", "p.csv", "--out and --trace both name {trace}"),
+        ("p.csv", "new/../p.csv", "--out and --trace both name {trace}"),
+        ("config.txt", None, "--out and the configuration echo both name {echo}"),
+        ("p.csv", "config.txt", "--trace and the configuration echo both name {echo}"),
+    ], ids=["trace_is_out", "trace_spells_out_otherwise", "out_is_the_echo", "trace_is_the_echo"])
+    def test_outputs_that_overwrite_each_other_rejected_and_write_nothing(self, small_dataset, tmp_path, capsys,
+                                                                           out, trace, message):
+        """Two of infer's outputs, --out, --trace and the config.txt beside
+        --out, that resolve to one path end in exit 2 with one line naming
+        the flags, before anything is written."""
+        _, test = small_dataset
+        directory = tmp_path / "inf"
+        out, trace = directory / out, trace and directory / trace
+        rc = main(["infer", "--strategy", "transition", "--bank", str(test / "bank"),
+                   *(["--trace", str(trace)] if trace else []), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(trace=trace, echo=directory / 'config.txt')}\n"
+        assert captured.out == ""
+        assert not directory.exists()
 
     def test_confidence_with_auto_temperature(self, small_dataset, tmp_path, capsys):
         val, test = small_dataset
@@ -1299,7 +1322,7 @@ class TestPipeline:
             raise ValueError("calibration broke")
 
         self._wrap_writers(monkeypatch, wrap)
-        monkeypatch.setattr(cli.calibration, "calibrate_report", broken)
+        monkeypatch.setattr(cli, "_write_calibration", broken)
         assert main([*argv, "--out", str(tmp_path / "cut")]) == 2
         assert capsys.readouterr().err == "error in stage calibrate: calibration broke\n"
         with pytest.raises(ChildProcessError):
@@ -1313,7 +1336,7 @@ class TestPipeline:
         def broken(*args, **kwargs):
             raise ValueError("calibration broke")
 
-        monkeypatch.setattr(cli.calibration, "calibrate_report", broken)
+        monkeypatch.setattr(cli, "_write_calibration", broken)
         gc.collect()
         before = set(os.listdir("/proc/self/fd"))
         assert main(["pipeline", *self.TINY, "--out", str(tmp_path / "run")]) == 2
@@ -2117,7 +2140,58 @@ class TestFlagEdges:
                 assert "NaN" not in text and "Infinity" not in text, path
 
 
+# (command, flag, values it runs with, values it rejects naming the flag, values it rejects naming --base)
+COMMAND_FLAG_EDGES = [
+    ("infer", "--temperature", ["1e-300", "1.7976931348623157e308", " 1", "1_000"], ["0", "-0", "nan", "inf", "0x10"],
+     ["5e-324"]),
+    ("infer", "--threshold", ["0", "-0", "5e-324", "1"], ["1.0000000000000002", "nan"], []),
+    ("infer", "--buffer", ["1", str(2**63)], ["0"], []),
+    ("calibrate", "--bins", ["1"], ["0", "1000001"], []),
+]
+
+
+class TestCommandFlagEdges:
+    @pytest.mark.parametrize("command, flag, value, named", [
+        (command, flag, value, named) for command, flag, runs, rejected, base_named in COMMAND_FLAG_EDGES
+        for values, named in ((runs, None), (rejected, "flag"), (base_named, "base")) for value in values])
+    def test_flag_at_its_edge(self, fuzz_base, tmp_path, capsys, command, flag, value, named):
+        """infer --strategy confidence and calibrate, on a one-video dataset
+        with a numeric flag at an edge, exit 0 with finite JSON, or exit 2
+        with one line that names the flag, or the --base file its value
+        overflows, and write nothing: never a traceback or a numpy warning."""
+        data, out = fuzz_base / "data", tmp_path / "run"
+        argv = {"infer": ["infer", "--strategy", "confidence", "--base", str(data / "baseline.csv"), "--bank",
+                          str(data / "bank"), "--trace", str(out / "trace.csv"), "--out", str(out / "pred.csv")],
+                "calibrate": ["calibrate", "--val", str(data), "--test", str(data), "--out", str(out)]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the forked child inherits it
+            rc = main([*argv, flag, value])
+        err = capsys.readouterr().err
+        assert rc == (0 if named is None else 2), err
+        if named:
+            assert err.count("\n") == 1, err
+            assert (flag.lstrip("-") if named == "flag" else str(data / "baseline.csv")) in err, err
+            assert not out.exists()
+        else:
+            for path in out.rglob("*.json"):
+                text = path.read_text(encoding="utf-8")
+                assert "NaN" not in text and "Infinity" not in text, path
+
+
 class TestParseErrors:
+    @pytest.mark.parametrize("command, flag", [("simulate", "--videos"), ("pipeline", "--val-videos"),
+                                               ("pipeline", "--test-videos")])
+    def test_video_counts_are_capped(self, command, flag):
+        """A video count is capped as --bins is, since the simulator queues
+        one job per video before the first runs. Parsed only: a run at the
+        cap's far side would start allocating."""
+        parse = cli.build_parser()[0].parse_args
+        assert getattr(parse([command, flag, "1000000", "--out", "x"]), flag[2:].replace("-", "_")) == 1_000_000
+        for value in ("1000001", str(2**63)):
+            with pytest.raises(argparse.ArgumentError) as caught:
+                parse([command, flag, value, "--out", "x"])
+            assert str(caught.value) == f"argument {flag}: must be an integer <= 1000000, got '{value}'"
+
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
         (["calibrate", "--val", "x"], "the following arguments are required: --test"),

@@ -253,7 +253,7 @@ class TestSweep:
         z = 4.0 * np.eye(7)[gt.labels - 1] + rng.normal(scale=0.5, size=(140, 7))
         base = LogitSequence("v", z)
         bank = proximity_bank("v", gt)
-        best, rows = sweep_threshold({"v": base}, bank, {"v": gt}, InferenceConfig())
+        best, rows = sweep_threshold({"v": base}, bank, {"v": gt}, 1.0)
         assert [t for t, _ in rows] == [round(0.1 * i, 1) for i in range(1, 10)]
         assert best in [t for t, _ in rows]
         best_acc = max(acc for _, acc in rows)
@@ -279,10 +279,9 @@ class TestSweep:
         s_base, s_bank, s_gt = video("s", 10, 4, wrong_base=True)
         l_base, l_bank, l_gt = video("l", 100, 10, wrong_base=False)
         bank = TransitionLogitBank.merge([s_bank, l_bank])
-        cfg = InferenceConfig()
-        assert sweep_threshold({"s": s_base}, bank, {"s": s_gt}, cfg)[0] == 0.6
-        assert sweep_threshold({"l": l_base}, bank, {"l": l_gt}, cfg)[0] == 0.1
-        best, rows = sweep_threshold({"s": s_base, "l": l_base}, bank, {"s": s_gt, "l": l_gt}, cfg)
+        assert sweep_threshold({"s": s_base}, bank, {"s": s_gt}, 1.0)[0] == 0.6
+        assert sweep_threshold({"l": l_base}, bank, {"l": l_gt}, 1.0)[0] == 0.1
+        best, rows = sweep_threshold({"s": s_base, "l": l_base}, bank, {"s": s_gt, "l": l_gt}, 1.0)
         assert best == 0.1
         assert rows == [(t, (106 if t <= 0.5 else 100) / 110) for t in SWEEP_GRID]
 
@@ -411,5 +410,5 @@ def test_sweep_matches_per_frame_oracle(videos, temperature):
     baselines = {base.video_id: base for _, base, _ in videos}
     references = {gt.video_id: gt for gt, _, _ in videos}
     bank = TransitionLogitBank.merge([bank for _, _, bank in videos])
-    got = sweep_threshold(baselines, bank, references, InferenceConfig(temperature=temperature))
+    got = sweep_threshold(baselines, bank, references, temperature)
     assert got == oracle_sweep_threshold(baselines, bank, references, temperature)

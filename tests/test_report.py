@@ -13,7 +13,6 @@ from phasekit.metrics import evaluate_predictions
 from phasekit.report import (
     cascade_results,
     load_results_json,
-    metric,
     pct,
     render_calibration_table,
     render_pair_table,
@@ -38,10 +37,6 @@ class TestFormatting:
     def test_pct_undefined_marker(self):
         assert pct(None) == "n/a"
         assert pct(float("nan")) == "n/a"
-
-    def test_metric_three_decimals(self):
-        assert metric(0.5764) == "0.576"
-        assert metric(None) == "n/a"
 
 
 class TestTables:
