@@ -18,8 +18,8 @@ import numpy as np
 
 from . import calibration, inference, metrics, report, simulate
 from .fork import _results, _shared
-from .logits import (LogitSequence, TransitionLogitBank, assemble_bank, bank_files, check_bank_shapes, load_logits,
-                     positive_temperature)
+from .logits import (LogitSequence, PairLabelBank, TransitionLogitBank, bank_files, check_bank_shapes, load_logits,
+                     pair_argmax, positive_temperature)
 from .simulate import DEFAULT_PAIR_ACCURACY, NoiseSpec, WorkflowSpec, derive_video_seed
 from .workflow import NUM_PHASES, all_transition_pairs, check_utf8, load_timelines, save_timelines
 
@@ -253,8 +253,8 @@ def cmd_calibrate(args) -> int:
     val_file, test_file = Path(args.val) / "baseline.csv", Path(args.test) / "baseline.csv"
     pair_files = bank_files(Path(args.val) / "bank") if args.include_bank else []
     # each validation file's job fits its T there, so only the fits and the test split come back
-    jobs = [partial(_parsed_fit, _fit, val_file), partial(load_logits, test_file),
-            *(partial(_parsed_fit, partial(_pair_temperature, pair), path)
+    jobs = [partial(_parsed, _fit, val_file), partial(load_logits, test_file),
+            *(partial(_parsed, partial(_pair_temperature, pair), path)
               for pair, path in zip(all_transition_pairs(), pair_files))]
     (_, val_fit), test, *pairs = _results(jobs)
     if pairs:  # the bank is checked whole after its fits, as assemble_bank would
@@ -276,10 +276,11 @@ def _fit(path, sequences: dict) -> calibration.Temperature:
         return calibration.fit_temperature([sequences[v] for v in sorted(sequences)])
 
 
-def _parsed_fit(fit, path) -> tuple[dict, object]:
-    """Parse the logit file ``path``: the logits' shape per video, and ``fit(path, sequences)``."""
+def _parsed(reduce, path) -> tuple[dict, object]:
+    """Parse the logit file ``path``: the logits' shape per video, and ``reduce(path, sequences)``,
+    so that only these come back from a job."""
     sequences = load_logits(path)
-    return {vid: seq.logits.shape for vid, seq in sequences.items()}, fit(path, sequences)
+    return {vid: seq.logits.shape for vid, seq in sequences.items()}, reduce(path, sequences)
 
 
 def _pair_temperature(pair, path, sequences: dict) -> calibration.Temperature | None:
@@ -302,6 +303,23 @@ def _pair_temperature(pair, path, sequences: dict) -> calibration.Temperature | 
 
 # ---------------------------------------------------------------- infer
 
+def _pair_argmaxes(pair, path, sequences: dict) -> dict:
+    """Each video's pair_argmax of ``pair`` over the ``sequences`` of its pair file ``path``."""
+    return {vid: pair_argmax(pair, seq.logits) for vid, seq in sequences.items()}
+
+
+def _label_jobs(directory) -> list:
+    """One job per pair file of the bank ``directory``, in pair order, that
+    parses and checks every row and returns what PairLabelBank.assemble takes."""
+    return [partial(_parsed, partial(_pair_argmaxes, pair), path)
+            for pair, path in zip(all_transition_pairs(), bank_files(directory))]
+
+
+def _unlabeled(path) -> dict[str, LogitSequence]:
+    """The logit file ``path`` parsed, without the labels that no strategy reads."""
+    return {vid: replace(seq, labels=None) for vid, seq in load_logits(path).items()}
+
+
 def _run_strategy(strategy: str, baselines: dict[str, LogitSequence], bank, cfg, vid: str) -> tuple:
     """One video's (timeline, trace) under ``strategy``."""
     if strategy == "transition":
@@ -317,11 +335,11 @@ def _tuned(args) -> tuple[calibration.Temperature | None, tuple[float, list] | N
     base = load_logits(val / "baseline.csv")
     if args.sweep:
         gts = load_timelines(val / "gt.csv")
-        pairs = [load_logits(path) for path in bank_files(val / "bank")]
+        pairs = [job() for job in _label_jobs(val / "bank")]
     fit = _fit(val / "baseline.csv", base) if args.temperature == "auto" else None
     if not args.sweep:
         return fit, None
-    bank = assemble_bank(pairs)
+    bank = PairLabelBank.assemble(pairs)
     with _naming(val / "baseline.csv", val / "gt.csv"):
         metrics.require_ground_truth(base, gts)
     with _naming(val / "baseline.csv"):
@@ -357,17 +375,17 @@ def cmd_infer(args) -> int:
         other = first.setdefault(Path(path).resolve(), name) if path else name
         if other != name:  # one output would overwrite another, however their paths are spelled
             raise ValueError(f"{other} and {name} both name {path}")
-    jobs = [partial(load_logits, path) for path in bank_files(args.bank)]  # the pair files, 2 scores a row
+    jobs = _label_jobs(args.bank)  # the pair files, 2 scores a row, each back as one byte a frame
     if args.sweep:  # checked before the fork, as the bank's are
         bank_files(Path(args.val) / "bank")
     if confidence:  # the baselines, 7 scores a row, go before them: the largest jobs first
-        jobs.insert(0, partial(load_logits, args.base))
+        jobs.insert(0, partial(_unlabeled, args.base))
     if fit_on_val:  # first, one job parses the validation split and tunes on it, for --temperature auto and --sweep
         jobs.insert(0, partial(_tuned, args))
     parsed = _results(jobs)
     fit, sweep = parsed.popleft() if fit_on_val else (None, None)
     baselines = parsed.popleft() if confidence else {}
-    bank = assemble_bank(parsed)
+    bank = PairLabelBank.assemble(parsed)
     temperature, threshold = args.temperature, args.threshold
     if fit:
         temperature = fit.value
@@ -409,20 +427,35 @@ def _write_results(out: Path, results: dict, formats, texts: dict) -> None:
             (out / name).write_text(report.render_report_text(family), encoding="utf-8")
 
 
+def _keep_inputs(inputs: dict, outputs: dict) -> None:
+    """Raise ValueError when an input file, {flag: path}, is one of the
+    ``outputs``, {path: what writes it}, however their paths are spelled."""
+    written = {Path(path).resolve(): what for path, what in outputs.items()}
+    for flag, path in inputs.items():
+        if Path(path).resolve() in written:
+            raise ValueError(f"{flag} and {written[Path(path).resolve()]} both name {path}")
+
+
 def cmd_evaluate(args) -> int:
+    out = Path(args.out)
+    inputs = {flag: path for flag, path in (("--pred", args.pred), ("--gt", args.gt), ("--trace", args.trace)) if path}
+    _keep_inputs(inputs, {out / name: what for name, what, fmt in (
+        ("results.json", "the results JSON", "json"), ("evaluation.txt", "the evaluation text", "text"),
+        ("config.txt", "the configuration echo", None)) if fmt is None or fmt in args.format})
     reads = [partial(load_timelines, args.pred), partial(load_timelines, args.gt)]
     if args.trace:  # the largest file first: a trace row has 4 columns, a timeline row 1
         reads.insert(0, partial(inference.load_traces, args.trace))
     parsed = _results(reads)
     traces = parsed.popleft() if args.trace else {}
     preds, gts = parsed.popleft(), parsed.popleft()
+    if "svg" in args.format:
+        _keep_inputs(inputs, {out / f"ribbon_{vid}.svg": f"the ribbon of video {vid!r}" for vid in preds})
     with _naming(args.pred, args.gt):
         results = metrics.evaluate_predictions(preds, gts)
     if args.trace:
         with _naming(args.trace, args.gt):
             metrics.require_ground_truth(traces, gts)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if "svg" in args.format:
         for vid in sorted(preds):

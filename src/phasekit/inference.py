@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .logits import LogitSequence, TransitionLogitBank, argmax_confidence_rows, positive_temperature
+from .logits import LogitSequence, PairLabelBank, TransitionLogitBank, argmax_confidence_rows, positive_temperature
 from .workflow import (NUM_PHASES, PhaseTimeline, all_transition_pairs, float_text, frozen, int_text, phase_cells,
                        read_rows, row_block, write_rows)
 
@@ -33,6 +33,9 @@ TRACE_HEADER = "video_id,frame_idx,model,state,confidence,prediction"
 
 # Confidence thresholds tried by sweep_threshold, ascending.
 SWEEP_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
+
+# What a strategy reads of a bank is its pair_labels, which either kind gives.
+Bank = TransitionLogitBank | PairLabelBank
 
 # Frames the transition strategy extends its current majority over per step.
 _LOOKAHEAD = 512
@@ -112,19 +115,8 @@ class InferenceTrace:
         return tuple(map(_Record, range(len(self)), names, self.state.tolist(), conf, self.prediction.tolist()))
 
 
-def _pair_argmax(bank: TransitionLogitBank, video_id: str, pair) -> np.ndarray:
-    """The (n,) phase labels of ``pair``'s binary argmax; ties go to the low phase."""
-    z = bank.sequences[video_id][pair].logits
-    return pair.low + (z[:, 0] < z[:, 1])
-
-
-def _pair_predictions(bank: TransitionLogitBank, video_id: str) -> np.ndarray:
-    """(6, n) phase labels whose row k - 1 is pair (k, k + 1)'s binary argmax."""
-    return np.stack([_pair_argmax(bank, video_id, pair) for pair in all_transition_pairs()])
-
-
 def transition_inference(
-    bank: TransitionLogitBank,
+    bank: Bank,
     video_id: str,
     cfg: InferenceConfig = InferenceConfig(),
 ) -> tuple[PhaseTimeline, InferenceTrace]:
@@ -142,9 +134,7 @@ def transition_inference(
     whose majority differs, which it then starts from. The majority may fall
     as well as rise.
     """
-    if video_id not in bank.sequences:
-        raise ValueError(f"bank does not cover video {video_id!r}")
-    pair_preds = _pair_predictions(bank, video_id)
+    pair_preds = bank.pair_labels(video_id)
     n = pair_preds.shape[1]
     # frame t's buffer holds t < n emissions and at least size - t fill ones,
     # so any size >= 2n keeps the majority at 1 throughout, as 2n does
@@ -170,16 +160,17 @@ def transition_inference(
     return PhaseTimeline(video_id, out), trace
 
 
-def _check_baseline(base: LogitSequence, bank: TransitionLogitBank) -> None:
+def _checked_pair_labels(base: LogitSequence, bank: Bank) -> np.ndarray:
+    """``bank``'s pair_labels for the video of ``base``, once the two agree."""
     if base.num_classes != NUM_PHASES:
         raise ValueError(f"baseline logits must have K={NUM_PHASES}, got K={base.num_classes}")
-    if base.video_id not in bank.sequences:
-        raise ValueError(f"bank does not cover video {base.video_id!r}")
-    if bank.frame_count(base.video_id) != base.num_frames:
+    pair_preds = bank.pair_labels(base.video_id)
+    if pair_preds.shape[1] != base.num_frames:
         raise ValueError(
-            f"bank frame count {bank.frame_count(base.video_id)} does not match "
+            f"bank frame count {pair_preds.shape[1]} does not match "
             f"baseline frame count {base.num_frames} for video {base.video_id!r}"
         )
+    return pair_preds
 
 
 def _switched_predictions(preds, confs, pair_preds, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +195,7 @@ def _switched_predictions(preds, confs, pair_preds, threshold: float) -> tuple[n
 
 def confidence_inference(
     base: LogitSequence,
-    bank: TransitionLogitBank,
+    bank: Bank,
     cfg: InferenceConfig = InferenceConfig(),
 ) -> tuple[PhaseTimeline, InferenceTrace]:
     """Run the calibrated-confidence switching strategy for one video.
@@ -213,9 +204,9 @@ def confidence_inference(
     cfg.temperature) strictly exceeds cfg.conf_threshold; otherwise the pair
     indexed by the last emitted prediction substitutes. p_last starts at 1.
     """
-    _check_baseline(base, bank)
+    pair_preds = _checked_pair_labels(base, bank)
     preds, confs = argmax_confidence_rows(base.logits, cfg.temperature)
-    out, accepted = _switched_predictions(preds, confs, _pair_predictions(bank, base.video_id), cfg.conf_threshold)
+    out, accepted = _switched_predictions(preds, confs, pair_preds, cfg.conf_threshold)
     out.flags.writeable = False  # so the timeline and the trace share it
     p_last = np.concatenate([[1], out[:-1]])
     model = np.where(accepted, 0, _PAIR_CODE[p_last - 1])
@@ -230,7 +221,7 @@ def baseline_argmax(base: LogitSequence) -> PhaseTimeline:
 
 def sweep_threshold(
     baselines: dict[str, LogitSequence],
-    bank: TransitionLogitBank,
+    bank: Bank,
     references: dict[str, PhaseTimeline],
     temperature: float,
 ) -> tuple[float, list[tuple[float, float]]]:
@@ -245,9 +236,9 @@ def sweep_threshold(
     """
     videos = []
     for vid in sorted(baselines):
-        _check_baseline(baselines[vid], bank)
+        pair_preds = _checked_pair_labels(baselines[vid], bank)
         preds, confs = argmax_confidence_rows(baselines[vid].logits, temperature)
-        videos.append((preds, confs, _pair_predictions(bank, vid), references[vid].labels))
+        videos.append((preds, confs, pair_preds, references[vid].labels))
     n_frames = sum(base.num_frames for base in baselines.values())
     rows = []
     best, best_hits = None, -1

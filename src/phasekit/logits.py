@@ -154,11 +154,44 @@ class TransitionLogitBank:
     def videos(self) -> list[str]:
         return sorted(self.sequences)
 
-    def frame_count(self, video_id: str) -> int:
+    def pair_labels(self, video_id: str) -> np.ndarray:
+        """The (6, n) read-only phases whose row k - 1 is pair (k, k + 1)'s pair_argmax."""
         by_pair = self.sequences.get(video_id)
-        if not by_pair:
-            raise KeyError(f"bank does not cover video {video_id!r}")
-        return next(iter(by_pair.values())).num_frames
+        if by_pair is None:
+            raise ValueError(f"bank does not cover video {video_id!r}")
+        return frozen(np.stack([pair_argmax(pair, by_pair[pair].logits) for pair in all_transition_pairs()]), np.uint8)
+
+
+@dataclass(frozen=True)
+class PairLabelBank:
+    """The part of a TransitionLogitBank that the inference strategies read:
+    ``labels`` maps video_id -> its (6, n) read-only uint8 pair_labels."""
+
+    labels: dict[str, np.ndarray]
+
+    @classmethod
+    def assemble(cls, parsed) -> "PairLabelBank":
+        """The bank of the six pair files ``parsed``, in pair order, each as
+        ({video_id: logit shape}, {video_id: pair_argmax}); a bad layout
+        raises what assemble_bank raises for those files."""
+        check_bank_shapes([shapes for shapes, _ in parsed])
+        per_video = _by_video([labels for _, labels in parsed])
+        return cls({vid: frozen(np.stack(list(by_pair.values())), np.uint8) for vid, by_pair in per_video.items()})
+
+    def videos(self) -> list[str]:
+        return sorted(self.labels)
+
+    def pair_labels(self, video_id: str) -> np.ndarray:
+        """The (6, n) read-only phases whose row k - 1 is pair (k, k + 1)'s pair_argmax."""
+        if video_id not in self.labels:
+            raise ValueError(f"bank does not cover video {video_id!r}")
+        return self.labels[video_id]
+
+
+def pair_argmax(pair: TransitionPair, logits: np.ndarray) -> np.ndarray:
+    """The (n,) read-only uint8 phases of ``pair``'s binary argmax over (n, 2)
+    ``logits``; ties, -0.0 against 0.0 among them, go to the low phase."""
+    return frozen(pair.low + (logits[:, 0] < logits[:, 1]), np.uint8)
 
 
 def save_logits(sequences, path) -> None:

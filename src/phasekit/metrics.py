@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import InferenceTrace, _pair_argmax
-from .logits import TransitionLogitBank
+from .inference import Bank, InferenceTrace
 from .workflow import NUM_PHASES, PhaseTimeline, TransitionPair, all_transition_pairs
 
 
@@ -82,7 +81,7 @@ def evaluate_predictions(preds: dict[str, PhaseTimeline], gts: dict[str, PhaseTi
     return out
 
 
-def bank_restricted_accuracies(bank: TransitionLogitBank, gts: dict[str, PhaseTimeline]) -> dict:
+def bank_restricted_accuracies(bank: Bank, gts: dict[str, PhaseTimeline]) -> dict:
     """``pair.<pair>.accuracy``: the restricted accuracy of each 2-class
     model's argmax, pooled over the videos the bank and ``gts`` share.
 
@@ -93,11 +92,9 @@ def bank_restricted_accuracies(bank: TransitionLogitBank, gts: dict[str, PhaseTi
     if not videos:
         raise ValueError("bank and ground truth share no videos")
     g_all = np.concatenate([gts[v].labels for v in videos])
-    out = {}
-    for pair in all_transition_pairs():  # one pair's predictions at a time
-        p_all = np.concatenate([_pair_argmax(bank, v, pair) for v in videos])
-        out[f"pair.{pair.name}.accuracy"] = restricted_pair_accuracy(p_all, g_all, pair)
-    return out
+    p_all = np.concatenate([bank.pair_labels(v) for v in videos], axis=1)  # one byte a frame per pair
+    return {f"pair.{pair.name}.accuracy": restricted_pair_accuracy(preds, g_all, pair)
+            for pair, preds in zip(all_transition_pairs(), p_all, strict=True)}
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,16 @@ its trailing window, as the stacked-matmul version replaced it. The ribbon
 draws one rect per frame, as the one-rect-per-run version replaced it. The
 NLL objective allocates its temporaries at each probe, as the buffered
 version replaced it; it and the reliability bins take one concatenated
-(n, K) set, as the per-sequence versions replaced them.
+(n, K) set, as the per-sequence versions replaced them. The ``infer``
+command parses every file whole into a TransitionLogitBank, as the
+argmax-only PairLabelBank of its parse jobs replaced it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +33,12 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from phasekit.attention import scaled_dot_attention
-from phasekit.inference import BASELINE_MODEL, MODEL_NAMES, SWEEP_GRID, TRACE_HEADER, InferenceTrace
-from phasekit.logits import LOGIT_HEADER, LogitSequence, argmax_confidence_rows
-from phasekit.report import PHASE_COLORS
+from phasekit.calibration import fit_temperature
+from phasekit.inference import (BASELINE_MODEL, MODEL_NAMES, SWEEP_GRID, TRACE_HEADER, InferenceConfig, InferenceTrace,
+                                confidence_inference, sweep_threshold, transition_inference)
+from phasekit.logits import LOGIT_HEADER, LogitSequence, argmax_confidence_rows, assemble_bank, bank_files, load_logits
+from phasekit.metrics import require_ground_truth
+from phasekit.report import AT_BOUND, PHASE_COLORS
 from phasekit.workflow import (
     NUM_PHASES,
     PHASE_MAX,
@@ -41,6 +47,7 @@ from phasekit.workflow import (
     PhaseTimeline,
     TransitionPair,
     all_transition_pairs,
+    load_timelines,
     pair_for_phase,
 )
 
@@ -450,6 +457,74 @@ def oracle_sweep_threshold(baselines, bank, references, temperature: float) -> t
         if hits > best_hits:
             best, best_hits = t_conf, hits
     return best, rows
+
+
+@contextmanager
+def _naming(*paths):
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{' and '.join(map(str, paths))}: {exc}") from None
+
+
+def _oracle_infer_run(printed: list, strategy, bank, out, base, val, temperature, sweep, threshold, buffer,
+                      trace) -> None:
+    pair_paths = bank_files(bank)
+    if sweep:
+        bank_files(Path(val) / "bank")
+    fit = table = None
+    if val:  # the validation split, tuned on before any test file is parsed
+        val = Path(val)
+        val_base = load_logits(val / "baseline.csv")
+        if sweep:
+            gts = load_timelines(val / "gt.csv")
+            val_pairs = [load_logits(path) for path in bank_files(val / "bank")]
+        if temperature == "auto":
+            with _naming(val / "baseline.csv"):
+                fit = fit_temperature([val_base[v] for v in sorted(val_base)])
+            temperature = fit.value
+        if sweep:
+            val_bank = assemble_bank(val_pairs)
+            with _naming(val / "baseline.csv", val / "gt.csv"):
+                require_ground_truth(val_base, gts)
+            with _naming(val / "baseline.csv"):
+                threshold, table = sweep_threshold(val_base, val_bank, gts, temperature)
+    baselines = load_logits(base) if strategy == "confidence" else {}
+    logit_bank = assemble_bank([load_logits(path) for path in pair_paths])
+    if fit:
+        printed.append(f"fitted temperature on validation split: {fit.value!r}{AT_BOUND if fit.at_bound else ''}\n")
+    if table:
+        printed.append("threshold sweep on validation split:\n")
+        printed.extend(f"  t_conf={t:.1f}  accuracy={100 * a:.2f}%{'  <- best' if t == threshold else ''}\n"
+                       for t, a in table)
+    cfg = InferenceConfig(buffer_size=buffer, conf_threshold=threshold, temperature=temperature)
+    with _naming(base if strategy == "confidence" else bank):
+        if strategy == "transition":
+            runs = [transition_inference(logit_bank, vid, cfg) for vid in logit_bank.videos()]
+        else:
+            runs = [confidence_inference(baselines[vid], logit_bank, cfg) for vid in sorted(baselines)]
+    for path in filter(None, (out, trace)):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    oracle_save_timelines([timeline for timeline, _ in runs], out)
+    if trace:
+        oracle_save_trace_arrays([t for _, t in runs], trace)
+    printed.append(f"wrote {len(runs)} predicted timelines to {out}\n")
+
+
+def oracle_infer(strategy: str, bank, out, *, base=None, val=None, temperature=1.0, sweep: bool = False,
+                 threshold: float = 0.5, buffer: int = 100, trace=None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``infer`` run with these flags, which
+    are valid together, and its --out and --trace files. Every input file
+    is parsed whole by load_logits, each bank is a TransitionLogitBank from
+    assemble_bank, the library's strategies run on it, and the files are
+    written one line per frame. Files are parsed in infer's job order, so
+    the first error is the one infer reports."""
+    printed: list[str] = []
+    try:
+        _oracle_infer_run(printed, strategy, bank, out, base, val, temperature, sweep, threshold, buffer, trace)
+    except (ValueError, KeyError, OSError) as exc:
+        return 2, "".join(printed), f"error: {exc}\n"
+    return 0, "".join(printed), ""
 
 
 def oracle_detect_cascades(records, gt_labels) -> list[tuple[int, int, int]]:

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -15,6 +16,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -24,15 +26,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import attention_smooth_loop
-from phasekit import cli
+from oracles import attention_smooth_loop, oracle_infer, oracle_pair_predictions
+from phasekit import cli, inference
 from phasekit import fork as fork_layer
 from phasekit.calibration import fit_temperature, reliability_bins
 from phasekit.cli import main
 from phasekit.inference import baseline_argmax, load_traces
-from phasekit.logits import LogitSequence, load_bank, load_logits, save_logits
+from phasekit.logits import (LogitSequence, PairLabelBank, assemble_bank, bank_files, bank_path, load_bank, load_logits,
+                             save_logits)
 from phasekit.report import load_results_json
-from phasekit.workflow import load_timelines
+from phasekit.workflow import PhaseTimeline, all_transition_pairs, load_timelines, save_timelines
 
 
 @pytest.fixture(autouse=True)
@@ -159,7 +162,7 @@ class TestSimulate:
         bank = load_bank(val / "bank")
         assert sorted(gts) == ["video00", "video01"]
         for vid, gt in gts.items():
-            assert bases[vid].num_frames == len(gt) == bank.frame_count(vid)
+            assert bases[vid].num_frames == len(gt) == bank.pair_labels(vid).shape[1]
 
     SMALL = ["simulate", "--videos", "3", "--frames-mean", "140", "--seed", "7"]
 
@@ -677,6 +680,30 @@ class TestEvaluate:
         by_format = {"text": {"evaluation.txt"}, "json": {"results.json"},
                      "svg": {"ribbon_video00.svg", "ribbon_video01.svg"}}
         assert {p.name for p in out.iterdir()} == {"config.txt"}.union(*(by_format[f] for f in formats.split(",")))
+
+    @pytest.mark.parametrize("flag, name, what", [
+        ("--pred", "results.json", "the results JSON"),
+        ("--pred", "../eval/evaluation.txt", "the evaluation text"),
+        ("--gt", "ribbon_video00.svg", "the ribbon of video 'video00'"),
+        ("--trace", "config.txt", "the configuration echo"),
+    ], ids=["pred_is_the_results", "pred_spells_the_text_otherwise", "gt_is_a_ribbon", "trace_is_the_echo"])
+    def test_input_that_an_output_would_overwrite_rejected_and_left_unchanged(self, small_dataset, replayed, tmp_path,
+                                                                              capsys, flag, name, what):
+        """An input that resolves to a file evaluate would write in --out
+        ends in exit 2 with one line naming the flag, before anything is
+        written: the input keeps its bytes and --out gains no file."""
+        (_, test), (pred, trace) = small_dataset, replayed
+        inputs = {"--pred": pred, "--gt": test / "gt.csv", "--trace": trace}
+        out = tmp_path / "eval"
+        out.mkdir()
+        shutil.copy(inputs[flag], out / name)
+        before = (out / name).read_bytes()
+        inputs[flag] = out / name
+        rc = main(["evaluate", *chain.from_iterable((f, str(path)) for f, path in inputs.items()), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {flag} and {what} both name {out / name}\n")
+        assert (out / name).read_bytes() == before
+        assert os.listdir(out) == [Path(name).name]
 
     @pytest.mark.parametrize("column, value", [
         (1, "99999"),  # beyond the end of the timeline
@@ -1612,6 +1639,19 @@ def _bad_row(path: Path, dst: Path, line: int) -> Path:
     return dst
 
 
+def _arrays_in(value):
+    """Every array in ``value``, searched through its containers and the fields of its objects."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        yield from _arrays_in(list(value.values()))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays_in(item)
+    elif hasattr(value, "__dict__"):
+        yield from _arrays_in(vars(value))
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="every file is parsed in this process")
 class TestForkedReads:
     """calibrate, infer and evaluate parse their input files in this process
@@ -1623,8 +1663,9 @@ class TestForkedReads:
     def test_forked_reads_match_inline_reads(self, small_dataset, replayed, tmp_path, capsys, monkeypatch, case):
         """Same --out bytes and stdout with and without os.fork: one fork to
         parse and fit, and none for the output, which infer and evaluate
-        make in this process. Every loaded array stays read-only, also where
-        it came from the child."""
+        make in this process. Every array a job returns stays read-only, also
+        where it came from the child: the loaded sequences' and timelines',
+        and the pair files' labels that infer's jobs return in their place."""
         out = tmp_path / "out"
         argv = _with_out(_read_commands(*small_dataset, *replayed, out)[case], out)
         loaded, results = [], cli._results
@@ -1641,8 +1682,7 @@ class TestForkedReads:
         assert main(argv) == 0
         forked, tree = capsys.readouterr(), _tree(out)
         assert forks == [1]
-        arrays = [value for by_video in loaded if isinstance(by_video, dict) for item in by_video.values()
-                  if hasattr(item, "__dict__") for value in vars(item).values() if isinstance(value, np.ndarray)]
+        arrays = list(_arrays_in(loaded))
         assert arrays and not any(a.flags.writeable for a in arrays)
 
         shutil.rmtree(out)
@@ -1912,6 +1952,237 @@ class TestForkedReads:
         assert main(["calibrate", "--val", str(val), "--test", str(bad.parent), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:4: ")
         assert set(os.listdir("/proc/self/fd")) == before
+
+
+class TestInferHoldsLabels:
+    """Of each pair file, infer keeps one byte a frame: its parse jobs return
+    the pair_argmax labels, not the logits, and the strategies read those."""
+
+    def test_a_pair_file_job_returns_at_most_two_bytes_a_frame(self, small_dataset, tmp_path, monkeypatch):
+        """Pickled as the child sends it, each of the six --bank jobs'
+        results; and the labeled --base comes back without its labels."""
+        _, test = small_dataset
+        sizes, labels, results = [], [], cli._results
+
+        def measuring(jobs):
+            jobs = list(jobs)
+            done = results(jobs)
+            for job, result in zip(jobs, done):
+                path = Path(job.args[-1])
+                if path.name.startswith("trans_"):
+                    frames = len(path.read_text().splitlines()) - 1
+                    sizes.append(len(pickle.dumps(result, protocol=5)) / frames)
+                else:
+                    labels.extend(seq.labels for seq in result.values())
+            return done
+
+        monkeypatch.setattr(cli, "_results", measuring)
+        assert main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
+                     "--bank", str(test / "bank"), "--out", str(tmp_path / "pred.csv")]) == 0
+        assert len(sizes) == 6 and max(sizes) <= 2, sizes
+        assert labels == [None, None]
+
+    @pytest.mark.parametrize("how", ["forked", "inline"])
+    def test_no_pair_file_sequence_outlives_the_parse(self, small_dataset, tmp_path, monkeypatch, how):
+        """Once the jobs are done, no K=2 LogitSequence is alive in this
+        process, also where --sweep parsed the validation bank in a job."""
+        val, test = small_dataset
+
+        def two_class() -> list:
+            gc.collect()
+            return [o for o in gc.get_objects() if isinstance(o, LogitSequence) and o.num_classes == 2]
+
+        before = two_class()  # held, so that no id is reused
+        held, alive, results = {id(o) for o in before}, [], cli._results
+
+        def scanning(jobs):
+            done = results(jobs)
+            alive.extend(o.video_id for o in two_class() if id(o) not in held)
+            return done
+
+        monkeypatch.setattr(cli, "_results", scanning)
+        if how == "inline":
+            monkeypatch.delattr(os, "fork")
+        assert main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"),
+                     "--bank", str(test / "bank"), "--temperature", "auto", "--sweep", "--val", str(val),
+                     "--out", str(tmp_path / "pred.csv")]) == 0
+        assert alive == []
+
+    def test_the_strategies_are_called_through_their_wrapped_names(self, small_dataset, tmp_path, monkeypatch):
+        """Wrapped wherever a phasekit module holds them, as the bench's
+        traced run wraps them, each strategy is called once per video and
+        the sweep once, so that their time is seen."""
+        val, test = small_dataset
+        monkeypatch.delattr(os, "fork")  # every job runs in this process, the sweep's too
+        calls = Counter()
+        for name in ("transition_inference", "confidence_inference", "sweep_threshold"):
+            original = getattr(inference, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in [m for n, m in sys.modules.items() if n == "phasekit" or n.startswith("phasekit.")]:
+                for attr in [a for a, v in vars(module).items() if v is original]:
+                    monkeypatch.setattr(module, attr, counting)
+        bank = ["--bank", str(test / "bank")]
+        assert main(["infer", "--strategy", "transition", *bank, "--out", str(tmp_path / "t.csv")]) == 0
+        assert main(["infer", "--strategy", "confidence", "--base", str(test / "baseline.csv"), *bank,
+                     "--temperature", "auto", "--sweep", "--val", str(val), "--out", str(tmp_path / "c.csv")]) == 0
+        assert calls == {"transition_inference": 2, "confidence_inference": 2, "sweep_threshold": 1}
+
+
+# Scores drawn for the differential runs of infer: exact ties, signed zeros and subnormals are common.
+_SCORE_VALUES = np.array([-2.0, -1.0, -0.0, 0.0, 5e-324, -5e-324, 1e-310, 1.0, 2.5])
+
+
+def _write_split(root: Path, frames: list[int], rng, labeled: bool) -> None:
+    """A split under ``root`` of videos v0, v1, ... with these frame counts:
+    baseline.csv (K=7), gt.csv and the six pair files of bank/, every score
+    one of _SCORE_VALUES. The label columns hold the ground truth when
+    ``labeled``, and 0 otherwise."""
+    (root / "bank").mkdir(parents=True)
+    gts = [PhaseTimeline(f"v{i}", rng.integers(1, 8, size=n)) for i, n in enumerate(frames)]
+    files = [(7, root / "baseline.csv"), *((2, bank_path(root / "bank", pair)) for pair in all_transition_pairs())]
+    for k, path in files:
+        save_logits([LogitSequence(gt.video_id, rng.choice(_SCORE_VALUES, size=(len(gt), k)),
+                                   labels=gt.labels if labeled else None) for gt in gts], path)
+    save_timelines(gts, root / "gt.csv")
+
+
+@st.composite
+def infer_flags(draw) -> dict:
+    """infer's flags, valid together, that read --val where they may: its
+    strategy, --buffer and, for the confidence strategy, --temperature
+    (auto or a number), --sweep and --threshold (without --sweep)."""
+    flags = {"strategy": draw(st.sampled_from(["transition", "confidence"])), "buffer": draw(st.integers(1, 40))}
+    if flags["strategy"] == "confidence":
+        flags["temperature"] = draw(st.sampled_from(["auto", 0.5, 1.0, 3.0]))
+        flags["sweep"] = draw(st.booleans())
+        if not flags["sweep"]:
+            flags["threshold"] = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    return flags
+
+
+def _infer_run(how: str, flags: dict, root: Path) -> tuple:
+    """(exit code, stdout, stderr, --out bytes, --trace bytes) of infer with
+    ``flags``, run ``how``: "forked", "inline" (without os.fork) or by
+    "oracle"; its outputs go under ``root / how``, shown as <out> in its text."""
+    out, trace = root / how / "pred.csv", root / how / "trace.csv"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    if how == "oracle":
+        rc, printed, errors = oracle_infer(out=out, trace=trace, **flags)
+        stdout.write(printed)
+        stderr.write(errors)
+    else:
+        argv = ["infer", "--trace", str(trace), "--out", str(out)]
+        for key, value in flags.items():
+            if value is True:
+                argv.append(f"--{key}")
+            elif value is not False:
+                argv += [f"--{key}", str(value)]
+        with contextlib.ExitStack() as stack:
+            if how == "inline":
+                stack.enter_context(pytest.MonkeyPatch.context()).delattr(os, "fork")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main(argv)
+    files = tuple(path.read_bytes() if path.exists() else None for path in (out, trace))
+    return (rc, *(text.getvalue().replace(str(root / how), "<out>") for text in (stdout, stderr)), *files)
+
+
+class TestInferOracle:
+    """infer, forked and inline, gives what its oracle gives: every file
+    parsed whole into a TransitionLogitBank and the strategies run on that."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(val_frames=st.lists(st.integers(1, 25), min_size=1, max_size=3),
+           test_frames=st.lists(st.integers(1, 25), min_size=1, max_size=3),
+           labeled=st.booleans(), seed=st.integers(0, 2**32 - 1), flags=infer_flags())
+    def test_infer_matches_its_oracle(self, val_frames, test_frames, labeled, seed, flags):
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            _write_split(root / "val", val_frames, rng, labeled=True)
+            _write_split(root / "test", test_frames, rng, labeled)
+            flags = {**flags, "bank": root / "test" / "bank"}
+            if flags["strategy"] == "confidence":
+                flags["base"] = root / "test" / "baseline.csv"
+                if flags["sweep"] or flags["temperature"] == "auto":
+                    flags["val"] = root / "val"
+            runs = {how: _infer_run(how, flags, root) for how in ("oracle", "forked", "inline")}
+        assert runs["oracle"][0] == 0, runs["oracle"][2]
+        assert runs["forked"] == runs["oracle"]
+        assert runs["inline"] == runs["oracle"]
+
+    @pytest.mark.parametrize("strategy, case", [
+        *(("transition", case) for case in ("missing_pair", "k3_pair", "pair_frames", "pair_uncovered")),
+        *(("confidence", case) for case in ("missing_pair", "k3_pair", "pair_frames", "pair_uncovered", "base_frames",
+                                            "base_uncovered", "base_k2", "overflow", "overflow_sweep")),
+    ])
+    def test_bad_input_fails_as_the_oracle_does(self, small_dataset, tmp_path, strategy, case):
+        """Exit 2 with the oracle's one stderr line, and the oracle's stdout:
+        a missing or K=3 pair file, a pair file that is a frame short or
+        lacks a video, a baseline that is a frame short, covers a video the
+        bank does not, has K=2 or overflows at --temperature 1e-308."""
+        val, test = small_dataset
+        data = tmp_path / "data"
+        shutil.copytree(test, data)
+        bank, base = data / "bank", data / "baseline.csv"
+
+        def edit(path, change):  # ``change`` maps the file's rows, header first, as lists of cells
+            rows = change([line.split(",") for line in path.read_text().splitlines()])
+            path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+        if case == "missing_pair":
+            (bank / "trans_3_4.csv").unlink()
+        elif case == "k3_pair":
+            edit(bank / "trans_2_3.csv", lambda rows: [[*rows[0], "z3"], *([*r, "0.5"] for r in rows[1:])])
+        elif case in ("pair_frames", "base_frames"):
+            edit(bank / "trans_5_6.csv" if case == "pair_frames" else base, lambda rows: rows[:-1])
+        elif case == "pair_uncovered":
+            edit(bank / "trans_4_5.csv", lambda rows: [r for r in rows if r[0] != "video01"])
+        elif case == "base_uncovered":
+            edit(base, lambda rows: [["zz", *r[1:]] if r[0] == "video01" else r for r in rows])
+        elif case == "base_k2":
+            edit(base, lambda rows: [r[:5] for r in rows])
+        flags = {"strategy": strategy, "bank": bank}
+        if strategy == "confidence":
+            flags.update(base=base, val=val, temperature="auto", sweep=True)
+            if case.startswith("overflow"):
+                flags.update(temperature=1e-308, sweep=case == "overflow_sweep")
+                if case == "overflow":
+                    del flags["val"]
+        runs = {how: _infer_run(how, flags, tmp_path) for how in ("oracle", "forked", "inline")}
+        rc, _, err, out, trace = runs["oracle"]
+        assert (rc, out, trace) == (2, None, None) and err.startswith("error: ") and err.count("\n") == 1, err
+        assert runs["forked"] == runs["oracle"]
+        assert runs["inline"] == runs["oracle"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                                                      2.2250738585072014e-308, 1.0, -1.0])] * 2),
+                         min_size=1, max_size=12),
+           split=st.integers(0, 12))
+    def test_both_bank_kinds_give_the_oracles_pair_labels(self, rows, split):
+        """On exact ties, signed zeros and subnormals, read back from pair
+        files: the logits bank and the argmax-only bank that infer builds
+        from its parse jobs give equal read-only uint8 pair_labels, those of
+        the oracle's binary argmax."""
+        z = np.array(rows)
+        videos = {"a": z[:split], "b": z[split:]} if 0 < split < len(z) else {"a": z}
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, pair in enumerate(all_transition_pairs()):  # each pair reads the rows from its own start
+                save_logits([LogitSequence(vid, np.roll(zv, k, axis=0)) for vid, zv in videos.items()],
+                            bank_path(tmp, pair))
+            logit_bank = assemble_bank([load_logits(path) for path in bank_files(tmp)])
+            label_bank = PairLabelBank.assemble([job() for job in cli._label_jobs(tmp)])
+        assert label_bank.videos() == logit_bank.videos() == sorted(videos)
+        for vid in videos:
+            oracle = oracle_pair_predictions(logit_bank, vid)
+            want = np.stack([oracle[pair] for pair in all_transition_pairs()])
+            for labels in (logit_bank.pair_labels(vid), label_bank.pair_labels(vid)):
+                assert labels.dtype == np.uint8 and not labels.flags.writeable
+                assert np.array_equal(labels, want)
 
 
 JOB_KINDS = ("value",) * 6 + (ValueError, KeyError, OSError, TypeError)

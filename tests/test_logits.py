@@ -290,7 +290,7 @@ class TestBank:
         save_bank(bank, tmp_path / "bank")
         loaded = load_bank(tmp_path / "bank")
         assert loaded.videos() == ["v"]
-        assert loaded.frame_count("v") == 4
+        assert loaded.pair_labels("v").shape == (6, 4)
 
     def test_missing_pair_file_named(self, tmp_path):
         bank = self._bank_for()

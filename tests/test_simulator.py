@@ -425,7 +425,7 @@ class TestDataset:
         bank = load_bank(tmp_path / "d" / "bank")
         assert set(gts) == set(ids) == set(bases) == set(bank.videos())
         for vid in ids:
-            assert len(gts[vid]) == bases[vid].num_frames == bank.frame_count(vid)
+            assert len(gts[vid]) == bases[vid].num_frames == bank.pair_labels(vid).shape[1]
             assert np.array_equal(bases[vid].labels, gts[vid].labels)
 
     def test_failed_video_writes_nothing(self, tmp_path, monkeypatch):
